@@ -103,12 +103,54 @@ def compare_sets(found: SolutionSet, expected: SolutionSet) -> SetDiff:
     )
 
 
+# ------------------------------------------------------------------ relaxation
+
+
+@dataclass(frozen=True)
+class _Condition:
+    """lo <= const + coeffs.x <= hi, optionally const + coeffs.x = 0 mod n."""
+
+    coeffs: tuple[int, ...]
+    const: int
+    lo: int
+    hi: int
+    modn: bool
+
+
+def _relaxation(system: ConstraintSystem) -> tuple[list[_Condition], list[_Condition], bool]:
+    """The relaxation of the system, built once for the rank, LP and search.
+
+    Returns (rows, levels, consistent).  rows are the distinct non-constant
+    character rows 0 <= const + coeffs.x <= upper, = 0 mod n; levels are
+    the (V1) equations sum = 1, one per level; consistent says whether
+    every constant row already holds.
+    """
+    nvars = len(system.layout)
+    rows = list(
+        dict.fromkeys(
+            _Condition(r.coeffs, r.const, 0, r.upper, True)
+            for r in system.rows
+            if any(r.coeffs)
+        )
+    )
+    levels = [
+        _Condition(tuple(1 if i in idxs else 0 for i in range(nvars)), 0, 1, 1, False)
+        for _d, idxs in sorted(system.layout.level_indices().items())
+    ]
+    consistent = all(
+        0 <= r.const <= r.upper and r.const % system.n == 0
+        for r in system.rows
+        if not any(r.coeffs)
+    )
+    return rows, levels, consistent
+
+
 # ------------------------------------------------------------------ rank
 
 
 def rank_check(system: ConstraintSystem) -> int:
-    """Exact rank over Q of the stacked row coefficient matrix."""
-    rows = [list(map(Fraction, r.coeffs)) for r in system.rows]
+    """Exact rank over Q of the coefficient matrix of the distinct rows."""
+    rows = [list(map(Fraction, c.coeffs)) for c in _relaxation(system)[0]]
     nvars = len(system.layout)
     rank = 0
     col = 0
@@ -212,36 +254,6 @@ def _simplex_min(A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
     return "optimal", -z2[-1]
 
 
-def _relaxation_rows(system: ConstraintSystem) -> tuple[list[tuple[int, ...]], list[int]]:
-    """All inequalities g.x <= h of the relaxation, deduplicated.
-
-    Each constraint row contributes both sides of 0 <= a.x + c <= upper;
-    each (V1) level equation contributes both directions of sum = 1.
-    """
-    seen: set[tuple[tuple[int, ...], int]] = set()
-    G: list[tuple[int, ...]] = []
-    h: list[int] = []
-
-    def push(g: tuple[int, ...], rhs: int) -> None:
-        key = (g, rhs)
-        if key not in seen:
-            seen.add(key)
-            G.append(g)
-            h.append(rhs)
-
-    for row in system.rows:
-        if any(row.coeffs):
-            neg = tuple(-a for a in row.coeffs)
-            push(neg, row.const)
-            push(row.coeffs, row.upper - row.const)
-    nvars = len(system.layout)
-    for _d, idxs in sorted(system.layout.level_indices().items()):
-        g = tuple(1 if i in idxs else 0 for i in range(nvars))
-        push(g, 1)
-        push(tuple(-x for x in g), -1)
-    return G, h
-
-
 def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     """Exact per-variable LP bounds of the relaxation, rounded inward.
 
@@ -253,15 +265,20 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     nvars = len(system.layout)
     if nvars == 0:
         return BoundsBox(lo=(), hi=(), feasible=True)
-    G, h = _relaxation_rows(system)
-    A = [[Fraction(G[j][i]) for j in range(len(G))] for i in range(nvars)]
+    rows, levels, _consistent = _relaxation(system)
+    G: list[tuple[int, ...]] = []
+    h: list[int] = []
+    for c in rows + levels:
+        G += [tuple(-a for a in c.coeffs), c.coeffs]
+        h += [c.const - c.lo, c.hi - c.const]
+    A = [[Fraction(g[i]) for g in G] for i in range(nvars)]
     cost = [Fraction(x) for x in h]
     lo = []
     hi = []
     for i in range(nvars):
         for sense in (1, -1):
             b = [Fraction(sense if j == i else 0) for j in range(nvars)]
-            status, value = _simplex_min([row[:] for row in A], b, cost)
+            status, value = _simplex_min(A, b, cost)
             if status == "infeasible":
                 raise RankDeficientError(
                     "unbounded relaxation: augment the character family"
@@ -279,42 +296,6 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
 
 
 # ------------------------------------------------------------------ search
-
-
-@dataclass(frozen=True)
-class _Condition:
-    """lo <= const + coeffs.x <= hi, optionally const + coeffs.x = 0 mod n."""
-
-    coeffs: tuple[int, ...]
-    const: int
-    lo: int
-    hi: int
-    modn: bool
-
-
-def _conditions(system: ConstraintSystem) -> list[_Condition] | None:
-    """Search conditions; None when a constant row is already violated."""
-    n = system.n
-    seen = set()
-    conds: list[_Condition] = []
-    for row in system.rows:
-        if not any(row.coeffs):
-            ok = 0 <= row.const <= row.upper and row.const % n == 0
-            if not ok:
-                return None
-            continue
-        key = (row.coeffs, row.const, row.upper)
-        if key in seen:
-            continue
-        seen.add(key)
-        conds.append(
-            _Condition(coeffs=row.coeffs, const=row.const, lo=0, hi=row.upper, modn=True)
-        )
-    nvars = len(system.layout)
-    for _d, idxs in sorted(system.layout.level_indices().items()):
-        coeffs = tuple(1 if i in idxs else 0 for i in range(nvars))
-        conds.append(_Condition(coeffs=coeffs, const=0, lo=1, hi=1, modn=False))
-    return conds
 
 
 def _value_order(lo: int, hi: int) -> list[int]:
@@ -339,12 +320,13 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values, budget: int)
     """Depth-first enumeration; returns (solution vectors, node count)."""
     n = system.n
     nvars = len(system.layout)
-    conds = _conditions(system)
-    if conds is None or not box.feasible:
+    rows, levels, consistent = _relaxation(system)
+    if not consistent or not box.feasible:
         return [], 0
     if nvars == 0:
         return [()], 0
 
+    conds = rows + levels
     ncond = len(conds)
     last_var = [max(i for i, a in enumerate(c.coeffs) if a) for c in conds]
     # static suffix ranges of sum_{j >= k} a_j x_j over the box
@@ -432,6 +414,9 @@ def enumerate_solutions(
             )
         vectors = [v for sols, _n in parts for v in sols]
         nodes = sum(n for _sols, n in parts)
+        # each chunk only checks its own count against the budget
+        if nodes > node_budget:
+            raise SearchIncomplete(nodes, node_budget)
     else:
         vectors, nodes = _search(system, box, None, node_budget)
     dists = (distribution_from_vector(system.layout, v) for v in vectors)

@@ -6,10 +6,12 @@ import csv
 import io
 import json
 
+import pytest
 
 from helpzc.cli import main
 from helpzc.help_core import exceptional, tpa_distribution
 from helpzc.psl2 import make_context, make_frame
+from helpzc.solver import RankDeficientError
 
 
 def run_cli(capsys, *argv):
@@ -250,15 +252,18 @@ def test_custom_character_file(tmp_path, capsys):
     assert payload["family"].startswith("file:")
 
 
-def test_workers_env_and_flag(monkeypatch, capsys):
-    monkeypatch.setenv("HELPZC_WORKERS", "2")
-    code, out, _ = run_cli(capsys, "vpa", "--q", "19", "--n", "10")
+def test_workers_env_and_flag(capsys):
+    # --workers is the only way to set the worker count
+    code, out, _ = run_cli(capsys, "vpa", "--q", "19", "--n", "10", "--workers", "2")
     assert code == 0
-    env_payload = json.loads(out)
-    monkeypatch.setenv("HELPZC_WORKERS", "junk-free")
+    duo = json.loads(out)
     code, out, _ = run_cli(capsys, "vpa", "--q", "19", "--n", "10", "--workers", "1")
     assert code == 0
-    assert json.loads(out)["solutions"] == env_payload["solutions"]
+    assert json.loads(out)["solutions"] == duo["solutions"]
+    with pytest.raises(SystemExit) as exc:
+        main(["vpa", "--q", "19", "--n", "10", "--workers", "0"])
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
 
 
 def test_worker_pool_budget_exhaustion_is_loud(capsys):
@@ -268,3 +273,13 @@ def test_worker_pool_budget_exhaustion_is_loud(capsys):
     )
     assert code == 3
     assert "incomplete" in err
+
+
+def test_rank_deficient_family_exits_2(monkeypatch, capsys):
+    def deficient(*_args, **_kwargs):
+        raise RankDeficientError("unbounded relaxation: augment the character family")
+
+    monkeypatch.setattr("helpzc.cli.solve_vpa", deficient)
+    code, _, err = run_cli(capsys, "vpa", "--q", "19", "--n", "10")
+    assert code == 2
+    assert "augment" in err

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from helpzc.help_core import (
+    ConstraintRow,
     SolutionSet,
     build_constraints,
     exceptional,
@@ -114,6 +116,17 @@ def test_bounds_contain_known_solutions():
         assert all(lo <= v <= hi for lo, v, hi in zip(box.lo, vec, box.hi))
     i = layout.index(5, fr.class_of(5))
     assert box.lo[i] <= 1 <= box.hi[i]
+
+
+@pytest.mark.parametrize(
+    "q, n, box",
+    [
+        (13, 6, BoundsBox(lo=(0, 0, -1, 1, 1), hi=(1, 1, 1, 1, 1))),
+        (19, 10, BoundsBox(lo=(0, -1, 0, -1, 0, 0, 0, 1), hi=(1,) * 8)),
+    ],
+)
+def test_bounds_pinned_paper_boxes(q, n, box):
+    assert derive_bounds(paper_system(q, n)) == box
 
 
 def test_bounds_require_full_rank():
@@ -239,6 +252,39 @@ def test_workers_match_single_thread():
     duo = enumerate_solutions(system, box, workers=2)
     assert [p.sort_key() for p in solo.solutions] == [p.sort_key() for p in duo.solutions]
     assert solo.node_count == duo.node_count
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_node_budget_counts_nodes_of_all_workers(workers):
+    system = paper_system(19, 10)
+    box = derive_bounds(system)
+    total = enumerate_solutions(system, box).node_count
+    assert total == 109
+    with pytest.raises(SearchIncomplete):
+        enumerate_solutions(system, box, node_budget=total - 1, workers=workers)
+    rep = enumerate_solutions(system, box, node_budget=total, workers=workers)
+    assert rep.node_count == total
+
+
+def test_duplicated_rows_change_nothing():
+    system = paper_system(19, 10)
+    doubled = replace(system, rows=system.rows + system.rows)
+    assert rank_check(doubled) == rank_check(system)
+    box = derive_bounds(system)
+    assert derive_bounds(doubled) == box
+    once = enumerate_solutions(system, box)
+    twice = enumerate_solutions(doubled, box)
+    assert twice.node_count == once.node_count
+    assert [p.sort_key() for p in twice.solutions] == [p.sort_key() for p in once.solutions]
+
+
+def test_violated_constant_row_enumerates_nothing():
+    system = paper_system(19, 10)
+    box = derive_bounds(system)
+    bad = ConstraintRow(character="const", l=0, coeffs=(0,) * 8, const=1, upper=10)
+    rep = enumerate_solutions(replace(system, rows=system.rows + (bad,)), box)
+    assert len(rep.solutions) == 0
+    assert rep.node_count == 0
 
 
 def test_node_budget_is_loud():
