@@ -20,6 +20,7 @@ from .help_core import (
     accumulated,
     check_wagner,
     exceptional_set,
+    json_int,
     tpa_set,
     verify_v4,
 )
@@ -68,11 +69,11 @@ def _characters_from_file(path: str) -> tuple[CharRestriction, ...]:
             if kind == "trivial":
                 out.append(CharRestriction.trivial())
             elif kind == "phi":
-                out.append(CharRestriction.phi(int(item["h"])))
+                out.append(CharRestriction.phi(json_int(item["h"])))
             elif kind == "psi":
-                out.append(CharRestriction.psi(int(item["h"])))
+                out.append(CharRestriction.psi(json_int(item["h"])))
             elif kind == "brauer":
-                out.append(CharRestriction.brauer(item["weights"]))
+                out.append(CharRestriction.brauer([json_int(r) for r in item["weights"]]))
             else:
                 raise ValueError(f"unknown character kind {kind!r}")
     except (KeyError, TypeError, AttributeError) as exc:
@@ -81,10 +82,13 @@ def _characters_from_file(path: str) -> tuple[CharRestriction, ...]:
 
 
 def _resolve_characters(frame, spec: str):
-    if os.path.exists(spec):
-        chars = _characters_from_file(spec)
-        return chars, f"file:{os.path.basename(spec)}"
-    return character_family(frame, spec)
+    """A character family preset, or else a JSON character file."""
+    try:
+        return character_family(frame, spec)
+    except ValueError:
+        if not os.path.exists(spec):
+            raise
+    return _characters_from_file(spec), f"file:{os.path.basename(spec)}"
 
 
 def _solution_set_payload(command: str, frame, solutions: SolutionSet, **extra) -> dict:
@@ -496,4 +500,11 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; silence the flush Python retries at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAIL
+    sys.exit(code)

@@ -108,20 +108,8 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _poly_trim(out)
 
 
-def _poly_mod(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """Remainder of num modulo the monic polynomial den, over the integers."""
-    rem = list(num)
-    dn = len(den) - 1
-    for i in range(len(rem) - 1, dn - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(dn + 1):
-                rem[i - dn + j] -= c * den[j]
-    del rem[dn:]
-    return _poly_trim(rem)
-
-
 def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by the monic polynomial den, over the integers."""
     rem = list(num)
     dn = len(den) - 1
     quo = [0] * max(len(rem) - dn, 1)
@@ -200,7 +188,7 @@ class CycSum:
     def canonical(self) -> tuple[int, ...]:
         """Coefficients modulo the cyclotomic polynomial, padded to degree phi(m)."""
         phi_m = cyclotomic_polynomial(self._order)
-        rem = _poly_mod(self._coeffs, phi_m)
+        rem = _poly_divmod(self._coeffs, phi_m)[1]
         return tuple(rem) + (0,) * (len(phi_m) - 1 - len(rem))
 
     def is_zero(self) -> bool:

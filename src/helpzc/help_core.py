@@ -36,6 +36,13 @@ from .psl2 import (
 )
 
 
+def json_int(value) -> int:
+    """A JSON integer as it is; floats, strings and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 class PADistribution:
     """An integer class-function family (eps_d)_{d | n} on the classes of a frame.
 
@@ -126,8 +133,8 @@ class PADistribution:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> PADistribution:
         try:
-            q = int(data["q"])
-            n = int(data["n"])
+            q = json_int(data["q"])
+            n = json_int(data["n"])
             raw = list(data["entries"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed distribution object: {exc}") from exc
@@ -135,13 +142,13 @@ class PADistribution:
         levels: dict[int, dict[ClassLabel, int]] = {}
         for item in raw:
             try:
-                d, exp, v = int(item["d"]), int(item["exp"]), int(item["value"])
+                d, exp, v = (json_int(item[key]) for key in ("d", "exp", "value"))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed distribution entry: {exc}") from exc
             label = frame.class_of(exp)
             if label.exp != exp:
                 raise ValueError(f"exponent {exp} is not canonical for order {n}")
-            if "order" in item and int(item["order"]) != label.order:
+            if "order" in item and json_int(item["order"]) != label.order:
                 raise ValueError(
                     f"entry order {item['order']} does not match class order {label.order}"
                 )

@@ -9,7 +9,10 @@ the complete solution set or fails loudly when the node budget runs out.
 
 The per-variable LPs are solved through the dual: the primal has few
 variables and hundreds of rows, so the dual tableau has one row per
-primal variable and stays tiny.
+primal variable and stays tiny.  Every condition enters the dual as a
+pair of opposite columns, so one Gauss-Jordan reduction per system gives
+a basis from which each of the 2 * vars duals starts feasible after sign
+flips: every LP is a single phase of Bland-rule simplex.
 """
 
 from __future__ import annotations
@@ -175,145 +178,103 @@ def rank_check(system: ConstraintSystem) -> int:
 # ------------------------------------------------------------------ exact LP
 
 
-def _simplex_min(A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
-    """min c.y subject to A y = b, y >= 0, by two-phase tableau simplex.
-
-    Bland's rule everywhere, so cycling cannot occur.  Returns
-    ("optimal", value), ("infeasible", None) or ("unbounded", None).
-    """
-    m = len(A)
-    nreal = len(c)
-    T: list[list[Fraction]] = []
-    for i in range(m):
-        row = list(A[i])
-        rhs = b[i]
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        T.append(row + art + [rhs])
-    basis = list(range(nreal, nreal + m))
-
-    def pivot(r: int, col: int, z: list[Fraction]) -> None:
-        piv = T[r][col]
+def _pivot(T: list[list[Fraction]], r: int, col: int) -> None:
+    """Scale row r to a unit pivot at col and clear col from every other row."""
+    piv = T[r][col]
+    if piv != 1:
         T[r] = [x / piv for x in T[r]]
-        for i in range(m):
-            if i != r and T[i][col]:
-                f = T[i][col]
-                T[i] = [x - f * y for x, y in zip(T[i], T[r])]
-        if z[col]:
-            f = z[col]
-            z[:] = [x - f * y for x, y in zip(z, T[r])]
-        basis[r] = col
+    prow = T[r]
+    for i, row in enumerate(T):
+        if i != r and row[col]:
+            f = row[col]
+            T[i] = [x - f * y if y else x for x, y in zip(row, prow)]
 
-    def reduced_costs(cost: list[Fraction]) -> list[Fraction]:
-        z = list(cost) + [Fraction(0)] * (len(T[0]) - len(cost))
-        for r, bv in enumerate(basis):
-            if z[bv]:
-                f = z[bv]
-                z = [x - f * y for x, y in zip(z, T[r])]
-        return z
 
-    def optimize(z: list[Fraction]) -> str:
-        while True:
-            col = next((j for j in range(nreal) if z[j] < 0), None)
-            if col is None:
-                return "optimal"
-            best = None
-            for i in range(m):
-                a = T[i][col]
-                if a > 0:
-                    key = (T[i][-1] / a, basis[i])
-                    if best is None or key < best[0]:
-                        best = (key, i)
-            if best is None:
-                return "unbounded"
-            pivot(best[1], col, z)
+def _phase2(T: list[list[Fraction]], basis: list[int]) -> Fraction | None:
+    """min c.y from a feasible basis; None if the objective is unbounded.
 
-    # phase 1: minimize the artificial sum
-    z1 = reduced_costs([Fraction(0)] * nreal + [Fraction(1)] * m)
-    optimize(z1)
-    if -z1[-1] != 0:
-        return "infeasible", None
-    # drive leftover artificials out of the basis; drop redundant rows
-    for r in range(m - 1, -1, -1):
-        if basis[r] >= nreal:
-            col = next((j for j in range(nreal) if T[r][j]), None)
-            if col is None:
-                del T[r]
-                del basis[r]
-                m -= 1
-            else:
-                pivot(r, col, z1)
-
-    z2 = reduced_costs(list(c))
-    status = optimize(z2)
-    if status == "unbounded":
-        return "unbounded", None
-    return "optimal", -z2[-1]
+    T has one row per basic variable, right-hand side last, then the cost
+    row c.  Bland's rule throughout, so cycling cannot occur.
+    """
+    for r, bv in enumerate(basis):
+        if T[-1][bv]:
+            f = T[-1][bv]
+            T[-1] = [x - f * y for x, y in zip(T[-1], T[r])]
+    while True:
+        col = next((j for j, x in enumerate(T[-1][:-1]) if x < 0), None)
+        if col is None:
+            return -T[-1][-1]
+        best = None
+        for i, bv in enumerate(basis):
+            a = T[i][col]
+            if a > 0:
+                key = (T[i][-1] / a, bv)
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:
+            return None
+        _pivot(T, best[1], col)
+        basis[best[1]] = col
 
 
 def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     """Exact per-variable LP bounds of the relaxation, rounded inward.
 
-    The LPs are solved through the dual (min h.y, G^T y = w, y >= 0):
-    an infeasible dual means the primal direction is unbounded, which is
-    exactly the rank-deficient situation; an unbounded dual means the
-    relaxation itself is empty.
+    Each bound max/min x_i over G x <= h is solved as its dual
+    min h.y, G^T y = +-e_i, y >= 0.  G^T holds every condition twice: -a
+    in column 2c and +a in column 2c+1.  One Gauss-Jordan reduction of
+    [G^T | I] over independent +a columns gives a basis B for every LP,
+    with right-hand side +-B^-1 e_i.  Where that is negative, negating the
+    row and making the partner column (the same vector negated) basic
+    restores feasibility, so no phase 1 is needed.  A row without a +a
+    pivot means G is rank deficient and the relaxation unbounded; an
+    unbounded dual means the relaxation is empty.
     """
     nvars = len(system.layout)
     if nvars == 0:
         return BoundsBox(lo=(), hi=(), feasible=True)
     rows, levels, _consistent = _relaxation(system)
-    G: list[tuple[int, ...]] = []
-    h: list[int] = []
-    for c in rows + levels:
-        G += [tuple(-a for a in c.coeffs), c.coeffs]
-        h += [c.const - c.lo, c.hi - c.const]
-    A = [[Fraction(g[i]) for g in G] for i in range(nvars)]
-    cost = [Fraction(x) for x in h]
+    conds = rows + levels
+    ncols = 2 * len(conds)
+    cost = [Fraction(x) for c in conds for x in (c.const - c.lo, c.hi - c.const)]
+    T = [
+        [Fraction(x) for c in conds for x in (-c.coeffs[i], c.coeffs[i])]
+        + [Fraction(int(j == i)) for j in range(nvars)]
+        for i in range(nvars)
+    ]
+    basis = []
+    for r in range(nvars):
+        col = next((j for j in range(1, ncols, 2) if T[r][j]), None)
+        if col is None:
+            raise RankDeficientError("unbounded relaxation: augment the character family")
+        _pivot(T, r, col)
+        basis.append(col)
+    empty = BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars, feasible=False)
     lo = []
     hi = []
     for i in range(nvars):
         for sense in (1, -1):
-            b = [Fraction(sense if j == i else 0) for j in range(nvars)]
-            status, value = _simplex_min(A, b, cost)
-            if status == "infeasible":
-                raise RankDeficientError(
-                    "unbounded relaxation: augment the character family"
-                )
-            if status == "unbounded":
-                return BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars, feasible=False)
+            tableau = []
+            start = list(basis)
+            for r, row in enumerate(T):
+                row = row[:ncols] + [sense * row[ncols + i]]
+                if row[-1] < 0:
+                    row = [-x for x in row]
+                    start[r] ^= 1
+                tableau.append(row)
+            value = _phase2(tableau + [cost + [Fraction(0)]], start)
+            if value is None:
+                return empty
             if sense == 1:
                 hi.append(floor(value))
             else:
                 lo.append(-floor(value))
-    for a, b in zip(lo, hi):
-        if a > b:
-            return BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars, feasible=False)
+    if any(a > b for a, b in zip(lo, hi)):
+        return empty
     return BoundsBox(lo=tuple(lo), hi=tuple(hi), feasible=True)
 
 
 # ------------------------------------------------------------------ search
-
-
-def _value_order(lo: int, hi: int) -> list[int]:
-    """Candidate values from the interval midpoint outward."""
-    mid = (lo + hi) // 2
-    out = [mid]
-    step = 1
-    while True:
-        grew = False
-        if mid + step <= hi:
-            out.append(mid + step)
-            grew = True
-        if mid - step >= lo:
-            out.append(mid - step)
-            grew = True
-        if not grew:
-            return out
-        step += 1
 
 
 def _search(system: ConstraintSystem, box: BoundsBox, first_values, budget: int):
@@ -342,10 +303,9 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values, budget: int)
         [(ci, conds[ci].coeffs[k]) for ci in range(ncond) if conds[ci].coeffs[k]]
         for k in range(nvars)
     ]
-    values = [
-        _value_order(lo, hi) if k > 0 or first_values is None else list(first_values)
-        for k, (lo, hi) in enumerate(zip(box.lo, box.hi))
-    ]
+    values = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
+    if first_values is not None:
+        values[0] = first_values
 
     partial = [c.const for c in conds]
     point = [0] * nvars
@@ -405,7 +365,7 @@ def enumerate_solutions(
     """
     nvars = len(system.layout)
     if workers > 1 and nvars > 0 and box.feasible:
-        first = _value_order(box.lo[0], box.hi[0])
+        first = range(box.lo[0], box.hi[0] + 1)
         chunks = [first[i::workers] for i in range(workers)]
         chunks = [c for c in chunks if c]
         with multiprocessing.Pool(len(chunks)) as pool:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from math import gcd
+from fractions import Fraction
+from math import floor, gcd
 
 from helpzc.cyclotomic import CycSum
+from helpzc.solver import BoundsBox, RankDeficientError, _relaxation
 
 
 def mobius_oracle(n: int) -> int:
@@ -102,3 +104,117 @@ def naive_box_scan(system, box):
         if ok:
             hits.append(tuple(point))
     return hits
+
+
+def _simplex_min(A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
+    """min c.y subject to A y = b, y >= 0, by two-phase tableau simplex.
+
+    Bland's rule everywhere, so cycling cannot occur.  Returns
+    ("optimal", value), ("infeasible", None) or ("unbounded", None).
+    """
+    m = len(A)
+    nreal = len(c)
+    T: list[list[Fraction]] = []
+    for i in range(m):
+        row = list(A[i])
+        rhs = b[i]
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        T.append(row + art + [rhs])
+    basis = list(range(nreal, nreal + m))
+
+    def pivot(r: int, col: int, z: list[Fraction]) -> None:
+        piv = T[r][col]
+        T[r] = [x / piv for x in T[r]]
+        for i in range(m):
+            if i != r and T[i][col]:
+                f = T[i][col]
+                T[i] = [x - f * y for x, y in zip(T[i], T[r])]
+        if z[col]:
+            f = z[col]
+            z[:] = [x - f * y for x, y in zip(z, T[r])]
+        basis[r] = col
+
+    def reduced_costs(cost: list[Fraction]) -> list[Fraction]:
+        z = list(cost) + [Fraction(0)] * (len(T[0]) - len(cost))
+        for r, bv in enumerate(basis):
+            if z[bv]:
+                f = z[bv]
+                z = [x - f * y for x, y in zip(z, T[r])]
+        return z
+
+    def optimize(z: list[Fraction]) -> str:
+        while True:
+            col = next((j for j in range(nreal) if z[j] < 0), None)
+            if col is None:
+                return "optimal"
+            best = None
+            for i in range(m):
+                a = T[i][col]
+                if a > 0:
+                    key = (T[i][-1] / a, basis[i])
+                    if best is None or key < best[0]:
+                        best = (key, i)
+            if best is None:
+                return "unbounded"
+            pivot(best[1], col, z)
+
+    # phase 1: minimize the artificial sum
+    z1 = reduced_costs([Fraction(0)] * nreal + [Fraction(1)] * m)
+    optimize(z1)
+    if -z1[-1] != 0:
+        return "infeasible", None
+    # drive leftover artificials out of the basis; drop redundant rows
+    for r in range(m - 1, -1, -1):
+        if basis[r] >= nreal:
+            col = next((j for j in range(nreal) if T[r][j]), None)
+            if col is None:
+                del T[r]
+                del basis[r]
+                m -= 1
+            else:
+                pivot(r, col, z1)
+
+    z2 = reduced_costs(list(c))
+    status = optimize(z2)
+    if status == "unbounded":
+        return "unbounded", None
+    return "optimal", -z2[-1]
+
+
+def two_phase_bounds(system) -> BoundsBox:
+    """derive_bounds by one cold two-phase simplex per bound LP."""
+    nvars = len(system.layout)
+    if nvars == 0:
+        return BoundsBox(lo=(), hi=(), feasible=True)
+    rows, levels, _consistent = _relaxation(system)
+    G: list[tuple[int, ...]] = []
+    h: list[int] = []
+    for c in rows + levels:
+        G += [tuple(-a for a in c.coeffs), c.coeffs]
+        h += [c.const - c.lo, c.hi - c.const]
+    A = [[Fraction(g[i]) for g in G] for i in range(nvars)]
+    cost = [Fraction(x) for x in h]
+    lo = []
+    hi = []
+    for i in range(nvars):
+        for sense in (1, -1):
+            b = [Fraction(sense if j == i else 0) for j in range(nvars)]
+            status, value = _simplex_min(A, b, cost)
+            if status == "infeasible":
+                raise RankDeficientError(
+                    "unbounded relaxation: augment the character family"
+                )
+            if status == "unbounded":
+                return BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars, feasible=False)
+            if sense == 1:
+                hi.append(floor(value))
+            else:
+                lo.append(-floor(value))
+    for a, b in zip(lo, hi):
+        if a > b:
+            return BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars, feasible=False)
+    return BoundsBox(lo=tuple(lo), hi=tuple(hi), feasible=True)

@@ -5,9 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import helpzc
 from helpzc.cli import main
 from helpzc.help_core import exceptional, tpa_distribution
 from helpzc.psl2 import make_context, make_frame
@@ -250,6 +254,48 @@ def test_custom_character_file(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["solution_count"] == 2
     assert payload["family"].startswith("file:")
+    bad_items = [
+        {"kind": "phi", "h": 1.5},
+        {"kind": "phi", "h": "1"},
+        {"kind": "psi", "h": True},
+        {"kind": "brauer", "weights": [2.0]},
+        {"kind": "brauer", "weights": ["2"]},
+    ]
+    for item in bad_items:
+        path.write_text(json.dumps([item]))
+        code, _, err = run_cli(capsys, "vpa", "--q", "11", "--n", "5", "--chars", str(path))
+        assert code == 2
+        assert "integer" in err
+
+
+def test_preset_wins_over_file_of_same_name(tmp_path, monkeypatch, capsys):
+    (tmp_path / "paper").write_text(json.dumps([{"kind": "brauer", "weights": [2]}]))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "vpa", "--q", "19", "--n", "10", "--chars", "paper")
+    assert code == 0
+    assert json.loads(out)["family"] == "paper"
+    code, out, _ = run_cli(capsys, "vpa", "--q", "11", "--n", "5", "--chars", "./paper")
+    assert code == 0
+    assert json.loads(out)["family"] == "file:paper"
+
+
+def test_closed_pipe_exits_without_traceback():
+    # about 100 kB of JSON, more than a pipe buffers, so the write hits the
+    # closed pipe
+    src = os.path.dirname(os.path.dirname(helpzc.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "helpzc", "chars", "--q", "289", "--m", "12",
+         "--chars", "brauer-p", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err
 
 
 def test_workers_env_and_flag(capsys):

@@ -479,6 +479,13 @@ def test_json_rejects_malformed():
         PADistribution.from_json_dict(
             {"q": 19, "n": 10, "entries": [{"d": 1, "order": 5, "exp": 1, "value": 1}]}
         )
+    # non-integers are rejected, not coerced
+    entry = {"d": 1, "order": 5, "exp": 2, "value": 1}
+    for q, value in [(19.9, 1), ("19", 1), (19, 1.7), (19, True)]:
+        with pytest.raises(ValueError, match="integer"):
+            PADistribution.from_json_dict(
+                {"q": q, "n": 10, "entries": [dict(entry, value=value)]}
+            )
 
 
 def test_violation_reports():

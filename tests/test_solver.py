@@ -23,7 +23,6 @@ from helpzc.solver import (
     BoundsBox,
     RankDeficientError,
     SearchIncomplete,
-    _simplex_min,
     character_family,
     compare_sets,
     derive_bounds,
@@ -32,7 +31,7 @@ from helpzc.solver import (
     solve_vpa,
 )
 
-from helpers import naive_box_scan
+from helpers import _simplex_min, naive_box_scan, two_phase_bounds
 
 TRIV = CharRestriction.trivial()
 CHI2 = CharRestriction.brauer((2,))
@@ -127,6 +126,44 @@ def test_bounds_contain_known_solutions():
 )
 def test_bounds_pinned_paper_boxes(q, n, box):
     assert derive_bounds(paper_system(q, n)) == box
+
+
+def family_system(q, n, spec):
+    fr = frame_for(q, n)
+    chars, fam = character_family(fr, spec)
+    return build_constraints(fr, chars, variable_layout(fr), fam)
+
+
+def infeasible_system():
+    # 0 <= x_0 - 50 <= 10 is out of reach of the (19,10) paper box
+    system = paper_system(19, 10)
+    row = ConstraintRow(character="far", l=0, coeffs=(1,) + (0,) * 7, const=-50, upper=10)
+    return replace(system, rows=system.rows + (row,))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: paper_system(13, 6),
+        lambda: paper_system(19, 10),
+        lambda: paper_system(41, 10),
+        lambda: family_system(19, 10, "brauer-p"),
+        lambda: build_constraints(frame_for(11, 5), [CHI2]),
+        infeasible_system,
+    ],
+    ids=["paper-13-6", "paper-19-10", "paper-41-10", "brauer-p-19-10", "chi2-11-5",
+         "infeasible-19-10"],
+)
+def test_bounds_match_two_phase_oracle(make):
+    system = make()
+    assert derive_bounds(system) == two_phase_bounds(system)
+
+
+def test_infeasible_relaxation_enumerates_nothing():
+    system = infeasible_system()
+    box = derive_bounds(system)
+    assert not box.feasible
+    assert len(enumerate_solutions(system, box).solutions) == 0
 
 
 def test_bounds_require_full_rank():
