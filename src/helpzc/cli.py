@@ -60,8 +60,11 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 
 def _characters_from_file(path: str) -> tuple[CharRestriction, ...]:
-    with open(path, encoding="utf-8") as fh:
-        items = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            items = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read character file {path}: {exc}") from exc
     out = []
     try:
         for item in items:

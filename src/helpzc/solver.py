@@ -2,7 +2,7 @@
 
 The pipeline is: check that the character rows have full column rank
 (otherwise the linear relaxation is unbounded), bound every variable by
-exact rational linear programming, then run a depth-first search over the
+exact linear programming, then run a depth-first search over the
 integer box with interval propagation and the mod-n congruence of each
 fully assigned row.  Everything is exact; the search either finishes with
 the complete solution set or fails loudly when the node budget runs out.
@@ -13,14 +13,15 @@ primal variable and stays tiny.  Every condition enters the dual as a
 pair of opposite columns, so one Gauss-Jordan reduction per system gives
 a basis from which each of the 2 * vars duals starts feasible after sign
 flips: every LP is a single phase of Bland-rule simplex.
+
+The simplex, like the rank check, is integer-preserving: an int tableau
+over one common denominator whose every pivot divides exactly (Bareiss).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from fractions import Fraction
-from math import floor
 
 from .help_core import (
     ConstraintSystem,
@@ -153,68 +154,67 @@ def _relaxation(system: ConstraintSystem) -> tuple[list[_Condition], list[_Condi
 
 def rank_check(system: ConstraintSystem) -> int:
     """Exact rank over Q of the coefficient matrix of the distinct rows."""
-    rows = [list(map(Fraction, c.coeffs)) for c in _relaxation(system)[0]]
-    nvars = len(system.layout)
-    rank = 0
-    col = 0
-    while col < nvars and rank < len(rows):
+    rows = [list(c.coeffs) for c in _relaxation(system)[0]]
+    rank, den = 0, 1
+    for col in range(len(system.layout)):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        rows[rank] = [x * inv for x in prow]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
+        if pivot is not None:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            den = _pivot(rows, rank, col, den)
+            rank += 1
     return rank
 
 
 # ------------------------------------------------------------------ exact LP
 
 
-def _pivot(T: list[list[Fraction]], r: int, col: int) -> None:
-    """Scale row r to a unit pivot at col and clear col from every other row."""
-    piv = T[r][col]
-    if piv != 1:
-        T[r] = [x / piv for x in T[r]]
+def _pivot(T: list[list[int]], r: int, col: int, den: int) -> int:
+    """Pivot the tableau T / den on (r, col) and return the new denominator.
+
+    Every entry of T stays, up to sign, a minor of the starting matrix
+    (Bareiss), so each // is exact; row r is negated to keep den positive.
+    """
+    p = T[r][col]
+    if p < 0:
+        T[r] = [-x for x in T[r]]
+        p = -p
     prow = T[r]
     for i, row in enumerate(T):
-        if i != r and row[col]:
-            f = row[col]
-            T[i] = [x - f * y if y else x for x, y in zip(row, prow)]
+        if i == r:
+            continue
+        f = row[col]
+        if f:
+            T[i] = [(p * x - f * y) // den for x, y in zip(row, prow)]
+        elif p != den:
+            T[i] = [p * x // den for x in row]
+    return p
 
 
-def _phase2(T: list[list[Fraction]], basis: list[int]) -> Fraction | None:
-    """min c.y from a feasible basis; None if the objective is unbounded.
+def _phase2(T: list[list[int]], basis: list[int], den: int) -> int | None:
+    """floor(min c.y) from a feasible basis; None if the objective is unbounded.
 
-    T has one row per basic variable, right-hand side last, then the cost
-    row c.  Bland's rule throughout, so cycling cannot occur.
+    T / den is the tableau: one row per basic variable, right-hand side
+    last, then the cost row den * c.  Bland's rule throughout, so cycling
+    cannot occur.
     """
     for r, bv in enumerate(basis):
         if T[-1][bv]:
-            f = T[-1][bv]
+            f = T[-1][bv] // den
             T[-1] = [x - f * y for x, y in zip(T[-1], T[r])]
     while True:
         col = next((j for j, x in enumerate(T[-1][:-1]) if x < 0), None)
         if col is None:
-            return -T[-1][-1]
+            return -T[-1][-1] // den
         best = None
         for i, bv in enumerate(basis):
             a = T[i][col]
-            if a > 0:
-                key = (T[i][-1] / a, bv)
-                if best is None or key < best[0]:
-                    best = (key, i)
+            # least ratio T[i][-1] / a, cross-multiplied; ties to the least bv
+            if a > 0 and (best is None or (T[i][-1] * best[1], bv) < (best[0] * a, best[2])):
+                best = (T[i][-1], a, bv, i)
         if best is None:
             return None
-        _pivot(T, best[1], col)
-        basis[best[1]] = col
+        den = _pivot(T, best[3], col, den)
+        basis[best[3]] = col
 
 
 def derive_bounds(system: ConstraintSystem) -> BoundsBox:
@@ -236,24 +236,23 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     rows, levels, _consistent = _relaxation(system)
     conds = rows + levels
     ncols = 2 * len(conds)
-    cost = [Fraction(x) for c in conds for x in (c.const - c.lo, c.hi - c.const)]
     T = [
-        [Fraction(x) for c in conds for x in (-c.coeffs[i], c.coeffs[i])]
-        + [Fraction(int(j == i)) for j in range(nvars)]
+        [x for c in conds for x in (-c.coeffs[i], c.coeffs[i])]
+        + [int(j == i) for j in range(nvars)]
         for i in range(nvars)
     ]
-    basis = []
+    basis, den = [], 1
     for r in range(nvars):
         col = next((j for j in range(1, ncols, 2) if T[r][j]), None)
         if col is None:
             raise RankDeficientError("unbounded relaxation: augment the character family")
-        _pivot(T, r, col)
+        den = _pivot(T, r, col, den)
         basis.append(col)
+    cost = [den * x for c in conds for x in (c.const - c.lo, c.hi - c.const)] + [0]
     empty = BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars, feasible=False)
-    lo = []
-    hi = []
+    lo, hi = [], []
     for i in range(nvars):
-        for sense in (1, -1):
+        for sense, bounds in ((1, hi), (-1, lo)):
             tableau = []
             start = list(basis)
             for r, row in enumerate(T):
@@ -262,13 +261,10 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
                     row = [-x for x in row]
                     start[r] ^= 1
                 tableau.append(row)
-            value = _phase2(tableau + [cost + [Fraction(0)]], start)
+            value = _phase2(tableau + [cost], start, den)
             if value is None:
                 return empty
-            if sense == 1:
-                hi.append(floor(value))
-            else:
-                lo.append(-floor(value))
+            bounds.append(sense * value)
     if any(a > b for a, b in zip(lo, hi)):
         return empty
     return BoundsBox(lo=tuple(lo), hi=tuple(hi), feasible=True)

@@ -268,6 +268,16 @@ def test_custom_character_file(tmp_path, capsys):
         assert "integer" in err
 
 
+def test_unreadable_character_file_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "vpa", "--q", "19", "--n", "10", "--chars", str(tmp_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read character file")
+    assert "Traceback" not in err
+
+
 def test_preset_wins_over_file_of_same_name(tmp_path, monkeypatch, capsys):
     (tmp_path / "paper").write_text(json.dumps([{"kind": "brauer", "weights": [2]}]))
     monkeypatch.chdir(tmp_path)
