@@ -437,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     def solver_opts(p):
         p.add_argument("--chars", default="paper",
                        help="character family: paper, brauer-p, brauer-p:D, or a JSON file")
-        p.add_argument("--node-budget", type=int, default=10_000_000)
+        p.add_argument("--node-budget", type=_positive_int, default=10_000_000,
+                       help="most search nodes (candidate values) to visit (default: 10000000)")
         p.add_argument("--workers", type=_positive_int, default=1,
                        help="search worker processes (default: 1)")
 

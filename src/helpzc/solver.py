@@ -3,9 +3,12 @@
 The pipeline is: check that the character rows have full column rank
 (otherwise the linear relaxation is unbounded), bound every variable by
 exact linear programming, then run a depth-first search over the
-integer box with interval propagation and the mod-n congruence of each
-fully assigned row.  Everything is exact; the search either finishes with
-the complete solution set or fails loudly when the node budget runs out.
+integer box.  At each node interval propagation gives the next
+variable's range, and a row's mod-n congruence is checked where its last
+variable is assigned.  The node count adds every candidate value of the
+box range at each node, pruned or not; that count is what the budget
+bounds.  Everything is exact; the search either finishes with the
+complete solution set or fails loudly when the node budget runs out.
 
 The per-variable LPs are solved through the dual: the primal has few
 variables and hundreds of rows, so the dual tableau has one row per
@@ -273,8 +276,13 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
 # ------------------------------------------------------------------ search
 
 
-def _search(system: ConstraintSystem, box: BoundsBox, first_values, budget: int):
-    """Depth-first enumeration; returns (solution vectors, node count)."""
+def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None, budget: int):
+    """Depth-first enumeration; returns (solution vectors, node count).
+
+    Every condition is linear in the next variable, so the values it admits
+    at a node form one integer interval.  first_values, if given, is a range
+    inside the box that replaces the first level's box range.
+    """
     n = system.n
     nvars = len(system.layout)
     rows, levels, consistent = _relaxation(system)
@@ -284,61 +292,70 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values, budget: int)
         return [()], 0
 
     conds = rows + levels
-    ncond = len(conds)
-    last_var = [max(i for i, a in enumerate(c.coeffs) if a) for c in conds]
-    # static suffix ranges of sum_{j >= k} a_j x_j over the box
-    sufmin = [[0] * (nvars + 1) for _ in range(ncond)]
-    sufmax = [[0] * (nvars + 1) for _ in range(ncond)]
-    for ci, cond in enumerate(conds):
-        for k in range(nvars - 1, -1, -1):
-            a = cond.coeffs[k]
-            terms = (a * box.lo[k], a * box.hi[k])
-            sufmin[ci][k] = sufmin[ci][k + 1] + min(terms)
-            sufmax[ci][k] = sufmax[ci][k + 1] + max(terms)
-    touches = [
-        [(ci, conds[ci].coeffs[k]) for ci in range(ncond) if conds[ci].coeffs[k]]
-        for k in range(nvars)
-    ]
     values = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
     if first_values is not None:
         values[0] = first_values
+    # x_k >= ceil((b - p) / a) for each (ci, a, b) in lower[k], x_k <= floor
+    # of the same for each in upper[k]: p is the partial sum of condition ci, b
+    # a bound of it less the reach of its later variables.  A bound no partial
+    # sum in the box can push into the box is left out.  moves[k] are the sums
+    # x_k changes that have a later variable, closes[k] the congruences it ends.
+    lower, upper, moves, closes = ([[] for _ in range(nvars)] for _ in range(4))
+    for ci, cond in enumerate(conds):
+        reach = [sorted((a * lo, a * hi)) for a, lo, hi in zip(cond.coeffs, box.lo, box.hi)]
+        pmin = pmax = cond.const
+        smin, smax = (sum(r) for r in zip(*reach))
+        for k, a in enumerate(cond.coeffs):
+            rmin, rmax = reach[k]
+            smin, smax = smin - rmin, smax - rmax
+            if not a:
+                continue
+            if pmin + rmin + smax < cond.lo:
+                (lower if a > 0 else upper)[k].append((ci, a, cond.lo - smax))
+            if pmax + rmax + smin > cond.hi:
+                (upper if a > 0 else lower)[k].append((ci, a, cond.hi - smin))
+            if any(cond.coeffs[k + 1:]):
+                moves[k].append((ci, a))
+            elif cond.modn:
+                closes[k].append((ci, a))
+            pmin, pmax = pmin + rmin, pmax + rmax
+    plan = list(zip(values, box.lo, box.hi, lower, upper, moves, closes))
 
-    partial = [c.const for c in conds]
     point = [0] * nvars
     solutions: list[tuple[int, ...]] = []
     nodes = 0
 
-    def descend(k: int) -> None:
+    def descend(k: int, partial: list[int]) -> None:
         nonlocal nodes
         if k == nvars:
             solutions.append(tuple(point))
             return
-        for v in values[k]:
-            nodes += 1
-            if nodes > budget:
-                raise SearchIncomplete(nodes, budget)
-            ok = True
-            for ci, a in touches[k]:
-                s = partial[ci] + a * v
-                cond = conds[ci]
-                if last_var[ci] == k:
-                    if s < cond.lo or s > cond.hi or (cond.modn and s % n):
-                        ok = False
-                        break
-                else:
-                    if s + sufmax[ci][k + 1] < cond.lo or s + sufmin[ci][k + 1] > cond.hi:
-                        ok = False
-                        break
-            if not ok:
+        candidates, lo, hi, lows, highs, move, close = plan[k]
+        nodes += len(candidates)
+        if nodes > budget:
+            raise SearchIncomplete(nodes, budget)
+        for ci, a, b in lows:
+            t = -((partial[ci] - b) // a)
+            if t > lo:
+                lo = t
+        for ci, a, b in highs:
+            t = (b - partial[ci]) // a
+            if t < hi:
+                hi = t
+        step = candidates.step
+        for v in range(lo + (candidates.start - lo) % step, hi + 1, step):
+            if close and any((partial[ci] + a * v) % n for ci, a in close):
                 continue
             point[k] = v
-            for ci, a in touches[k]:
-                partial[ci] += a * v
-            descend(k + 1)
-            for ci, a in touches[k]:
-                partial[ci] -= a * v
+            child = partial.copy()
+            for ci, a in move:
+                child[ci] += a * v
+            descend(k + 1, child)
 
-    descend(0)
+    try:
+        descend(0, [c.const for c in conds])
+    finally:
+        del descend
     return solutions, nodes
 
 

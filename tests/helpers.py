@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import floor, gcd
 
 from helpzc.cyclotomic import CycSum
-from helpzc.solver import BoundsBox, RankDeficientError, _relaxation
+from helpzc.solver import BoundsBox, RankDeficientError, SearchIncomplete, _relaxation
 
 
 def mobius_oracle(n: int) -> int:
@@ -218,3 +218,76 @@ def two_phase_bounds(system) -> BoundsBox:
         if a > b:
             return BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars, feasible=False)
     return BoundsBox(lo=tuple(lo), hi=tuple(hi), feasible=True)
+
+
+def naive_search(system, box, first_values, budget):
+    """The per-candidate DFS the library used before interval propagation.
+
+    Tests every value of every level against every touching condition;
+    returns (solution vectors, node count).
+    """
+    n = system.n
+    nvars = len(system.layout)
+    rows, levels, consistent = _relaxation(system)
+    if not consistent or not box.feasible:
+        return [], 0
+    if nvars == 0:
+        return [()], 0
+
+    conds = rows + levels
+    ncond = len(conds)
+    last_var = [max(i for i, a in enumerate(c.coeffs) if a) for c in conds]
+    # static suffix ranges of sum_{j >= k} a_j x_j over the box
+    sufmin = [[0] * (nvars + 1) for _ in range(ncond)]
+    sufmax = [[0] * (nvars + 1) for _ in range(ncond)]
+    for ci, cond in enumerate(conds):
+        for k in range(nvars - 1, -1, -1):
+            a = cond.coeffs[k]
+            terms = (a * box.lo[k], a * box.hi[k])
+            sufmin[ci][k] = sufmin[ci][k + 1] + min(terms)
+            sufmax[ci][k] = sufmax[ci][k + 1] + max(terms)
+    touches = [
+        [(ci, conds[ci].coeffs[k]) for ci in range(ncond) if conds[ci].coeffs[k]]
+        for k in range(nvars)
+    ]
+    values = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
+    if first_values is not None:
+        values[0] = first_values
+
+    partial = [c.const for c in conds]
+    point = [0] * nvars
+    solutions: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def descend(k: int) -> None:
+        nonlocal nodes
+        if k == nvars:
+            solutions.append(tuple(point))
+            return
+        for v in values[k]:
+            nodes += 1
+            if nodes > budget:
+                raise SearchIncomplete(nodes, budget)
+            ok = True
+            for ci, a in touches[k]:
+                s = partial[ci] + a * v
+                cond = conds[ci]
+                if last_var[ci] == k:
+                    if s < cond.lo or s > cond.hi or (cond.modn and s % n):
+                        ok = False
+                        break
+                else:
+                    if s + sufmax[ci][k + 1] < cond.lo or s + sufmin[ci][k + 1] > cond.hi:
+                        ok = False
+                        break
+            if not ok:
+                continue
+            point[k] = v
+            for ci, a in touches[k]:
+                partial[ci] += a * v
+            descend(k + 1)
+            for ci, a in touches[k]:
+                partial[ci] -= a * v
+
+    descend(0)
+    return solutions, nodes

@@ -322,6 +322,14 @@ def test_workers_env_and_flag(capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_node_budget_below_one_exits_2(budget, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["vpa", "--q", "19", "--n", "10", "--node-budget", budget])
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
 def test_worker_pool_budget_exhaustion_is_loud(capsys):
     code, _, err = run_cli(
         capsys, "vpa", "--q", "19", "--n", "10", "--workers", "2",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from helpzc.solver import (
     solve_vpa,
 )
 
-from helpers import _simplex_min, naive_box_scan, two_phase_bounds
+from helpers import _simplex_min, naive_box_scan, naive_search, two_phase_bounds
 
 TRIV = CharRestriction.trivial()
 CHI2 = CharRestriction.brauer((2,))
@@ -369,6 +370,96 @@ def test_violated_constant_row_enumerates_nothing():
     rep = enumerate_solutions(replace(system, rows=system.rows + (bad,)), box)
     assert len(rep.solutions) == 0
     assert rep.node_count == 0
+
+
+SEARCH_CASES = [
+    ("paper", 13, 6, None),
+    ("paper", 19, 10, None),
+    ("paper", 29, 14, None),
+    ("paper", 31, 15, None),
+    ("paper", 43, 22, None),
+    ("brauer-p", 19, 10, None),
+    ("paper", 31, 15, 0),
+    ("paper", 31, 15, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, q, n, chunk",
+    SEARCH_CASES,
+    ids=[f"{s}-{q}-{n}" + ("" if c is None else f"-chunk{c}of2") for s, q, n, c in SEARCH_CASES],
+)
+def test_search_matches_naive_oracle(spec, q, n, chunk):
+    # same vectors in the same order and the same node count as the
+    # per-candidate search, also on a worker's strided first level
+    system = family_system(q, n, spec)
+    box = derive_bounds(system)
+    first = None if chunk is None else range(box.lo[0], box.hi[0] + 1)[chunk::2]
+    budget = solver.DEFAULT_NODE_BUDGET
+    assert solver._search(system, box, first, budget) == naive_search(system, box, first, budget)
+
+
+@st.composite
+def _search_instance(draw):
+    q, n = draw(st.sampled_from([(13, 6), (19, 10)]))
+    system = paper_system(q, n)
+    box = derive_bounds(system)
+    nvars = len(box.lo)
+    lo, hi = [], []
+    for a, b in zip(box.lo, box.hi):
+        # a sub-range of [a, b], down to a single value or empty
+        low = draw(st.integers(a, b + 1))
+        lo.append(low)
+        hi.append(draw(st.integers(low - 1, b)))
+    row = st.builds(
+        ConstraintRow,
+        character=st.just("random"),
+        l=st.just(0),
+        coeffs=st.tuples(*[st.integers(-6, 6)] * nvars),
+        const=st.integers(-10, 10),
+        upper=st.integers(0, 12),
+    )
+    extra = draw(st.lists(row, max_size=2))
+    system = replace(system, rows=system.rows + tuple(extra))
+    sub = BoundsBox(lo=tuple(lo), hi=tuple(hi))
+    first = range(lo[0], hi[0] + 1)
+    workers = draw(st.integers(1, 2))
+    return system, sub, first[draw(st.integers(0, workers - 1))::workers]
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=_search_instance())
+def test_search_matches_naive_oracle_on_random_boxes(instance):
+    # random sub-boxes and rows with negative coefficients reach the a < 0
+    # ceil/floor branch and the empty and single-value ranges
+    system, box, first = instance
+    budget = solver.DEFAULT_NODE_BUDGET
+    assert solver._search(system, box, first, budget) == naive_search(system, box, first, budget)
+
+
+@pytest.mark.parametrize("q, n, nodes", [(29, 14, 793), (31, 15, 5032), (43, 22, 3935)])
+def test_search_node_counts_pinned(q, n, nodes):
+    system = paper_system(q, n)
+    box = derive_bounds(system)
+    assert enumerate_solutions(system, box).node_count == nodes
+    if (q, n) == (31, 15):
+        for workers in (1, 2):
+            with pytest.raises(SearchIncomplete):
+                enumerate_solutions(system, box, node_budget=nodes - 1, workers=workers)
+            rep = enumerate_solutions(system, box, node_budget=nodes, workers=workers)
+            assert rep.node_count == nodes
+
+
+def test_search_leaves_no_reference_cycle():
+    system = paper_system(31, 15)
+    box = derive_bounds(system)
+    gc.collect()
+    gc.disable()
+    try:
+        solver._search(system, box, None, solver.DEFAULT_NODE_BUDGET)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_node_budget_is_loud():
