@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from functools import cache
 
 from .cyclotomic import is_prime, trace_root
 from .help_core import (
@@ -422,6 +423,7 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="helpzc",
@@ -435,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
     def solver_opts(p):
-        p.add_argument("--chars", default="paper",
-                       help="character family: paper, brauer-p, brauer-p:D, or a JSON file")
         p.add_argument("--node-budget", type=_positive_int, default=10_000_000,
                        help="most search nodes (candidate values) to visit (default: 10000000)")
         p.add_argument("--workers", type=_positive_int, default=1,
@@ -445,6 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vpa", help="enumerate all virtual partial augmentation distributions")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--chars", default="paper",
+                   help="character family: paper, brauer-p, brauer-p:D, or a JSON file")
     solver_opts(p)
     common(p, fmt_default="json")
     p.set_defaults(func=cmd_vpa)

@@ -85,13 +85,6 @@ def trace_root(m: int, k: int) -> int:
     return mobius(d) * euler_phi(m) // euler_phi(d)
 
 
-def root_power_sum(k: int, d: int) -> int:
-    """Exact value of sum_{i=0}^{k-1} zeta_k^(-i*d): k when k | d, else 0."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    return k if d % k == 0 else 0
-
-
 def _poly_trim(coeffs: list[int]) -> list[int]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -316,8 +309,3 @@ class CycSum:
 
     def __repr__(self) -> str:
         return f"CycSum({self._order}, {self})"
-
-
-def subfield_trace(z: CycSum, d: int) -> int:
-    """Trace of z from Q(zeta_{m/d}) to Q, for z supported on exponents divisible by d."""
-    return z.descend(d).trace()

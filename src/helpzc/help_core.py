@@ -15,6 +15,11 @@ divisor d of n and every class x of the cyclic frame, subject to
 Conditions (V2), (V3) and eps_n(1) = 1 are baked into a variable layout;
 each (chi, l) pair then becomes one integer row a.x + c with the two
 requirements a.x + c >= 0 and a.x + c = 0 mod n, and c = chi(1).
+
+The constraint rows and the (V4) check of a distribution come from one
+trace-row computation, which evaluates each character value once per call
+and takes the traces for all l from it; multiplicity() keeps the direct
+single-l formula as the reference.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Mapping
 
-from .cyclotomic import CycSum, divisors, is_prime
+from .cyclotomic import divisors, is_prime
 from .psl2 import (
     CharRestriction,
     ClassLabel,
@@ -227,12 +232,20 @@ class ConstraintSystem:
         return self.frame.m
 
 
-def _row_coefficient(
-    frame: CyclicFrame, value: CycSum, d: int, l: int
-) -> int:
-    """Tr_{Q(zeta_n^d)/Q}( chi(x) * zeta_n^{-l d} ) for a cached chi(x)."""
-    n = frame.m
-    return value.mul_root((-l * d) % n).descend(d).trace()
+def _trace_rows(
+    frame: CyclicFrame, chi: CharRestriction, pairs: Iterable[tuple[int, ClassLabel]]
+) -> list[tuple[int, ...]]:
+    """Row l holds Tr_{Q(zeta_n^d)/Q}( chi(x) * zeta_n^{-l d} ) for each (d, x).
+
+    chi(x) is evaluated once per pair.  Descended to order n/d it turns the
+    twist by zeta_n^{-l d} into one by zeta_{n/d}^{-l}, so each entry repeats
+    with period n/d and only those n/d traces are taken.
+    """
+    periods = []
+    for d, cls in pairs:
+        value = char_value(frame, chi, cls).descend(d)
+        periods.append([value.mul_root(-k).trace() for k in range(value.order)])
+    return [tuple(t[l % len(t)] for t in periods) for l in range(frame.m)]
 
 
 def build_constraints(
@@ -247,11 +260,7 @@ def build_constraints(
     rows = []
     for chi in characters:
         deg = chi.degree(frame)
-        cached = {cls: char_value(frame, chi, cls) for _d, cls in layout.variables}
-        for l in range(n):
-            coeffs = tuple(
-                _row_coefficient(frame, cached[cls], d, l) for d, cls in layout.variables
-            )
+        for l, coeffs in enumerate(_trace_rows(frame, chi, layout.variables)):
             rows.append(
                 ConstraintRow(character=chi.label, l=l, coeffs=coeffs, const=deg, upper=n * deg)
             )
@@ -271,7 +280,7 @@ def multiplicity(pa: PADistribution, chi: CharRestriction, l: int) -> Fraction:
     total = 0
     for d, cls, v in pa.entries():
         value = char_value(pa.frame, chi, cls)
-        total += v * _row_coefficient(pa.frame, value, d, l)
+        total += v * value.mul_root((-l * d) % n).descend(d).trace()
     return Fraction(total, n)
 
 
@@ -307,15 +316,6 @@ def power_distribution(pa: PADistribution, m: int) -> PADistribution:
         if row:
             levels[d] = row
     return PADistribution(sub, levels)
-
-
-def char_at_distribution(pa: PADistribution, chi: CharRestriction, d: int) -> CycSum:
-    """The formal character value sum_x eps_d(x) chi(x) at level d."""
-    total = CycSum.zero(pa.n)
-    for level, cls, v in pa.entries():
-        if level == d:
-            total = total + v * char_value(pa.frame, chi, cls)
-    return total
 
 
 def accumulated(pa: PADistribution, d: int, order: int) -> int:
@@ -431,10 +431,13 @@ class V4Report:
 
 def verify_v4(pa: PADistribution, characters: Iterable[CharRestriction]) -> V4Report:
     """Evaluate every multiplicity and report whether each is a nonnegative integer."""
+    entries = list(pa.entries())
+    pairs = [(d, cls) for d, cls, _v in entries]
+    values = [v for _d, _cls, v in entries]
     checks = []
     for chi in characters:
-        for l in range(pa.n):
-            mu = multiplicity(pa, chi, l)
+        for l, row in enumerate(_trace_rows(pa.frame, chi, pairs)):
+            mu = Fraction(sum(v * a for v, a in zip(values, row)), pa.n)
             ok = mu >= 0 and mu.denominator == 1
             checks.append(MultiplicityCheck(character=chi.label, l=l, value=mu, ok=ok))
     return V4Report.build(checks)

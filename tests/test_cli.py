@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import os
@@ -142,6 +143,26 @@ def test_verify_main_node_budget(capsys):
     )
     assert code == 3
     assert "incomplete" in err
+
+
+def test_verify_main_has_no_chars_option(capsys):
+    # verify-main always enumerates with the paper family
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-main", "--q", "19", "--t", "5", "--chars", "brauer-p"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --chars brauer-p" in capsys.readouterr().err
+
+
+def test_main_leaves_no_reference_cycle(capsys):
+    main(["verify-main", "--q", "19", "--t", "5"])
+    gc.collect()
+    gc.disable()
+    try:
+        main(["verify-main", "--q", "19", "--t", "5"])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert "verdict: ok" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- check

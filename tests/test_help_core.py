@@ -6,13 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpzc import help_core
 from helpzc.cyclotomic import divisors
 from helpzc.help_core import (
     PADistribution,
     accumulated,
     build_constraints,
-    char_at_distribution,
     check_wagner,
     distribution_from_vector,
     exceptional,
@@ -28,6 +30,7 @@ from helpzc.help_core import (
     verify_v4,
 )
 from helpzc.psl2 import CharRestriction, brauer_irreducibles, make_context, make_frame
+from helpzc.solver import character_family
 
 from helpers import float_multiplicity
 
@@ -210,6 +213,87 @@ def test_verify_v4_exceptional_brauer_family():
     assert len(report.checks) == 100
 
 
+def brauer_and_paper(fr):
+    return character_family(fr, "brauer-p")[0] + character_family(fr, "paper")[0]
+
+
+def perturb_level_1(pa, rng):
+    """pa with +1 and -1 added on two distinct non-identity level-1 classes."""
+    up, down = rng.sample([cls for cls in pa.frame.classes() if cls.exp], 2)
+    levels: dict = {}
+    for d, cls, v in pa.entries():
+        levels.setdefault(d, {})[cls] = v
+    row = levels.setdefault(1, {})
+    row[up] = row.get(up, 0) + 1
+    row[down] = row.get(down, 0) - 1
+    return PADistribution(pa.frame, levels)
+
+
+def assert_v4_matches_multiplicity(pa, chars):
+    report = verify_v4(pa, chars)
+    expected = [(chi.label, l, multiplicity(pa, chi, l)) for chi in chars for l in range(pa.n)]
+    assert [(c.character, c.l, c.value) for c in report.checks] == expected
+    assert all(type(c.value) is Fraction for c in report.checks)
+    assert [c.ok for c in report.checks] == [
+        mu >= 0 and mu.denominator == 1 for _label, _l, mu in expected
+    ]
+    return report
+
+
+@pytest.mark.parametrize("q,n", [(19, 10), (29, 14)])
+def test_verify_v4_values_equal_multiplicity(q, n):
+    fr = frame_for(q, n)
+    chars = brauer_and_paper(fr)
+    rng = random.Random(q)
+    base = list(tpa_set(fr)) + list(exceptional_set(fr, n // 2))
+    for pa in base + [perturb_level_1(pa, rng) for pa in base]:
+        assert_v4_matches_multiplicity(pa, chars)
+
+
+FRAME_19_10 = frame_for(19, 10)
+V3_PAIRS = [
+    (d, cls) for d in divisors(10) for cls in FRAME_19_10.classes_of_order_dividing(10 // d)
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=len(V3_PAIRS), max_size=len(V3_PAIRS)))
+def test_verify_v4_on_v3_valid_distributions(values):
+    # (V1) and (V2) may fail: `check` evaluates (V4) whenever (V3) holds
+    levels: dict = {}
+    for (d, cls), v in zip(V3_PAIRS, values):
+        levels.setdefault(d, {})[cls] = v
+    pa = PADistribution(FRAME_19_10, levels)
+    chars = brauer_and_paper(FRAME_19_10)
+    report = assert_v4_matches_multiplicity(pa, chars)
+    for chi, check in zip([chi for chi in chars for _l in range(10)], report.checks):
+        assert abs(float_multiplicity(pa, chi, check.l) - float(check.value)) < 1e-8
+
+
+def test_verify_v4_rejects_v3_violation():
+    fr = frame_for(19, 10)
+    pa = PADistribution(fr, {10: {fr.identity: 1}, 2: {fr.class_of(1): 1}})
+    with pytest.raises(ValueError, match="subframe"):
+        verify_v4(pa, [CharRestriction.phi(1)])
+
+
+def test_verify_v4_evaluates_each_character_value_once(monkeypatch):
+    fr = frame_for(19, 10)
+    chars = brauer_irreducibles(fr.ctx, fr)
+    pa = perturb_level_1(exceptional(fr, 5), random.Random(1))
+    expected = verify_v4(pa, chars)
+    calls = []
+    original = help_core.char_value
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(help_core, "char_value", counted)
+    assert verify_v4(pa, chars) == expected
+    assert 0 < len(calls) <= len(chars) * len(list(pa.entries()))
+
+
 def test_verify_v4_tpa_always_passes():
     ctx = make_context(19)
     fr = make_frame(ctx, 10)
@@ -320,21 +404,6 @@ def test_power_map_multiplicity_identity_phi():
 
 
 # ---------------------------------------------------------------- misc ops
-
-
-def test_char_at_distribution():
-    from helpzc.psl2 import char_value
-
-    fr = frame_for(19, 10)
-    tpa = tpa_distribution(fr, 1)
-    phi3 = CharRestriction.phi(3)
-    assert char_at_distribution(tpa, phi3, 1) == char_value(fr, phi3, fr.class_of(1))
-    rng = random.Random(33)
-    for _ in range(5):
-        pa = random_distribution(fr, rng)
-        for d in divisors(10):
-            assert char_at_distribution(pa, TRIV, d) == 1
-    assert char_at_distribution(exceptional(fr, 5), CharRestriction.psi(1), 1).is_zero()
 
 
 def test_accumulated_values():
