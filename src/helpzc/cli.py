@@ -41,10 +41,11 @@ EXIT_INCOMPLETE = 3
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc}") from exc
     else:
         print(text)
 
@@ -361,6 +362,8 @@ def cmd_chars(args) -> int:
     ctx = make_context(args.q)
     frame = make_frame(ctx, args.m)
     if args.decompose is not None:
+        if args.format == "csv":
+            raise ValueError("--decompose has no csv format")
         weights = _parse_weights(args.decompose)
         k0, coeffs = decompose_chi(frame, weights)
         if args.format == "json":
@@ -432,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="text"):
-        p.add_argument("--format", choices=["json", "csv", "text"], default=fmt_default)
+    def common(p, fmt_default="text", formats=("json", "text")):
+        p.add_argument("--format", choices=formats, default=fmt_default)
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
     def solver_opts(p):
@@ -448,13 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chars", default="paper",
                    help="character family: paper, brauer-p, brauer-p:D, or a JSON file")
     solver_opts(p)
-    common(p, fmt_default="json")
+    common(p, fmt_default="json", formats=("json", "csv", "text"))
     p.set_defaults(func=cmd_vpa)
 
     p = sub.add_parser("tpa", help="list the distributions of actual group elements")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p, fmt_default="json")
+    common(p, fmt_default="json", formats=("json", "csv", "text"))
     p.set_defaults(func=cmd_tpa)
 
     p = sub.add_parser(
@@ -480,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="digit tuple of a Brauer restriction, e.g. 4 or 2,0 (repeatable)")
     p.add_argument("--decompose", help="digit tuple to expand into k_0 and n_h coefficients")
     p.add_argument("--chars", default="paper")
-    common(p)
+    common(p, formats=("json", "csv", "text"))
     p.set_defaults(func=cmd_chars)
 
     p = sub.add_parser("trace", help="rational trace of a root of unity")

@@ -12,13 +12,13 @@ complete solution set or fails loudly when the node budget runs out.
 
 The per-variable LPs are solved through the dual: the primal has few
 variables and hundreds of rows, so the dual tableau has one row per
-primal variable and stays tiny.  Every condition enters the dual as a
-pair of opposite columns, so one Gauss-Jordan reduction per system gives
-a basis from which each of the 2 * vars duals starts feasible after sign
-flips: every LP is a single phase of Bland-rule simplex.
-
-The simplex, like the rank check, is integer-preserving: an int tableau
-over one common denominator whose every pivot divides exactly (Bareiss).
+primal variable and stays tiny.  A condition lo <= const + a.x <= hi
+is one dual column, a or -a as needed, so the tableau is the transposed
+condition matrix.  The Gauss-Jordan elimination behind the rank check
+gives a basis from which each of the 2 * vars duals starts feasible after
+column flips, so every LP is a single phase of Bland-rule simplex.  Both
+are integer-preserving: an int tableau over one common denominator whose
+every pivot divides exactly (Bareiss).
 """
 
 from __future__ import annotations
@@ -152,23 +152,7 @@ def _relaxation(system: ConstraintSystem) -> tuple[list[_Condition], list[_Condi
     return rows, levels, consistent
 
 
-# ------------------------------------------------------------------ rank
-
-
-def rank_check(system: ConstraintSystem) -> int:
-    """Exact rank over Q of the coefficient matrix of the distinct rows."""
-    rows = [list(c.coeffs) for c in _relaxation(system)[0]]
-    rank, den = 0, 1
-    for col in range(len(system.layout)):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is not None:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            den = _pivot(rows, rank, col, den)
-            rank += 1
-    return rank
-
-
-# ------------------------------------------------------------------ exact LP
+# ------------------------------------------------------------------ rank and exact LP
 
 
 def _pivot(T: list[list[int]], r: int, col: int, den: int) -> int:
@@ -193,21 +177,51 @@ def _pivot(T: list[list[int]], r: int, col: int, den: int) -> int:
     return p
 
 
-def _phase2(T: list[list[int]], basis: list[int], den: int) -> int | None:
+def _eliminate(T: list[list[int]], ncols: int) -> tuple[list[int | None], int]:
+    """Gauss-Jordan on T row by row: each row's pivot column below ncols (or None), and den."""
+    pivots, den = [], 1
+    for r in range(len(T)):
+        col = next((j for j in range(ncols) if T[r][j]), None)
+        if col is not None:
+            den = _pivot(T, r, col, den)
+        pivots.append(col)
+    return pivots, den
+
+
+def rank_check(system: ConstraintSystem) -> int:
+    """Exact rank over Q of the coefficient matrix of the distinct rows."""
+    rows = _relaxation(system)[0]
+    T = [[c.coeffs[i] for c in rows] for i in range(len(system.layout))]
+    return sum(col is not None for col in _eliminate(T, len(rows))[0])
+
+
+def _flip(T: list[list[int]], col: int, width: int, den: int) -> None:
+    """Switch column col of T / den between a and -a, whose (reduced) costs add up to width."""
+    for row in T[:-1]:
+        row[col] = -row[col]
+    T[-1][col] = den * width - T[-1][col]
+
+
+def _phase2(T: list[list[int]], basis: list[int], den: int, widths: list[int]) -> int | None:
     """floor(min c.y) from a feasible basis; None if the objective is unbounded.
 
     T / den is the tableau: one row per basic variable, right-hand side
-    last, then the cost row den * c.  Bland's rule throughout, so cycling
-    cannot occur.
+    last, then the cost row den * c.  Column j stands for a or -a of
+    condition j; the other direction prices in where column j's reduced
+    cost exceeds den * widths[j], and at most one of the two does, so this
+    is Bland's rule over both and cycling cannot occur.
     """
     for r, bv in enumerate(basis):
         if T[-1][bv]:
             f = T[-1][bv] // den
             T[-1] = [x - f * y for x, y in zip(T[-1], T[r])]
     while True:
-        col = next((j for j, x in enumerate(T[-1][:-1]) if x < 0), None)
+        cost = T[-1]
+        col = next((j for j, w in enumerate(widths) if cost[j] < 0 or cost[j] > den * w), None)
         if col is None:
-            return -T[-1][-1] // den
+            return -cost[-1] // den
+        if cost[col] > 0:
+            _flip(T, col, widths[col], den)
         best = None
         for i, bv in enumerate(basis):
             a = T[i][col]
@@ -224,47 +238,37 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     """Exact per-variable LP bounds of the relaxation, rounded inward.
 
     Each bound max/min x_i over G x <= h is solved as its dual
-    min h.y, G^T y = +-e_i, y >= 0.  G^T holds every condition twice: -a
-    in column 2c and +a in column 2c+1.  One Gauss-Jordan reduction of
-    [G^T | I] over independent +a columns gives a basis B for every LP,
-    with right-hand side +-B^-1 e_i.  Where that is negative, negating the
-    row and making the partner column (the same vector negated) basic
-    restores feasibility, so no phase 1 is needed.  A row without a +a
-    pivot means G is rank deficient and the relaxation unbounded; an
-    unbounded dual means the relaxation is empty.
+    min h.y, G^T y = +-e_i, y >= 0.  G holds each condition's a as -a and
+    +a; the dual has one column per condition for the direction in use.
+    One Gauss-Jordan elimination of [A^T | I], A the matrix of rows a,
+    gives a basis B for every LP, with right-hand side +-B^-1 e_i; where
+    that is negative, negating the row and flipping its basic column
+    restores feasibility, so no phase 1 is needed.  A row without a pivot
+    means A is rank deficient and the relaxation unbounded; an unbounded
+    dual means the relaxation is empty.
     """
     nvars = len(system.layout)
     if nvars == 0:
         return BoundsBox(lo=(), hi=(), feasible=True)
     rows, levels, _consistent = _relaxation(system)
     conds = rows + levels
-    ncols = 2 * len(conds)
-    T = [
-        [x for c in conds for x in (-c.coeffs[i], c.coeffs[i])]
-        + [int(j == i) for j in range(nvars)]
-        for i in range(nvars)
-    ]
-    basis, den = [], 1
-    for r in range(nvars):
-        col = next((j for j in range(1, ncols, 2) if T[r][j]), None)
-        if col is None:
-            raise RankDeficientError("unbounded relaxation: augment the character family")
-        den = _pivot(T, r, col, den)
-        basis.append(col)
-    cost = [den * x for c in conds for x in (c.const - c.lo, c.hi - c.const)] + [0]
+    ncols = len(conds)
+    T = [[c.coeffs[i] for c in conds] + [int(j == i) for j in range(nvars)] for i in range(nvars)]
+    basis, den = _eliminate(T, ncols)
+    if None in basis:
+        raise RankDeficientError("unbounded relaxation: augment the character family")
+    cost = [den * (c.hi - c.const) for c in conds] + [0]
+    widths = [c.hi - c.lo for c in conds]
     empty = BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars, feasible=False)
     lo, hi = [], []
     for i in range(nvars):
         for sense, bounds in ((1, hi), (-1, lo)):
-            tableau = []
-            start = list(basis)
-            for r, row in enumerate(T):
-                row = row[:ncols] + [sense * row[ncols + i]]
-                if row[-1] < 0:
-                    row = [-x for x in row]
-                    start[r] ^= 1
-                tableau.append(row)
-            value = _phase2(tableau + [cost], start, den)
+            tableau = [row[:ncols] + [sense * row[ncols + i]] for row in T] + [cost[:]]
+            for r, col in enumerate(basis):
+                if tableau[r][-1] < 0:
+                    tableau[r] = [-x for x in tableau[r]]
+                    _flip(tableau, col, widths[col], den)
+            value = _phase2(tableau, list(basis), den, widths)
             if value is None:
                 return empty
             bounds.append(sense * value)
@@ -359,11 +363,6 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
     return solutions, nodes
 
 
-def _search_chunk(args):
-    system, box, chunk, budget = args
-    return _search(system, box, chunk, budget)
-
-
 def enumerate_solutions(
     system: ConstraintSystem,
     box: BoundsBox,
@@ -382,9 +381,7 @@ def enumerate_solutions(
         chunks = [first[i::workers] for i in range(workers)]
         chunks = [c for c in chunks if c]
         with multiprocessing.Pool(len(chunks)) as pool:
-            parts = pool.map(
-                _search_chunk, [(system, box, c, node_budget) for c in chunks]
-            )
+            parts = pool.starmap(_search, [(system, box, c, node_budget) for c in chunks])
         vectors = [v for sols, _n in parts for v in sols]
         nodes = sum(n for _sols, n in parts)
         # each chunk only checks its own count against the budget

@@ -185,6 +185,22 @@ def _simplex_min(A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
     return "optimal", -z2[-1]
 
 
+def fraction_rank(rows) -> int:
+    """Rank over Q by textbook Gaussian elimination in Fraction arithmetic."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(M[0]) if M else 0):
+        pivot = next((i for i in range(rank, len(M)) if M[i][col]), None)
+        if pivot is None:
+            continue
+        M[rank], M[pivot] = M[pivot], M[rank]
+        for i in range(rank + 1, len(M)):
+            f = M[i][col] / M[rank][col]
+            M[i] = [x - f * y for x, y in zip(M[i], M[rank])]
+        rank += 1
+    return rank
+
+
 def two_phase_bounds(system) -> BoundsBox:
     """derive_bounds by one cold two-phase simplex per bound LP."""
     nvars = len(system.layout)

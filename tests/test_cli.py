@@ -99,6 +99,38 @@ def test_vpa_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["solution_count"] == 1
 
 
+@pytest.mark.parametrize("name", ["dir", "missing/report.json"])
+def test_unwritable_out_exits_2(tmp_path, capsys, name):
+    (tmp_path / "dir").mkdir()
+    target = tmp_path / name
+    code, out, err = run_cli(capsys, "trace", "--m", "10", "--k", "5", "--out", str(target))
+    assert code == 2
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert not out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-main", "--q", "13", "--t", "3"),
+        ("check", "dist.json"),
+        ("trace", "--m", "12", "--k", "2"),
+        ("chars", "--q", "19", "--m", "10", "--decompose", "4"),
+    ],
+    ids=["verify-main", "check", "trace", "chars-decompose"],
+)
+def test_csv_only_where_a_csv_renderer_exists(argv, capsys):
+    # argparse rejects the choice with SystemExit(2); chars has a csv table,
+    # so --decompose rejects csv itself
+    try:
+        code = main([*argv, "--format", "csv"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "csv" in captured.err and not captured.out
+
+
 # ---------------------------------------------------------------- verify-main
 
 

@@ -35,7 +35,13 @@ from helpzc.solver import (
     solve_vpa,
 )
 
-from helpers import _simplex_min, naive_box_scan, naive_search, two_phase_bounds
+from helpers import (
+    _simplex_min,
+    fraction_rank,
+    naive_box_scan,
+    naive_search,
+    two_phase_bounds,
+)
 
 TRIV = CharRestriction.trivial()
 CHI2 = CharRestriction.brauer((2,))
@@ -103,6 +109,27 @@ def test_rank_empty_system():
     fr = frame_for(19, 10)
     system = build_constraints(fr, [])
     assert rank_check(system) == 0
+
+
+@st.composite
+def _row_span(draw):
+    # rows drawn from the span of a few random rows, so rank deficiency is common
+    basis = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * 5), min_size=1, max_size=5))
+    weights = st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis))
+    return [
+        tuple(sum(w * b[i] for w, b in zip(ws, basis)) for i in range(5))
+        for ws in draw(st.lists(weights, max_size=8))
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeffs=_row_span())
+def test_rank_matches_fraction_oracle(coeffs):
+    system = paper_system(13, 6)
+    rows = tuple(
+        ConstraintRow(character="random", l=0, coeffs=c, const=0, upper=6) for c in coeffs
+    )
+    assert rank_check(replace(system, rows=rows)) == fraction_rank(coeffs)
 
 
 # ---------------------------------------------------------------- bounds
@@ -329,14 +356,17 @@ def test_determinism():
 
 
 def test_workers_match_single_thread():
-    fr = frame_for(19, 10)
-    chars, fam = character_family(fr, "paper")
-    system = build_constraints(fr, chars, variable_layout(fr), fam)
-    box = derive_bounds(system)
-    solo = enumerate_solutions(system, box, workers=1)
-    duo = enumerate_solutions(system, box, workers=2)
-    assert [p.sort_key() for p in solo.solutions] == [p.sort_key() for p in duo.solutions]
-    assert solo.node_count == duo.node_count
+    # the first variable spans 2 values at (19,10) and 3 at (29,14)
+    for q, n, counts in ((19, 10, (2,)), (29, 14, (2, 3))):
+        system = paper_system(q, n)
+        box = derive_bounds(system)
+        solo = enumerate_solutions(system, box, workers=1)
+        for workers in counts:
+            many = enumerate_solutions(system, box, workers=workers)
+            assert [p.sort_key() for p in solo.solutions] == [
+                p.sort_key() for p in many.solutions
+            ]
+            assert solo.node_count == many.node_count
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -351,9 +381,18 @@ def test_node_budget_counts_nodes_of_all_workers(workers):
     assert rep.node_count == total
 
 
-def test_duplicated_rows_change_nothing():
+def _mirrored(row):
+    # 0 <= const + a.x <= upper is 0 <= (upper - const) - a.x <= upper; upper = 0 mod n
+    return replace(row, coeffs=tuple(-a for a in row.coeffs), const=row.upper - row.const)
+
+
+@pytest.mark.parametrize(
+    "copy", [lambda row: row, _mirrored], ids=["doubled", "mirrored"]
+)
+def test_duplicated_rows_change_nothing(copy):
+    # a mirrored row is the same condition stored as the negated dual column
     system = paper_system(19, 10)
-    doubled = replace(system, rows=system.rows + system.rows)
+    doubled = replace(system, rows=system.rows + tuple(copy(r) for r in system.rows))
     assert rank_check(doubled) == rank_check(system)
     box = derive_bounds(system)
     assert derive_bounds(doubled) == box
