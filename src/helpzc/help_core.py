@@ -180,6 +180,21 @@ class VariableLayout:
             out.setdefault(d, []).append(i)
         return {d: tuple(v) for d, v in out.items()}
 
+    def unit_permutations(self) -> list[tuple[int, ...]]:
+        """The frame automorphisms g0^i -> g0^(u i), 1 < u < n, on the variables.
+
+        Entry i of u's permutation is the index of (d, class of u * exp) for
+        variable i = (d, class of exp): the action relabel applies to
+        distributions.  u and n - u give the same permutation.
+        """
+        n = self.frame.m
+        where = {v: i for i, v in enumerate(self.variables)}
+        return [
+            tuple(where[d, self.frame.class_of(u * cls.exp)] for d, cls in self.variables)
+            for u in range(2, n)
+            if gcd(u, n) == 1
+        ]
+
 
 def variable_layout(frame: CyclicFrame) -> VariableLayout:
     n = frame.m

@@ -15,21 +15,28 @@ variables and hundreds of rows, so the dual tableau has one row per
 primal variable and stays tiny.  A condition lo <= const + a.x <= hi
 is one dual column, a or -a as needed, so the tableau is the transposed
 condition matrix.  The Gauss-Jordan elimination behind the rank check
-gives a basis from which each of the 2 * vars duals starts feasible after
-column flips, so every LP is a single phase of Bland-rule simplex.  Both
-are integer-preserving: an int tableau over one common denominator whose
+gives a basis from which every dual starts feasible after column flips,
+so every LP is a single phase of Bland-rule simplex.  Both are
+integer-preserving: an int tableau over one common denominator whose
 every pivot divides exactly (Bareiss).
+
+The frame automorphisms g0^i -> g0^(u i) permute the variables.  Those
+that map the set of conditions onto itself map the relaxation onto
+itself, so the LP bounds are equal on each of their orbits: one LP pair
+(max and min) is solved per orbit, not per variable.  The check is
+mechanical; a system without the symmetry solves one pair per variable.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .help_core import (
     ConstraintSystem,
     PADistribution,
     SolutionSet,
+    VariableLayout,
     build_constraints,
     distribution_from_vector,
     variable_layout,
@@ -234,6 +241,25 @@ def _phase2(T: list[list[int]], basis: list[int], den: int, widths: list[int]) -
         basis[best[3]] = col
 
 
+def _orbit_roots(layout: VariableLayout, conds: list[_Condition]) -> list[int]:
+    """Each variable's least orbit mate under the unit permutations that keep conds.
+
+    A permutation s keeps conds when reindexing every coefficient vector,
+    a -> (a_s(0), a_s(1), ...), maps the set of conditions onto itself.
+    Then x -> (x_s(0), x_s(1), ...) maps the relaxation onto itself, so
+    x_i and x_s(i) have the same exact LP bounds.  The unit permutations
+    form a group and those that keep conds a subgroup, so the orbit of i
+    is i with its images.  Without such an s every variable is its own root.
+    """
+    keep = set(conds)
+    kept = [
+        perm
+        for perm in layout.unit_permutations()
+        if all(replace(c, coeffs=tuple(c.coeffs[j] for j in perm)) in keep for c in conds)
+    ]
+    return [min([i, *(perm[i] for perm in kept)]) for i in range(len(layout))]
+
+
 def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     """Exact per-variable LP bounds of the relaxation, rounded inward.
 
@@ -245,7 +271,8 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     that is negative, negating the row and flipping its basic column
     restores feasibility, so no phase 1 is needed.  A row without a pivot
     means A is rank deficient and the relaxation unbounded; an unbounded
-    dual means the relaxation is empty.
+    dual means the relaxation is empty.  The LP pair is solved for the
+    least variable of each orbit (_orbit_roots) and copied to the others.
     """
     nvars = len(system.layout)
     if nvars == 0:
@@ -261,7 +288,11 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     widths = [c.hi - c.lo for c in conds]
     empty = BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars, feasible=False)
     lo, hi = [], []
-    for i in range(nvars):
+    for i, root in enumerate(_orbit_roots(system.layout, conds)):
+        if root < i:
+            lo.append(lo[root])
+            hi.append(hi[root])
+            continue
         for sense, bounds in ((1, hi), (-1, lo)):
             tableau = [row[:ncols] + [sense * row[ncols + i]] for row in T] + [cost[:]]
             for r, col in enumerate(basis):
@@ -300,12 +331,17 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
     if first_values is not None:
         values[0] = first_values
     # x_k >= ceil((b - p) / a) for each (ci, a, b) in lower[k], x_k <= floor
-    # of the same for each in upper[k]: p is the partial sum of condition ci, b
-    # a bound of it less the reach of its later variables.  A bound no partial
+    # of the same for each in upper[k]: p is partial sum ci, b a bound of its
+    # condition less the reach of its later variables.  A bound no partial
     # sum in the box can push into the box is left out.  moves[k] are the sums
     # x_k changes that have a later variable, closes[k] the congruences it ends.
-    lower, upper, moves, closes = ([[] for _ in range(nvars)] for _ in range(4))
-    for ci, cond in enumerate(conds):
+    # A condition left with no bound keeps no partial sum: its congruence is
+    # checked from point where its last variable is assigned (sums[k]).
+    lower, upper, moves, closes, sums = ([[] for _ in range(nvars)] for _ in range(5))
+    starts = []
+    for cond in conds:
+        ci = len(starts)
+        cuts = False
         reach = [sorted((a * lo, a * hi)) for a, lo, hi in zip(cond.coeffs, box.lo, box.hi)]
         pmin = pmax = cond.const
         smin, smax = (sum(r) for r in zip(*reach))
@@ -316,14 +352,21 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
                 continue
             if pmin + rmin + smax < cond.lo:
                 (lower if a > 0 else upper)[k].append((ci, a, cond.lo - smax))
+                cuts = True
             if pmax + rmax + smin > cond.hi:
                 (upper if a > 0 else lower)[k].append((ci, a, cond.hi - smin))
-            if any(cond.coeffs[k + 1:]):
-                moves[k].append((ci, a))
-            elif cond.modn:
-                closes[k].append((ci, a))
+                cuts = True
             pmin, pmax = pmin + rmin, pmax + rmax
-    plan = list(zip(values, box.lo, box.hi, lower, upper, moves, closes))
+        *terms, (last, a) = [(k, a) for k, a in enumerate(cond.coeffs) if a]
+        if cuts:
+            starts.append(cond.const)
+            for k, b in terms:
+                moves[k].append((ci, b))
+            if cond.modn:
+                closes[last].append((ci, a))
+        elif cond.modn:
+            sums[last].append((cond.const, terms, a))
+    plan = list(zip(values, box.lo, box.hi, lower, upper, moves, closes, sums))
 
     point = [0] * nvars
     solutions: list[tuple[int, ...]] = []
@@ -334,21 +377,27 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
         if k == nvars:
             solutions.append(tuple(point))
             return
-        candidates, lo, hi, lows, highs, move, close = plan[k]
+        candidates, lo, hi, lows, highs, move, close, sum_at = plan[k]
         nodes += len(candidates)
         if nodes > budget:
             raise SearchIncomplete(nodes, budget)
-        for ci, a, b in lows:
-            t = -((partial[ci] - b) // a)
-            if t > lo:
-                lo = t
         for ci, a, b in highs:
             t = (b - partial[ci]) // a
             if t < hi:
+                if t < lo:
+                    return
                 hi = t
+        for ci, a, b in lows:
+            t = -((partial[ci] - b) // a)
+            if t > lo:
+                if t > hi:
+                    return
+                lo = t
+        ends = [(partial[ci], a) for ci, a in close]
+        ends += [(c + sum(b * point[j] for j, b in terms), a) for c, terms, a in sum_at]
         step = candidates.step
         for v in range(lo + (candidates.start - lo) % step, hi + 1, step):
-            if close and any((partial[ci] + a * v) % n for ci, a in close):
+            if ends and any((p + a * v) % n for p, a in ends):
                 continue
             point[k] = v
             child = partial.copy()
@@ -357,7 +406,7 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
             descend(k + 1, child)
 
     try:
-        descend(0, [c.const for c in conds])
+        descend(0, starts)
     finally:
         del descend
     return solutions, nodes
@@ -412,7 +461,7 @@ def character_family(
 
     "paper"      trivial, chi_2, chi_4, phi_1 .. phi_(n/2), psi_1
     "brauer-p"   every irreducible Brauer restriction mod p
-    "brauer-p:D" the same, filtered to degree <= D
+    "brauer-p:D" the same, filtered to degree <= D (D an integer >= 1)
     """
     ctx = frame.ctx
     n = frame.m
@@ -430,7 +479,10 @@ def character_family(
     if spec == "brauer-p":
         return brauer_irreducibles(ctx, frame), "brauer-p"
     if spec.startswith("brauer-p:"):
-        bound = int(spec.split(":", 1)[1])
+        digits = spec.split(":", 1)[1]
+        if not digits.isdecimal() or int(digits) < 1:
+            raise ValueError(f"invalid character family {spec!r}: D must be an integer >= 1")
+        bound = int(digits)
         chars = tuple(
             chi for chi in brauer_irreducibles(ctx, frame) if chi.degree(frame) <= bound
         )

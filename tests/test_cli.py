@@ -331,6 +331,14 @@ def test_unreadable_character_file_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", ["brauer-p:-1", "brauer-p:0", "brauer-p:1.5"])
+def test_bad_degree_bound_exits_2(spec, capsys):
+    code, out, err = run_cli(capsys, "vpa", "--q", "19", "--n", "10", "--chars", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid character family") and spec in err
+
+
 def test_preset_wins_over_file_of_same_name(tmp_path, monkeypatch, capsys):
     (tmp_path / "paper").write_text(json.dumps([{"kind": "brauer", "weights": [2]}]))
     monkeypatch.chdir(tmp_path)

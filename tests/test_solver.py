@@ -5,6 +5,8 @@ from __future__ import annotations
 import gc
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,10 @@ from helpzc.help_core import (
     ConstraintRow,
     SolutionSet,
     build_constraints,
+    distribution_from_vector,
     exceptional,
     exceptional_set,
+    relabel,
     tpa_distribution,
     tpa_set,
     variable_layout,
@@ -172,6 +176,14 @@ def infeasible_system():
     return replace(system, rows=system.rows + (row,))
 
 
+def one_variable_row(system, const=5, upper=100):
+    # no unit permutation keeps a row on x_0 alone; 0 <= x_0 + 5 <= 100 cuts nothing
+    nvars = len(system.layout)
+    row = ConstraintRow(character="x0", l=0, coeffs=(1,) + (0,) * (nvars - 1), const=const,
+                        upper=upper)
+    return replace(system, rows=system.rows + (row,))
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -180,10 +192,13 @@ def infeasible_system():
         lambda: paper_system(41, 10),
         lambda: family_system(19, 10, "brauer-p"),
         lambda: build_constraints(frame_for(11, 5), [CHI2]),
+        lambda: paper_system(29, 14),
         infeasible_system,
+        # x_0 = 0 moves the bounds of some of x_0's orbit mates, not all
+        lambda: one_variable_row(paper_system(19, 10), const=0, upper=0),
     ],
     ids=["paper-13-6", "paper-19-10", "paper-41-10", "brauer-p-19-10", "chi2-11-5",
-         "infeasible-19-10"],
+         "paper-29-14", "infeasible-19-10", "x0-pinned-19-10"],
 )
 def test_bounds_match_two_phase_oracle(make):
     system = make()
@@ -194,9 +209,9 @@ def test_bounds_match_two_phase_oracle(make):
     "make, pivots",
     [
         (lambda: paper_system(13, 6), 86),
-        (lambda: paper_system(19, 10), 193),
-        (lambda: paper_system(31, 15), 434),
-        (lambda: family_system(19, 10, "brauer-p"), 206),
+        (lambda: paper_system(19, 10), 125),
+        (lambda: paper_system(31, 15), 234),
+        (lambda: family_system(19, 10, "brauer-p"), 133),
     ],
     ids=["paper-13-6", "paper-19-10", "paper-31-15", "brauer-p-19-10"],
 )
@@ -215,23 +230,91 @@ def test_bounds_pivot_counts_pinned(make, pivots, monkeypatch):
     assert len(calls) == pivots
 
 
-_extra_row = st.builds(
-    ConstraintRow,
-    character=st.just("random"),
-    l=st.just(0),
-    coeffs=st.tuples(*[st.integers(-6, 6)] * 5),
-    const=st.integers(-10, 10),
-    upper=st.integers(0, 12),
+def orbit_count(system):
+    rows, levels, _consistent = solver._relaxation(system)
+    return len(set(solver._orbit_roots(system.layout, rows + levels)))
+
+
+@pytest.mark.parametrize(
+    "make, nvars, orbits",
+    [
+        (lambda: paper_system(53, 26), 20, 5),
+        (lambda: paper_system(289, 12), 13, 12),
+        (lambda: paper_system(61, 30), 34, 19),
+        (lambda: family_system(53, 26, "brauer-p"), 20, 5),
+        (lambda: one_variable_row(paper_system(53, 26)), 20, 20),
+        (infeasible_system, 8, 8),
+        (lambda: paper_system(13, 6), 5, 5),
+    ],
+    ids=["paper-53-26", "paper-289-12", "paper-61-30", "brauer-p-53-26",
+         "one-variable-row-53-26", "infeasible-19-10", "paper-13-6"],
 )
+def test_orbit_counts(make, nvars, orbits):
+    system = make()
+    assert len(system.layout) == nvars
+    assert orbit_count(system) == orbits
+
+
+@pytest.mark.parametrize(
+    "make, solves",
+    [
+        (lambda: paper_system(43, 22), 10),
+        (lambda: paper_system(289, 12), 24),
+        (lambda: one_variable_row(paper_system(43, 22)), 34),
+    ],
+    ids=["paper-43-22", "paper-289-12", "one-variable-row-43-22"],
+)
+def test_one_lp_pair_per_orbit(make, solves, monkeypatch):
+    system = make()
+    calls = []
+    real = solver._phase2
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_phase2", counted)
+    box = derive_bounds(system)
+    assert len(calls) == solves
+    if solves == 2 * len(system.layout):
+        # the loose row moves no bound: the per-variable path gives the same box
+        monkeypatch.undo()
+        assert box == derive_bounds(paper_system(43, 22))
+
+
+def _extra_row_on(nvars):
+    return st.builds(
+        ConstraintRow,
+        character=st.just("random"),
+        l=st.just(0),
+        coeffs=st.tuples(*[st.integers(-6, 6)] * nvars),
+        const=st.integers(-10, 10),
+        upper=st.integers(0, 12),
+    )
 
 
 @settings(max_examples=30, deadline=None)
-@given(extra=st.lists(_extra_row, min_size=1, max_size=3))
+@given(extra=st.lists(_extra_row_on(5), min_size=1, max_size=3))
 def test_bounds_match_oracle_on_random_rows(extra):
     # odd pivots and signs the presets never produce; a rounding // shows here
     system = paper_system(13, 6)
     system = replace(system, rows=system.rows + tuple(extra))
     assert derive_bounds(system) == two_phase_bounds(system)
+
+
+@settings(max_examples=30, deadline=None)
+@given(extra=st.lists(_extra_row_on(8), min_size=1, max_size=2))
+def test_orbit_bounds_match_per_variable_bounds_on_symmetric_rows(extra):
+    # random rows together with all their images under the unit action keep
+    # every orbit, so the copied bounds meet rows the presets never produce
+    system = paper_system(19, 10)
+    perms = system.layout.unit_permutations()
+    images = tuple(replace(r, coeffs=tuple(r.coeffs[j] for j in p)) for r in extra for p in perms)
+    system = replace(system, rows=system.rows + tuple(extra) + images)
+    assert orbit_count(system) == 5
+    box = derive_bounds(system)
+    with mock.patch.object(solver, "_orbit_roots", lambda layout, conds: range(len(layout))):
+        assert derive_bounds(system) == box
 
 
 def test_infeasible_relaxation_enumerates_nothing():
@@ -329,6 +412,23 @@ def test_tpa_subset_of_enumeration():
         rep = solve_vpa(fr, spec)
         for pa in tpa_set(fr):
             assert pa in rep.solutions
+
+
+def test_relabel_maps_vpa_onto_itself():
+    # the LP orbits rest on this symmetry; the layout permutation of u is relabel by u
+    fr = frame_for(19, 10)
+    rep = solve_vpa(fr, "paper")
+    layout = variable_layout(fr)
+    units = [u for u in range(2, 10) if gcd(u, 10) == 1]
+    assert len(units) == len(layout.unit_permutations())
+    for u, perm in zip(units, layout.unit_permutations()):
+        assert {relabel(pa, u) for pa in rep.solutions} == set(rep.solutions)
+        for pa in rep.solutions:
+            vec = [pa.value(d, cls) for d, cls in layout.variables]
+            moved = [0] * len(vec)
+            for i, j in enumerate(perm):
+                moved[j] = vec[i]
+            assert distribution_from_vector(layout, moved) == relabel(pa, u)
 
 
 def test_monotone_in_characters():
