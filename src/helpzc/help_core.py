@@ -17,9 +17,10 @@ each (chi, l) pair then becomes one integer row a.x + c with the two
 requirements a.x + c >= 0 and a.x + c = 0 mod n, and c = chi(1).
 
 The constraint rows and the (V4) check of a distribution come from one
-trace-row computation, which evaluates each character value once per call
-and takes the traces for all l from it; multiplicity() keeps the direct
-single-l formula as the reference.
+trace-row computation.  It evaluates each character value once per class
+and takes the traces for all l from it in one integer pass
+(CycSum.twisted_traces, the Ramanujan-sum form of the trace);
+multiplicity() keeps the direct single-l formula as the reference.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Mapping
 
-from .cyclotomic import divisors, is_prime
+from .cyclotomic import CycSum, divisors, is_prime
 from .psl2 import (
     CharRestriction,
     ClassLabel,
@@ -252,14 +253,17 @@ def _trace_rows(
 ) -> list[tuple[int, ...]]:
     """Row l holds Tr_{Q(zeta_n^d)/Q}( chi(x) * zeta_n^{-l d} ) for each (d, x).
 
-    chi(x) is evaluated once per pair.  Descended to order n/d it turns the
-    twist by zeta_n^{-l d} into one by zeta_{n/d}^{-l}, so each entry repeats
-    with period n/d and only those n/d traces are taken.
+    chi(x) is evaluated once per distinct class x.  Descended to order n/d
+    it turns the twist by zeta_n^{-l d} into one by zeta_{n/d}^{-l}, so each
+    entry repeats with period n/d, and twisted_traces gives those n/d traces
+    in one pass.
     """
+    values: dict[ClassLabel, CycSum] = {}
     periods = []
     for d, cls in pairs:
-        value = char_value(frame, chi, cls).descend(d)
-        periods.append([value.mul_root(-k).trace() for k in range(value.order)])
+        if cls not in values:
+            values[cls] = char_value(frame, chi, cls)
+        periods.append(values[cls].descend(d).twisted_traces())
     return [tuple(t[l % len(t)] for t in periods) for l in range(frame.m)]
 
 
@@ -451,10 +455,11 @@ def verify_v4(pa: PADistribution, characters: Iterable[CharRestriction]) -> V4Re
     values = [v for _d, _cls, v in entries]
     checks = []
     for chi in characters:
+        label = chi.label
         for l, row in enumerate(_trace_rows(pa.frame, chi, pairs)):
             mu = Fraction(sum(v * a for v, a in zip(values, row)), pa.n)
             ok = mu >= 0 and mu.denominator == 1
-            checks.append(MultiplicityCheck(character=chi.label, l=l, value=mu, ok=ok))
+            checks.append(MultiplicityCheck(character=label, l=l, value=mu, ok=ok))
     return V4Report.build(checks)
 
 

@@ -168,14 +168,19 @@ class CharRestriction:
 
 
 def _brauer_half_exponents(p: int, weights: tuple[int, ...]) -> list[int]:
-    """Half exponents (sum_j s_j p^j) / 2 over the digit box of R."""
-    out = []
-    for digits in itertools.product(*(range(-r, r + 1, 2) for r in weights)):
-        e = sum(s * p**j for j, s in enumerate(digits))
-        if e % 2:  # impossible for even digit sum and odd p
-            raise AssertionError("odd exponent in Brauer character expansion")
-        out.append(e // 2)
-    return out
+    """Half exponents (sum_j s_j p^j) / 2 over the digit box of R, last digit fastest.
+
+    The box is built as an iterated sumset, one digit at a time.  For odd p
+    every exponent has the parity of sum(R), so one check covers them all.
+    """
+    if sum(weights) % 2:  # callers admit only even digit sums
+        raise AssertionError("odd exponent in Brauer character expansion")
+    out = [0]
+    step = 1
+    for r in weights:
+        out = [e + s * step for e in out for s in range(-r, r + 1, 2)]
+        step *= p
+    return [e // 2 for e in out]
 
 
 def char_value(frame: CyclicFrame, chi: CharRestriction, cls: ClassLabel) -> CycSum:
@@ -210,18 +215,19 @@ def brauer_irreducibles(ctx: GroupContext, frame: CyclicFrame) -> tuple[CharRest
 
 
 def v_set_count(frame: CyclicFrame, weights, h: int) -> int:
-    """|V_{R;h}|: nonzero digit tuples whose half exponent is +-h mod m."""
+    """|V_{R;h}|: nonzero digit tuples whose half exponent is +-h mod m.
+
+    The zero tuple exists only when every digit of R is even; its half
+    exponent 0 is counted exactly when h = 0 mod m, and is taken off then.
+    """
     weights = tuple(weights)
     if sum(weights) % 2:
         raise ValueError("chi_R requires an even digit sum")
     m = frame.m
-    count = 0
-    for digits in itertools.product(*(range(-r, r + 1, 2) for r in weights)):
-        if not any(digits):
-            continue
-        e = sum(s * frame.ctx.p**j for j, s in enumerate(digits)) // 2
-        if (e - h) % m == 0 or (e + h) % m == 0:
-            count += 1
+    halves = _brauer_half_exponents(frame.ctx.p, weights)
+    count = sum((e - h) % m == 0 or (e + h) % m == 0 for e in halves)
+    if h % m == 0 and all(r % 2 == 0 for r in weights):
+        count -= 1
     return count
 
 

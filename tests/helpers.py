@@ -31,6 +31,33 @@ def galois_trace_oracle(m: int, k: int) -> int:
     return total.as_integer()
 
 
+def brauer_half_exponents_oracle(p: int, weights: tuple[int, ...]) -> list[int]:
+    """Half exponents (sum_j s_j p^j) / 2 over the digit box of R."""
+    out = []
+    for digits in itertools.product(*(range(-r, r + 1, 2) for r in weights)):
+        e = sum(s * p**j for j, s in enumerate(digits))
+        if e % 2:  # impossible for even digit sum and odd p
+            raise AssertionError("odd exponent in Brauer character expansion")
+        out.append(e // 2)
+    return out
+
+
+def v_set_count_oracle(frame, weights, h: int) -> int:
+    """|V_{R;h}|: nonzero digit tuples whose half exponent is +-h mod m."""
+    weights = tuple(weights)
+    if sum(weights) % 2:
+        raise ValueError("chi_R requires an even digit sum")
+    m = frame.m
+    count = 0
+    for digits in itertools.product(*(range(-r, r + 1, 2) for r in weights)):
+        if not any(digits):
+            continue
+        e = sum(s * frame.ctx.p**j for j, s in enumerate(digits)) // 2
+        if (e - h) % m == 0 or (e + h) % m == 0:
+            count += 1
+    return count
+
+
 def float_root(m: int, k: int) -> complex:
     return cmath.exp(2j * cmath.pi * k / m)
 

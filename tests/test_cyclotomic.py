@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpzc.cyclotomic import (
     CycSum,
@@ -144,6 +146,19 @@ def test_mul_root_and_product_consistency():
         z = CycSum(m, [rng.randrange(-3, 4) for _ in range(m)])
         k = rng.randrange(-2 * m, 2 * m)
         assert z.mul_root(k) == z * CycSum.root(m, k)
+
+@pytest.mark.parametrize("m", range(1, 61))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_twisted_traces_match_rotated_traces(m, data):
+    coeffs = data.draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    z = CycSum(m, coeffs)
+    assert z.twisted_traces() == [z.mul_root(-k).trace() for k in range(m)]
+
+def test_twisted_traces_examples():
+    assert CycSum.integer(10, 1).twisted_traces() == [4, 1, -1, 1, -1, -4, -1, 1, -1, 1]
+    assert CycSum.root(12, 5).twisted_traces()[5] == euler_phi(12)
+    assert CycSum.zero(7).twisted_traces() == [0] * 7
 
 def test_descend_and_subfield_trace():
     z = CycSum.root(10, 4) + CycSum.root(10, 6)

@@ -294,6 +294,24 @@ def test_verify_v4_evaluates_each_character_value_once(monkeypatch):
     assert 0 < len(calls) <= len(chars) * len(list(pa.entries()))
 
 
+@pytest.mark.parametrize("q,n", [(19, 10), (53, 26)])
+def test_build_constraints_evaluates_each_class_once_per_character(monkeypatch, q, n):
+    fr = frame_for(q, n)
+    chars, _ = character_family(fr, "paper")
+    layout = variable_layout(fr)
+    calls = []
+    original = help_core.char_value
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(help_core, "char_value", counted)
+    build_constraints(fr, chars, layout)
+    classes = {cls for _d, cls in layout.variables}
+    assert len(calls) == len(chars) * len(classes)
+
+
 def test_verify_v4_tpa_always_passes():
     ctx = make_context(19)
     fr = make_frame(ctx, 10)

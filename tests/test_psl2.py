@@ -5,10 +5,13 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpzc.cyclotomic import CycSum, euler_phi
 from helpzc.psl2 import (
     CharRestriction,
+    _brauer_half_exponents,
     brauer_irreducibles,
     char_value,
     decompose_chi,
@@ -17,6 +20,8 @@ from helpzc.psl2 import (
     v_pair_count,
     v_set_count,
 )
+
+from helpers import brauer_half_exponents_oracle, v_set_count_oracle
 
 
 def frame_for(q, m):
@@ -174,6 +179,37 @@ def test_v_set_count_examples():
     assert v_pair_count(fr, (4,), 1) == 1
     assert v_pair_count(fr, (4,), 2) == 1
     assert v_pair_count(fr, (4,), 5) == 0
+
+
+def _even_sum_weights():
+    """Digit tuples of length 1..3 with an even sum; digits may reach or pass p."""
+    return st.lists(st.integers(0, 12), min_size=1, max_size=3).map(
+        lambda ws: tuple(ws[:-1]) + (ws[-1] + sum(ws) % 2,)
+    )
+
+
+# (q, m) with a valid frame, over f = 1..3
+V_SET_FRAMES = [
+    (7, 4), (9, 5), (11, 6), (13, 7), (19, 10), (25, 13),
+    (27, 7), (29, 14), (49, 12), (81, 10), (125, 21),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 11, 13]), weights=_even_sum_weights())
+def test_brauer_half_exponents_match_digit_box_oracle(p, weights):
+    assert _brauer_half_exponents(p, weights) == brauer_half_exponents_oracle(p, weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    qm=st.sampled_from(V_SET_FRAMES),
+    weights=_even_sum_weights(),
+    h=st.integers(-30, 60),
+)
+def test_v_set_count_matches_oracle(qm, weights, h):
+    fr = frame_for(*qm)
+    assert v_set_count(fr, weights, h) == v_set_count_oracle(fr, weights, h)
 
 
 def test_decompose_chi_examples():
