@@ -83,6 +83,8 @@ def _characters_from_file(path: str) -> tuple[CharRestriction, ...]:
                 raise ValueError(f"unknown character kind {kind!r}")
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed character file {path}: {exc}") from exc
+    if not out:
+        raise ValueError(f"character file {path} lists no character")
     return tuple(out)
 
 
@@ -383,7 +385,7 @@ def cmd_chars(args) -> int:
     if args.chi:
         chars = [CharRestriction.brauer(_parse_weights(w)) for w in args.chi]
     else:
-        chars, _ = character_family(frame, args.chars)
+        chars, _ = _resolve_characters(frame, args.chars)
     table = []
     for chi in chars:
         values = [

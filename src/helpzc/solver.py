@@ -3,12 +3,15 @@
 The pipeline is: check that the character rows have full column rank
 (otherwise the linear relaxation is unbounded), bound every variable by
 exact linear programming, then run a depth-first search over the
-integer box.  At each node interval propagation gives the next
-variable's range, and a row's mod-n congruence is checked where its last
-variable is assigned.  The node count adds every candidate value of the
-box range at each node, pruned or not; that count is what the budget
-bounds.  Everything is exact; the search either finishes with the
-complete solution set or fails loudly when the node budget runs out.
+integer box.  Before the search, each level's (V1) equation sum = 1
+substitutes the level's last variable out of every row, so a row bounds
+the level's earlier variables without the box reach of the last one.  At
+each node interval propagation gives the next variable's range, and a
+row's mod-n congruence is checked where its last variable is assigned.
+The node count adds every candidate value of the box range at each node,
+pruned or not; that count is what the budget bounds.  Everything is
+exact; the search either finishes with the complete solution set or
+fails loudly when the node budget runs out.
 
 The per-variable LPs are solved through the dual: the primal has few
 variables and hundreds of rows, so the dual tableau has one row per
@@ -311,17 +314,57 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
 # ------------------------------------------------------------------ search
 
 
+def _substitute_levels(
+    system: ConstraintSystem, rows: list[_Condition], box: BoundsBox
+) -> tuple[list[_Condition], bool]:
+    """The rows with each level's last variable x_j eliminated by its (V1) equation.
+
+    On sum(level) = 1, x_j = 1 - sum(the level's other variables), so the row
+    const + a.x equals const + a_j + (a - a_j 1_level).x with x_j's
+    coefficient 0: its bounds and congruence carry over unchanged.  x_j keeps
+    its box through one condition box.lo[j] <= 1 - sum(others) <= box.hi[j]
+    per level.  Returns (the distinct non-constant rows followed by those
+    conditions, whether every row that became constant holds).
+    """
+    nvars = len(system.layout)
+    levels = [idxs for idxs in system.layout.level_indices().values() if len(idxs) > 1]
+    out, consistent = [], True
+    for row in rows:
+        coeffs, const = list(row.coeffs), row.const
+        for *others, j in levels:
+            a = coeffs[j]
+            if a:
+                for i in others:
+                    coeffs[i] -= a
+                coeffs[j] = 0
+                const += a
+        if any(coeffs):
+            out.append(replace(row, coeffs=tuple(coeffs), const=const))
+        elif not row.lo <= const <= row.hi or const % system.n:
+            consistent = False
+    out = list(dict.fromkeys(out))
+    for *others, j in levels:
+        coeffs = tuple(-1 if i in others else 0 for i in range(nvars))
+        out.append(_Condition(coeffs, 1, box.lo[j], box.hi[j], False))
+    return out, consistent
+
+
 def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None, budget: int):
     """Depth-first enumeration; returns (solution vectors, node count).
 
     Every condition is linear in the next variable, so the values it admits
-    at a node form one integer interval.  first_values, if given, is a range
+    at a node form one integer interval.  The rows are searched with each
+    level's last variable substituted out (_substitute_levels): a row then
+    bounds the level's earlier variables by the level equation rather than
+    the box reach of the last one, and that last variable's single value is
+    forced by its level equation.  first_values, if given, is a range
     inside the box that replaces the first level's box range.
     """
     n = system.n
     nvars = len(system.layout)
     rows, levels, consistent = _relaxation(system)
-    if not consistent or not box.feasible:
+    rows, holds = _substitute_levels(system, rows, box)
+    if not (consistent and holds and box.feasible):
         return [], 0
     if nvars == 0:
         return [()], 0

@@ -321,6 +321,34 @@ def test_custom_character_file(tmp_path, capsys):
         assert "integer" in err
 
 
+def test_chars_table_from_character_file(tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps([{"kind": "brauer", "weights": [4]}, {"kind": "phi", "h": 1}]))
+    code, out, _ = run_cli(
+        capsys, "chars", "--q", "19", "--m", "10", "--chars", str(path), "--format", "json"
+    )
+    assert code == 0
+    table = json.loads(out)["table"]
+    assert [row["character"] for row in table] == ["chi_4", "phi_1"]
+    assert {"order": 1, "exp": 0, "value": "5"} in table[0]["values"]
+
+
+def test_empty_character_file_exits_2(tmp_path, capsys):
+    # an empty family would pass (V4) vacuously or be coerced into brauer-p
+    chars = tmp_path / "empty.json"
+    chars.write_text("[]")
+    dist = write_dist(tmp_path, exceptional(frame_for(19, 10), 5))
+    for argv in (
+        ["check", str(dist), "--chars", str(chars)],
+        ["vpa", "--q", "19", "--n", "10", "--chars", str(chars)],
+        ["chars", "--q", "19", "--m", "10", "--chars", str(chars)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: character file") and "lists no character" in err
+
+
 def test_unreadable_character_file_exits_2(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "vpa", "--q", "19", "--n", "10", "--chars", str(tmp_path)

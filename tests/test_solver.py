@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -474,7 +475,7 @@ def test_node_budget_counts_nodes_of_all_workers(workers):
     system = paper_system(19, 10)
     box = derive_bounds(system)
     total = enumerate_solutions(system, box).node_count
-    assert total == 109
+    assert total == 99
     with pytest.raises(SearchIncomplete):
         enumerate_solutions(system, box, node_budget=total - 1, workers=workers)
     rep = enumerate_solutions(system, box, node_budget=total, workers=workers)
@@ -529,27 +530,44 @@ SEARCH_CASES = [
     ids=[f"{s}-{q}-{n}" + ("" if c is None else f"-chunk{c}of2") for s, q, n, c in SEARCH_CASES],
 )
 def test_search_matches_naive_oracle(spec, q, n, chunk):
-    # same vectors in the same order and the same node count as the
-    # per-candidate search, also on a worker's strided first level
+    # same vectors in the same order as the per-candidate search over the
+    # original rows, also on a worker's strided first level; the substituted
+    # rows prune at least as much on every case
     system = family_system(q, n, spec)
     box = derive_bounds(system)
     first = None if chunk is None else range(box.lo[0], box.hi[0] + 1)[chunk::2]
     budget = solver.DEFAULT_NODE_BUDGET
-    assert solver._search(system, box, first, budget) == naive_search(system, box, first, budget)
+    vectors, nodes = solver._search(system, box, first, budget)
+    oracle_vectors, oracle_nodes = naive_search(system, box, first, budget)
+    assert vectors == oracle_vectors
+    assert nodes <= oracle_nodes
+
+
+@st.composite
+def _level_row(draw, system):
+    # c times one level's indicator: constant after substitution, held or violated
+    *_, idxs = draw(st.sampled_from(sorted(system.layout.level_indices().items())))
+    c = draw(st.integers(-2 * system.n, 2 * system.n))
+    coeffs = tuple(c if i in idxs else 0 for i in range(len(system.layout)))
+    const = draw(st.integers(-system.n, system.n))
+    return ConstraintRow("level", 0, coeffs, const, draw(st.integers(0, 3 * system.n)))
 
 
 @st.composite
 def _search_instance(draw):
-    q, n = draw(st.sampled_from([(13, 6), (19, 10)]))
+    q, n = draw(st.sampled_from([(13, 6), (19, 10), (31, 15)]))
     system = paper_system(q, n)
     box = derive_bounds(system)
     nvars = len(box.lo)
-    lo, hi = [], []
-    for a, b in zip(box.lo, box.hi):
-        # a sub-range of [a, b], down to a single value or empty
-        low = draw(st.integers(a, b + 1))
-        lo.append(low)
-        hi.append(draw(st.integers(low - 1, b)))
+    # every sub-box is nonempty around an anchor point, and holds a solution
+    # when the anchor is a TPA vector and no extra row rules it out
+    if draw(st.booleans()):
+        pa = draw(st.sampled_from(list(tpa_set(system.frame))))
+        anchor = [pa.value(d, cls) for d, cls in system.layout.variables]
+    else:
+        anchor = [draw(st.integers(a, b)) for a, b in zip(box.lo, box.hi)]
+    lo = [draw(st.integers(a, v)) for a, v in zip(box.lo, anchor)]
+    hi = [draw(st.integers(v, b)) for v, b in zip(anchor, box.hi)]
     row = st.builds(
         ConstraintRow,
         character=st.just("random"),
@@ -558,7 +576,7 @@ def _search_instance(draw):
         const=st.integers(-10, 10),
         upper=st.integers(0, 12),
     )
-    extra = draw(st.lists(row, max_size=2))
+    extra = draw(st.lists(st.one_of(row, _level_row(system)), max_size=2))
     system = replace(system, rows=system.rows + tuple(extra))
     sub = BoundsBox(lo=tuple(lo), hi=tuple(hi))
     first = range(lo[0], hi[0] + 1)
@@ -570,13 +588,27 @@ def _search_instance(draw):
 @given(instance=_search_instance())
 def test_search_matches_naive_oracle_on_random_boxes(instance):
     # random sub-boxes and rows with negative coefficients reach the a < 0
-    # ceil/floor branch and the empty and single-value ranges
+    # ceil/floor branch and the single-value ranges; level rows become
+    # constant after substitution
     system, box, first = instance
     budget = solver.DEFAULT_NODE_BUDGET
-    assert solver._search(system, box, first, budget) == naive_search(system, box, first, budget)
+    vectors = solver._search(system, box, first, budget)[0]
+    assert vectors == naive_search(system, box, first, budget)[0]
 
 
-@pytest.mark.parametrize("q, n, nodes", [(29, 14, 793), (31, 15, 5032), (43, 22, 3935)])
+def test_row_constant_after_substitution_and_violated_enumerates_nothing():
+    # the sum over the d = 1 level is 1 on the (V1) hyperplane, and 1 != 0 mod n
+    system = paper_system(19, 10)
+    box = derive_bounds(system)
+    idxs = system.layout.level_indices()[1]
+    coeffs = tuple(int(i in idxs) for i in range(len(system.layout)))
+    bad = replace(system, rows=system.rows + (ConstraintRow("level", 0, coeffs, 0, 10),))
+    budget = solver.DEFAULT_NODE_BUDGET
+    assert solver._search(bad, box, None, budget) == ([], 0)
+    assert naive_search(bad, box, None, budget)[0] == []
+
+
+@pytest.mark.parametrize("q, n, nodes", [(29, 14, 540), (31, 15, 2381), (43, 22, 3322)])
 def test_search_node_counts_pinned(q, n, nodes):
     system = paper_system(q, n)
     box = derive_bounds(system)
@@ -587,6 +619,18 @@ def test_search_node_counts_pinned(q, n, nodes):
                 enumerate_solutions(system, box, node_budget=nodes - 1, workers=workers)
             rep = enumerate_solutions(system, box, node_budget=nodes, workers=workers)
             assert rep.node_count == nodes
+
+
+def test_search_q289_n12_paper():
+    # 560 solutions; the digest of their sorted keys is the one the search
+    # gave before the level substitution
+    system = paper_system(289, 12)
+    rep = enumerate_solutions(system, derive_bounds(system))
+    keys = sorted(pa.sort_key() for pa in rep.solutions)
+    assert len(keys) == 560
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert digest == "2c2ea703edb947f42dad9443043b1aa0757ffa51e1f6dd4300516b125373c256"
+    assert rep.node_count == 3216325
 
 
 def test_search_leaves_no_reference_cycle():
