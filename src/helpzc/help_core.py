@@ -158,7 +158,10 @@ class PADistribution:
                 raise ValueError(
                     f"entry order {item['order']} does not match class order {label.order}"
                 )
-            levels.setdefault(d, {})[label] = levels.setdefault(d, {}).get(label, 0) + v
+            level = levels.setdefault(d, {})
+            if label in level:
+                raise ValueError(f"repeated distribution entry d={d}, exp={exp}")
+            level[label] = v
         return cls(frame, levels)
 
 

@@ -8,6 +8,9 @@ substitutes the level's last variable out of every row, so a row bounds
 the level's earlier variables without the box reach of the last one.  At
 each node interval propagation gives the next variable's range, and a
 row's mod-n congruence is checked where its last variable is assigned.
+A node tries the bound that last emptied its range first, and a parent
+evaluates its child's first two bounds before building it, so most dead
+ends cost two divisions.
 The node count adds every candidate value of the box range at each node,
 pruned or not; that count is what the budget bounds.  Everything is
 exact; the search either finishes with the complete solution set or
@@ -359,6 +362,15 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
     the box reach of the last one, and that last variable's single value is
     forced by its level equation.  first_values, if given, is a range
     inside the box that replaces the first level's box range.
+
+    A node evaluates its first upper bound, then the lower bounds, then the
+    other upper bounds, and returns at the first that empties its interval;
+    that bound is swapped to the front of its list.  Before building a
+    child, the parent evaluates the child's front lower and upper bound at
+    the value just assigned; if they leave no value, it adds the child's
+    nodes and checks the budget as the child would, and moves on.  The
+    lists belong to this call, so the node count and the solution order
+    are those of the plain interval search.
     """
     n = system.n
     nvars = len(system.layout)
@@ -373,13 +385,15 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
     values = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
     if first_values is not None:
         values[0] = first_values
-    # x_k >= ceil((b - p) / a) for each (ci, a, b) in lower[k], x_k <= floor
+    # x_k >= ceil((b - p) / a) for each (ci, a, b, c) in lower[k], x_k <= floor
     # of the same for each in upper[k]: p is partial sum ci, b a bound of its
-    # condition less the reach of its later variables.  A bound no partial
-    # sum in the box can push into the box is left out.  moves[k] are the sums
-    # x_k changes that have a later variable, closes[k] the congruences it ends.
-    # A condition left with no bound keeps no partial sum: its congruence is
-    # checked from point where its last variable is assigned (sums[k]).
+    # condition less the reach of its later variables, c the coefficient of
+    # x_(k-1) in it (the parent's peek adds c * x_(k-1) to p).  A bound no
+    # partial sum in the box can push into the box is left out.  moves[k] are
+    # the sums x_k changes that have a later variable, closes[k] the
+    # congruences it ends.  A condition left with no bound keeps no partial
+    # sum: its congruence is checked from the point where its last variable
+    # is assigned (sums[k]).
     lower, upper, moves, closes, sums = ([[] for _ in range(nvars)] for _ in range(5))
     starts = []
     for cond in conds:
@@ -393,11 +407,12 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
             smin, smax = smin - rmin, smax - rmax
             if not a:
                 continue
+            c = cond.coeffs[k - 1] if k else 0
             if pmin + rmin + smax < cond.lo:
-                (lower if a > 0 else upper)[k].append((ci, a, cond.lo - smax))
+                (lower if a > 0 else upper)[k].append((ci, a, cond.lo - smax, c))
                 cuts = True
             if pmax + rmax + smin > cond.hi:
-                (upper if a > 0 else lower)[k].append((ci, a, cond.hi - smin))
+                (upper if a > 0 else lower)[k].append((ci, a, cond.hi - smin, c))
                 cuts = True
             pmin, pmax = pmin + rmin, pmax + rmax
         *terms, (last, a) = [(k, a) for k, a in enumerate(cond.coeffs) if a]
@@ -409,7 +424,14 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
                 closes[last].append((ci, a))
         elif cond.modn:
             sums[last].append((cond.const, terms, a))
-    plan = list(zip(values, box.lo, box.hi, lower, upper, moves, closes, sums))
+    # the parent peeks at a level that has a lower and an upper bound
+    peeks = [
+        (len(values[k]), box.lo[k], box.hi[k], lower[k], upper[k])
+        if lower[k] and upper[k]
+        else None
+        for k in range(1, nvars)
+    ]
+    plan = list(zip(values, box.lo, box.hi, lower, upper, moves, closes, sums, peeks + [None]))
 
     point = [0] * nvars
     solutions: list[tuple[int, ...]] = []
@@ -420,29 +442,56 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
         if k == nvars:
             solutions.append(tuple(point))
             return
-        candidates, lo, hi, lows, highs, move, close, sum_at = plan[k]
+        candidates, lo, hi, lows, highs, move, close, sum_at, peek = plan[k]
         nodes += len(candidates)
         if nodes > budget:
             raise SearchIncomplete(nodes, budget)
-        for ci, a, b in highs:
+        # the first upper bound, the lower ones, then the other upper ones;
+        # the bound that empties the interval is swapped to the front
+        if highs:
+            ci, a, b, _c = highs[0]
             t = (b - partial[ci]) // a
             if t < hi:
                 if t < lo:
                     return
                 hi = t
-        for ci, a, b in lows:
+        for i, (ci, a, b, _c) in enumerate(lows):
             t = -((partial[ci] - b) // a)
             if t > lo:
                 if t > hi:
+                    lows[0], lows[i] = lows[i], lows[0]
                     return
                 lo = t
+        for i in range(1, len(highs)):
+            ci, a, b, _c = highs[i]
+            t = (b - partial[ci]) // a
+            if t < hi:
+                if t < lo:
+                    highs[0], highs[i] = highs[i], highs[0]
+                    return
+                hi = t
         ends = [(partial[ci], a) for ci, a in close]
         ends += [(c + sum(b * point[j] for j, b in terms), a) for c, terms, a in sum_at]
         step = candidates.step
+        if peek:
+            count, clo, chi, clows, chighs = peek
         for v in range(lo + (candidates.start - lo) % step, hi + 1, step):
             if ends and any((p + a * v) % n for p, a in ends):
                 continue
             point[k] = v
+            if peek:
+                # the child's front bounds at x_k = v: an empty interval
+                # costs its nodes here without building the child
+                ci, a, b, c = chighs[0]
+                t = (b - partial[ci] - c * v) // a
+                if t > chi:
+                    t = chi
+                ci, a, b, c = clows[0]
+                if t < clo or -((partial[ci] + c * v - b) // a) > t:
+                    nodes += count
+                    if nodes > budget:
+                        raise SearchIncomplete(nodes, budget)
+                    continue
             child = partial.copy()
             for ci, a in move:
                 child[ci] += a * v

@@ -8,7 +8,13 @@ from fractions import Fraction
 from math import floor, gcd
 
 from helpzc.cyclotomic import CycSum
-from helpzc.solver import BoundsBox, RankDeficientError, SearchIncomplete, _relaxation
+from helpzc.solver import (
+    BoundsBox,
+    RankDeficientError,
+    SearchIncomplete,
+    _relaxation,
+    _substitute_levels,
+)
 
 
 def mobius_oracle(n: int) -> int:
@@ -333,4 +339,111 @@ def naive_search(system, box, first_values, budget):
                 partial[ci] -= a * v
 
     descend(0)
+    return solutions, nodes
+
+
+def interval_search(system, box, first_values, budget):
+    """The interval DFS the library used before the culprit-first bound order
+    and the parent-side peek; returns (solution vectors, node count).
+
+    Every condition is linear in the next variable, so the values it admits
+    at a node form one integer interval.  The rows are searched with each
+    level's last variable substituted out (_substitute_levels): a row then
+    bounds the level's earlier variables by the level equation rather than
+    the box reach of the last one, and that last variable's single value is
+    forced by its level equation.  first_values, if given, is a range
+    inside the box that replaces the first level's box range.
+    """
+    n = system.n
+    nvars = len(system.layout)
+    rows, levels, consistent = _relaxation(system)
+    rows, holds = _substitute_levels(system, rows, box)
+    if not (consistent and holds and box.feasible):
+        return [], 0
+    if nvars == 0:
+        return [()], 0
+
+    conds = rows + levels
+    values = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
+    if first_values is not None:
+        values[0] = first_values
+    # x_k >= ceil((b - p) / a) for each (ci, a, b) in lower[k], x_k <= floor
+    # of the same for each in upper[k]: p is partial sum ci, b a bound of its
+    # condition less the reach of its later variables.  A bound no partial
+    # sum in the box can push into the box is left out.  moves[k] are the sums
+    # x_k changes that have a later variable, closes[k] the congruences it ends.
+    # A condition left with no bound keeps no partial sum: its congruence is
+    # checked from point where its last variable is assigned (sums[k]).
+    lower, upper, moves, closes, sums = ([[] for _ in range(nvars)] for _ in range(5))
+    starts = []
+    for cond in conds:
+        ci = len(starts)
+        cuts = False
+        reach = [sorted((a * lo, a * hi)) for a, lo, hi in zip(cond.coeffs, box.lo, box.hi)]
+        pmin = pmax = cond.const
+        smin, smax = (sum(r) for r in zip(*reach))
+        for k, a in enumerate(cond.coeffs):
+            rmin, rmax = reach[k]
+            smin, smax = smin - rmin, smax - rmax
+            if not a:
+                continue
+            if pmin + rmin + smax < cond.lo:
+                (lower if a > 0 else upper)[k].append((ci, a, cond.lo - smax))
+                cuts = True
+            if pmax + rmax + smin > cond.hi:
+                (upper if a > 0 else lower)[k].append((ci, a, cond.hi - smin))
+                cuts = True
+            pmin, pmax = pmin + rmin, pmax + rmax
+        *terms, (last, a) = [(k, a) for k, a in enumerate(cond.coeffs) if a]
+        if cuts:
+            starts.append(cond.const)
+            for k, b in terms:
+                moves[k].append((ci, b))
+            if cond.modn:
+                closes[last].append((ci, a))
+        elif cond.modn:
+            sums[last].append((cond.const, terms, a))
+    plan = list(zip(values, box.lo, box.hi, lower, upper, moves, closes, sums))
+
+    point = [0] * nvars
+    solutions: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def descend(k: int, partial: list[int]) -> None:
+        nonlocal nodes
+        if k == nvars:
+            solutions.append(tuple(point))
+            return
+        candidates, lo, hi, lows, highs, move, close, sum_at = plan[k]
+        nodes += len(candidates)
+        if nodes > budget:
+            raise SearchIncomplete(nodes, budget)
+        for ci, a, b in highs:
+            t = (b - partial[ci]) // a
+            if t < hi:
+                if t < lo:
+                    return
+                hi = t
+        for ci, a, b in lows:
+            t = -((partial[ci] - b) // a)
+            if t > lo:
+                if t > hi:
+                    return
+                lo = t
+        ends = [(partial[ci], a) for ci, a in close]
+        ends += [(c + sum(b * point[j] for j, b in terms), a) for c, terms, a in sum_at]
+        step = candidates.step
+        for v in range(lo + (candidates.start - lo) % step, hi + 1, step):
+            if ends and any((p + a * v) % n for p, a in ends):
+                continue
+            point[k] = v
+            child = partial.copy()
+            for ci, a in move:
+                child[ci] += a * v
+            descend(k + 1, child)
+
+    try:
+        descend(0, starts)
+    finally:
+        del descend
     return solutions, nodes

@@ -245,6 +245,19 @@ def test_check_malformed_input(tmp_path, capsys):
     assert code == 2
 
 
+def test_check_repeated_entry_exits_2(tmp_path, capsys):
+    # the d = 1, exp = 1 entry of a TPA split into -4 and 5: summed, it would pass
+    path = tmp_path / "split.json"
+    payload = tpa_distribution(frame_for(19, 10), 1).to_json_dict()
+    first = payload["entries"][0]
+    assert (first["d"], first["exp"], first["value"]) == (1, 1, 1)
+    payload["entries"][:1] = [dict(first, value=-4), dict(first, value=5)]
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert "repeated" in err
+
+
 def test_round_trip_every_emitted_solution(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "vpa", "--q", "19", "--n", "10")
     assert code == 0

@@ -566,6 +566,10 @@ def test_json_rejects_malformed():
         PADistribution.from_json_dict(
             {"q": 19, "n": 10, "entries": [{"d": 1, "order": 5, "exp": 1, "value": 1}]}
         )
+    # a repeated (d, exp) is rejected, not summed: -4 + 5 would pass as 1
+    split = [{"d": 1, "exp": 1, "value": -4}, {"d": 1, "order": 10, "exp": 1, "value": 5}]
+    with pytest.raises(ValueError, match="repeated"):
+        PADistribution.from_json_dict({"q": 19, "n": 10, "entries": split})
     # non-integers are rejected, not coerced
     entry = {"d": 1, "order": 5, "exp": 2, "value": 1}
     for q, value in [(19.9, 1), ("19", 1), (19, 1.7), (19, True)]:

@@ -43,6 +43,7 @@ from helpzc.solver import (
 from helpers import (
     _simplex_min,
     fraction_rank,
+    interval_search,
     naive_box_scan,
     naive_search,
     two_phase_bounds,
@@ -532,7 +533,8 @@ SEARCH_CASES = [
 def test_search_matches_naive_oracle(spec, q, n, chunk):
     # same vectors in the same order as the per-candidate search over the
     # original rows, also on a worker's strided first level; the substituted
-    # rows prune at least as much on every case
+    # rows prune at least as much on every case, and the node count is the
+    # plain interval search's
     system = family_system(q, n, spec)
     box = derive_bounds(system)
     first = None if chunk is None else range(box.lo[0], box.hi[0] + 1)[chunk::2]
@@ -541,6 +543,7 @@ def test_search_matches_naive_oracle(spec, q, n, chunk):
     oracle_vectors, oracle_nodes = naive_search(system, box, first, budget)
     assert vectors == oracle_vectors
     assert nodes <= oracle_nodes
+    assert nodes == interval_search(system, box, first, budget)[1]
 
 
 @st.composite
@@ -594,6 +597,59 @@ def test_search_matches_naive_oracle_on_random_boxes(instance):
     budget = solver.DEFAULT_NODE_BUDGET
     vectors = solver._search(system, box, first, budget)[0]
     assert vectors == naive_search(system, box, first, budget)[0]
+
+
+def _budget_error(search, system, box, first, budget):
+    with pytest.raises(SearchIncomplete) as info:
+        search(system, box, first, budget)
+    return info.value.node_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=_search_instance(), data=st.data())
+def test_search_matches_interval_oracle_on_random_boxes(instance, data):
+    # the culprit-first bound order and the parent-side peek change neither
+    # the vectors, their order, nor the node count; a budget below the total
+    # fails at the same count, also where it is crossed at a skipped child
+    system, box, first = instance
+    budget = solver.DEFAULT_NODE_BUDGET
+    result = solver._search(system, box, first, budget)
+    assert result == interval_search(system, box, first, budget)
+    total = result[1]
+    if total:
+        low = data.draw(st.integers(0, total - 1), label="budget")
+        assert _budget_error(solver._search, system, box, first, low) == _budget_error(
+            interval_search, system, box, first, low
+        )
+
+
+def test_every_budget_fails_where_the_interval_oracle_fails():
+    # the parent skips two children here, so two budgets are crossed there
+    system = paper_system(19, 10)
+    box = derive_bounds(system)
+    total = solver._search(system, box, None, solver.DEFAULT_NODE_BUDGET)[1]
+    for budget in range(total):
+        assert _budget_error(solver._search, system, box, None, budget) == _budget_error(
+            interval_search, system, box, None, budget
+        )
+    assert solver._search(system, box, None, total)[1] == total
+
+
+def test_search_repeats_and_chunks_commute():
+    # the reordered bound lists live in one call: a second run, or the
+    # worker chunks in either order, see the lists as the first one did
+    system = paper_system(31, 15)
+    box = derive_bounds(system)
+    budget = solver.DEFAULT_NODE_BUDGET
+    whole = solver._search(system, box, None, budget)
+    assert solver._search(system, box, None, budget) == whole
+    first = range(box.lo[0], box.hi[0] + 1)
+    chunks = [first[0::2], first[1::2]]
+    forward = [solver._search(system, box, c, budget) for c in chunks]
+    backward = [solver._search(system, box, c, budget) for c in reversed(chunks)][::-1]
+    assert forward == backward
+    assert sum(nodes for _v, nodes in forward) == whole[1]
+    assert sorted(v for vectors, _n in forward for v in vectors) == sorted(whole[0])
 
 
 def test_row_constant_after_substitution_and_violated_enumerates_nothing():
