@@ -21,10 +21,13 @@ variables and hundreds of rows, so the dual tableau has one row per
 primal variable and stays tiny.  A condition lo <= const + a.x <= hi
 is one dual column, a or -a as needed, so the tableau is the transposed
 condition matrix.  The Gauss-Jordan elimination behind the rank check
-gives a basis from which every dual starts feasible after column flips,
-so every LP is a single phase of Bland-rule simplex.  Both are
-integer-preserving: an int tableau over one common denominator whose
-every pivot divides exactly (Bareiss).
+gives a basis from which the first dual starts feasible after column
+flips, for one phase of Bland-rule simplex.  The LPs share their cost
+and differ only in the right-hand side, so each later one starts from
+the previous optimum, which stays dual feasible, and re-optimises by
+dual simplex under Bland's rule.  All of it is integer-preserving: an
+int tableau over one common denominator whose every pivot divides
+exactly (Bareiss).
 
 The frame automorphisms g0^i -> g0^(u i) permute the variables.  Those
 that map the set of conditions onto itself map the relaxation onto
@@ -216,14 +219,21 @@ def _flip(T: list[list[int]], col: int, width: int, den: int) -> None:
 
 
 def _phase2(T: list[list[int]], basis: list[int], den: int, widths: list[int]) -> int | None:
-    """floor(min c.y) from a feasible basis; None if the objective is unbounded.
+    """Solve min c.y from a basis made feasible by flips; return den, None if unbounded.
 
     T / den is the tableau: one row per basic variable, right-hand side
     last, then the cost row den * c.  Column j stands for a or -a of
-    condition j; the other direction prices in where column j's reduced
-    cost exceeds den * widths[j], and at most one of the two does, so this
-    is Bland's rule over both and cycling cannot occur.
+    condition j.  A row with a negative right-hand side is negated and its
+    basic column flipped, which makes the basis feasible.  The other
+    direction of column j prices in where its reduced cost exceeds
+    den * widths[j], and at most one of the two does, so this is Bland's
+    rule over both and cycling cannot occur.  The optimum is
+    -T[-1][-1] / den.
     """
+    for r, bv in enumerate(basis):
+        if T[r][-1] < 0:
+            T[r] = [-x for x in T[r]]
+            _flip(T, bv, widths[bv], den)
     for r, bv in enumerate(basis):
         if T[-1][bv]:
             f = T[-1][bv] // den
@@ -232,7 +242,7 @@ def _phase2(T: list[list[int]], basis: list[int], den: int, widths: list[int]) -
         cost = T[-1]
         col = next((j for j, w in enumerate(widths) if cost[j] < 0 or cost[j] > den * w), None)
         if col is None:
-            return -cost[-1] // den
+            return den
         if cost[col] > 0:
             _flip(T, col, widths[col], den)
         best = None
@@ -247,6 +257,47 @@ def _phase2(T: list[list[int]], basis: list[int], den: int, widths: list[int]) -
         basis[best[3]] = col
 
 
+def _dual_phase(T: list[list[int]], basis: list[int], den: int, widths: list[int]) -> int:
+    """Re-optimise T / den after its right-hand side changed; return the new den.
+
+    Every reduced cost of an optimal tableau lies in [0, den * widths[j]],
+    whatever the right-hand side, so the basis stays dual feasible and the
+    dual simplex restores primal feasibility.  The leaving row is the one
+    with a negative right-hand side and the least basic column.  Column j
+    enters as it is where its entry a in that row is negative, at ratio
+    cost[j] / -a, or flipped where a is positive, at ratio
+    (den * widths[j] - cost[j]) / a; the least ratio enters, ties to the
+    least column (Bland), so cycling cannot occur.  A row with no entering
+    column would be a zero combination of the conditions, which the rank
+    check excludes.
+    """
+    while True:
+        leave = min(((bv, r) for r, bv in enumerate(basis) if T[r][-1] < 0), default=None)
+        if leave is None:
+            return den
+        r = leave[1]
+        row, cost = T[r], T[-1]
+        best = None
+        for j, w in enumerate(widths):
+            a = row[j]
+            if a < 0:
+                num, a = cost[j], -a
+            elif a > 0:
+                num = den * w - cost[j]
+            else:
+                continue
+            # least ratio num / a, cross-multiplied; ties to the least j
+            if best is None or num * best[1] < best[0] * a:
+                best = (num, a, j)
+        if best is None:
+            raise ArithmeticError("dual simplex: a basis row is zero on every condition")
+        col = best[2]
+        if row[col] > 0:
+            _flip(T, col, widths[col], den)
+        den = _pivot(T, r, col, den)
+        basis[r] = col
+
+
 def _orbit_roots(layout: VariableLayout, conds: list[_Condition]) -> list[int]:
     """Each variable's least orbit mate under the unit permutations that keep conds.
 
@@ -257,11 +308,14 @@ def _orbit_roots(layout: VariableLayout, conds: list[_Condition]) -> list[int]:
     form a group and those that keep conds a subgroup, so the orbit of i
     is i with its images.  Without such an s every variable is its own root.
     """
-    keep = set(conds)
+    keep = {(c.coeffs, c.const, c.lo, c.hi, c.modn) for c in conds}
     kept = [
         perm
         for perm in layout.unit_permutations()
-        if all(replace(c, coeffs=tuple(c.coeffs[j] for j in perm)) in keep for c in conds)
+        if all(
+            (tuple(c.coeffs[j] for j in perm), c.const, c.lo, c.hi, c.modn) in keep
+            for c in conds
+        )
     ]
     return [min([i, *(perm[i] for perm in kept)]) for i in range(len(layout))]
 
@@ -273,12 +327,16 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     min h.y, G^T y = +-e_i, y >= 0.  G holds each condition's a as -a and
     +a; the dual has one column per condition for the direction in use.
     One Gauss-Jordan elimination of [A^T | I], A the matrix of rows a,
-    gives a basis B for every LP, with right-hand side +-B^-1 e_i; where
-    that is negative, negating the row and flipping its basic column
-    restores feasibility, so no phase 1 is needed.  A row without a pivot
-    means A is rank deficient and the relaxation unbounded; an unbounded
-    dual means the relaxation is empty.  The LP pair is solved for the
-    least variable of each orbit (_orbit_roots) and copied to the others.
+    gives a start basis; a row without a pivot means A is rank deficient
+    and the relaxation unbounded.  The tableau carries the I block, which
+    holds den * B^-1 for the current basis B, so the right-hand side of
+    the LP for +-e_i is +- its column i, and the cost row's entry there
+    gives the objective.  The LPs form one chain.  The first starts from
+    the Gauss-Jordan basis (_phase2); an unbounded dual means the
+    relaxation is empty, and only this LP can find that.  Every later LP
+    changes only the right-hand side and re-optimises from the previous
+    optimal basis (_dual_phase).  The LP pair is solved for the least
+    variable of each orbit (_orbit_roots) and copied to the others.
     """
     nvars = len(system.layout)
     if nvars == 0:
@@ -286,13 +344,17 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     rows, levels, _consistent = _relaxation(system)
     conds = rows + levels
     ncols = len(conds)
-    T = [[c.coeffs[i] for c in conds] + [int(j == i) for j in range(nvars)] for i in range(nvars)]
+    T = [
+        [c.coeffs[i] for c in conds] + [int(j == i) for j in range(nvars)] + [0]
+        for i in range(nvars)
+    ]
     basis, den = _eliminate(T, ncols)
     if None in basis:
         raise RankDeficientError("unbounded relaxation: augment the character family")
-    cost = [den * (c.hi - c.const) for c in conds] + [0]
+    T.append([den * (c.hi - c.const) for c in conds] + [0] * (nvars + 1))
     widths = [c.hi - c.lo for c in conds]
     empty = BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars, feasible=False)
+    solve = _phase2
     lo, hi = [], []
     for i, root in enumerate(_orbit_roots(system.layout, conds)):
         if root < i:
@@ -300,15 +362,15 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
             hi.append(hi[root])
             continue
         for sense, bounds in ((1, hi), (-1, lo)):
-            tableau = [row[:ncols] + [sense * row[ncols + i]] for row in T] + [cost[:]]
-            for r, col in enumerate(basis):
-                if tableau[r][-1] < 0:
-                    tableau[r] = [-x for x in tableau[r]]
-                    _flip(tableau, col, widths[col], den)
-            value = _phase2(tableau, list(basis), den, widths)
-            if value is None:
+            # right-hand side +-B^-1 e_i, and in the cost row its objective
+            for row in T:
+                row[-1] = sense * row[ncols + i]
+            den = solve(T, basis, den, widths)
+            if den is None:
                 return empty
-            bounds.append(sense * value)
+            # every later LP starts from this optimum
+            solve = _dual_phase
+            bounds.append(sense * (-T[-1][-1] // den))
     if any(a > b for a, b in zip(lo, hi)):
         return empty
     return BoundsBox(lo=tuple(lo), hi=tuple(hi), feasible=True)

@@ -165,6 +165,17 @@ def test_bounds_pinned_paper_boxes(q, n, box):
     assert derive_bounds(paper_system(q, n)) == box
 
 
+def test_bounds_pinned_paper_61_30():
+    # recorded from one cold simplex phase per LP (about 40 s); the chain takes about 2 s
+    box = derive_bounds(paper_system(61, 30))
+    assert box == BoundsBox(
+        lo=(-4, -4, -5, -4, -4, -4, -4, -4, -5, -2, -4, -4, -4, -4, -2, -3, -3,
+            -3, -3, -3, -3, -3, -1, -1, -1, -1, -1, 0, 0, -1, 0, 0, 1, 1),
+        hi=(4, 3, 5, 3, 3, 5, 4, 3, 5, 3, 4, 5, 4, 3, 2, 3, 3,
+            6, 3, 2, 6, 3, 1, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1),
+    )
+
+
 def family_system(q, n, spec):
     fr = frame_for(q, n)
     chars, fam = character_family(fr, spec)
@@ -210,15 +221,15 @@ def test_bounds_match_two_phase_oracle(make):
 @pytest.mark.parametrize(
     "make, pivots",
     [
-        (lambda: paper_system(13, 6), 86),
-        (lambda: paper_system(19, 10), 125),
-        (lambda: paper_system(31, 15), 234),
-        (lambda: family_system(19, 10, "brauer-p"), 133),
+        (lambda: paper_system(13, 6), 35),
+        (lambda: paper_system(19, 10), 63),
+        (lambda: paper_system(31, 15), 85),
+        (lambda: family_system(19, 10, "brauer-p"), 61),
     ],
     ids=["paper-13-6", "paper-19-10", "paper-31-15", "brauer-p-19-10"],
 )
 def test_bounds_pivot_counts_pinned(make, pivots, monkeypatch):
-    # the integer tableau replays the rational Bland pivots one for one
+    # the elimination, the first LP's primal phase and the dual phases of the chain
     system = make()
     calls = []
     real = solver._pivot
@@ -269,15 +280,19 @@ def test_orbit_counts(make, nvars, orbits):
 def test_one_lp_pair_per_orbit(make, solves, monkeypatch):
     system = make()
     calls = []
-    real = solver._phase2
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(name, real):
+        def phase(*args):
+            calls.append(name)
+            return real(*args)
 
-    monkeypatch.setattr(solver, "_phase2", counted)
+        return phase
+
+    for name in ("_phase2", "_dual_phase"):
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
     box = derive_bounds(system)
-    assert len(calls) == solves
+    # one chain: the first LP from the Gauss-Jordan basis, each later one from the last optimum
+    assert calls == ["_phase2"] + ["_dual_phase"] * (solves - 1)
     if solves == 2 * len(system.layout):
         # the loose row moves no bound: the per-variable path gives the same box
         monkeypatch.undo()
@@ -302,6 +317,40 @@ def test_bounds_match_oracle_on_random_rows(extra):
     system = paper_system(13, 6)
     system = replace(system, rows=system.rows + tuple(extra))
     assert derive_bounds(system) == two_phase_bounds(system)
+
+
+@st.composite
+def _row_through(draw, point):
+    # a random row that holds at point, so the relaxation stays nonempty
+    coeffs = draw(st.tuples(*[st.integers(-6, 6)] * len(point)))
+    value = draw(st.integers(0, 12))
+    const = value - sum(a * x for a, x in zip(coeffs, point))
+    upper = draw(st.integers(value, value + 12))
+    return ConstraintRow(character="random", l=0, coeffs=coeffs, const=const, upper=upper)
+
+
+# tpa_distribution(frame_for(19, 10), 1) as a vector of the (19,10) layout
+_TPA_19_10 = (1, 0, 0, 0, 0, 1, 0, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(extra=st.lists(_row_through(_TPA_19_10), min_size=1, max_size=3))
+def test_bounds_chain_matches_oracle_on_random_rows(extra):
+    # a random row almost never keeps an orbit, so all 16 LPs run as one
+    # chain, and its dual phases often enter a column flipped
+    system = paper_system(19, 10)
+    system = replace(system, rows=system.rows + tuple(extra))
+    box = derive_bounds(system)
+    assert box.feasible
+    assert box == two_phase_bounds(system)
+
+
+def test_dual_phase_raises_on_a_zero_row():
+    # a negative right-hand side on a row that is zero on every condition:
+    # rank deficiency the rank check excludes, never a box
+    T = [[0, 0, 1, -1], [3, 2, 0, 0]]
+    with pytest.raises(ArithmeticError):
+        solver._dual_phase(T, [0], 1, [4, 5])
 
 
 @settings(max_examples=30, deadline=None)
