@@ -16,10 +16,20 @@ Conditions (V2), (V3) and eps_n(1) = 1 are baked into a variable layout;
 each (chi, l) pair then becomes one integer row a.x + c with the two
 requirements a.x + c >= 0 and a.x + c = 0 mod n, and c = chi(1).
 
-The constraint rows and the (V4) check of a distribution come from one
-trace-row computation.  It evaluates each character value once per class
-and takes the traces for all l from it in one integer pass
-(CycSum.twisted_traces, the Ramanujan-sum form of the trace);
+The constraint rows come from one trace-row computation per character.
+It evaluates each character value once per class and takes the traces
+for all l from it in one integer pass (CycSum.twisted_traces, the
+Ramanujan-sum form of the trace).
+
+The (V4) check of one distribution takes its traces once for all
+characters.  The multiplicity is linear in the character, and every chi
+restricted to <g0> is sum_h H[h] lambda_h over the linear characters
+lambda_h: g0^i -> zeta_n^(h i), with H = eigen_counts(chi).  With the
+Ramanujan sum c_m(k) = Tr(zeta_m^k), the integer table
+
+    K[h][l] = sum over entries (d, x, v) of v * c_{n/d}(exp_x h / d - l)
+
+holds n * mu(zeta_n^l) of each lambda_h, so chi's is sum_h H[h] K[h][l].
 multiplicity() keeps the direct single-l formula as the reference.
 """
 
@@ -28,15 +38,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import gcd
+from operator import mul
 from typing import Iterable, Iterator, Mapping
 
-from .cyclotomic import CycSum, divisors, is_prime
+from .cyclotomic import CycSum, divisors, is_prime, trace_root
 from .psl2 import (
     CharRestriction,
     ClassLabel,
     CyclicFrame,
     char_value,
+    eigen_counts,
     make_context,
     make_frame,
 )
@@ -451,18 +464,55 @@ class V4Report:
         return cls(checks=checks, ok=all(c.ok for c in checks))
 
 
+@cache
+def _ramanujan_shifts(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Row k is [c_m(k - l) for l in range(n)], c_m(j) = Tr(zeta_m^j) the Ramanujan sum."""
+    return tuple(tuple(trace_root(m, k - l) for l in range(n)) for k in range(m))
+
+
+def _eigen_table(n: int, entries: Iterable[tuple[int, ClassLabel, int]]) -> list[list[int]]:
+    """K[h][l] = sum over entries (d, x, v) of v * c_{n/d}(exp_x * h / d - l).
+
+    Row h is n * mu(zeta_n^l) of the linear character lambda_h: g0^i -> zeta_n^(h i),
+    whose value at x descends to zeta_{n/d}^(exp_x h / d) on level d.
+    """
+    table = [[0] * n for _ in range(n)]
+    for d, cls, v in entries:
+        m = n // d
+        k = cls.exp // d
+        shifts = _ramanujan_shifts(m, n)
+        for h, row in enumerate(table):
+            table[h] = [a + v * b for a, b in zip(row, shifts[k * h % m])]
+    return table
+
+
 def verify_v4(pa: PADistribution, characters: Iterable[CharRestriction]) -> V4Report:
-    """Evaluate every multiplicity and report whether each is a nonnegative integer."""
+    """Evaluate every multiplicity and report whether each is a nonnegative integer.
+
+    n * mu of chi is sum_h H[h] K[h][l] with H = eigen_counts(chi) and K the
+    table of the linear characters (module docstring); (V3) must hold.
+    """
+    n = pa.n
     entries = list(pa.entries())
-    pairs = [(d, cls) for d, cls, _v in entries]
-    values = [v for _d, _cls, v in entries]
+    for d, cls, _v in entries:
+        if cls.exp % d:
+            raise ValueError(
+                f"eps_{d} at g0^{cls.exp} is not supported on the requested subframe (V3)"
+            )
+    columns = list(zip(*_eigen_table(n, entries)))
+    mus: dict[int, Fraction] = {}
     checks = []
     for chi in characters:
         label = chi.label
-        for l, row in enumerate(_trace_rows(pa.frame, chi, pairs)):
-            mu = Fraction(sum(v * a for v, a in zip(values, row)), pa.n)
-            ok = mu >= 0 and mu.denominator == 1
-            checks.append(MultiplicityCheck(character=label, l=l, value=mu, ok=ok))
+        counts = eigen_counts(pa.frame, chi)
+        for l, column in enumerate(columns):
+            s = sum(map(mul, counts, column))
+            mu = mus.get(s)
+            if mu is None:
+                mu = mus[s] = Fraction(s, n)
+            checks.append(
+                MultiplicityCheck(character=label, l=l, value=mu, ok=s >= 0 and s % n == 0)
+            )
     return V4Report.build(checks)
 
 

@@ -16,6 +16,8 @@ Character values on those classes are exact CycSum values of order m:
 phi_h and psi_h restrict ordinary characters when m does not divide h;
 chi_R restricts a Brauer character mod p, and the irreducible ones are
 exactly the tuples R of length f with digits below p and even sum.
+eigen_counts gives the same restrictions as eigenvalue counts of g0, one
+count per linear character of <g0>.
 """
 
 from __future__ import annotations
@@ -201,6 +203,31 @@ def char_value(frame: CyclicFrame, chi: CharRestriction, cls: ClassLabel) -> Cyc
     for e in _brauer_half_exponents(frame.ctx.p, chi.weights):
         coeffs[(i * e) % m] += 1
     return CycSum(m, coeffs)
+
+
+def eigen_counts(frame: CyclicFrame, chi: CharRestriction) -> list[int]:
+    """H with H[e] the number of eigenvalues zeta_m^e of g0 under chi.
+
+    So chi(g0^i) = sum_e H[e] zeta_m^(i e) for every i: the restriction to
+    <g0> is sum_e H[e] lambda_e over the linear characters lambda_e.  For
+    phi_h and psi_h the (q - eps) / m copies of the regular character carry
+    the value q - eps at the identity and vanish elsewhere.
+    """
+    m, q, eps = frame.m, frame.ctx.q, frame.epsilon
+    if chi.kind == "trivial":
+        return [1] + [0] * (m - 1)
+    if chi.kind == "brauer":
+        counts = [0] * m
+        for e in _brauer_half_exponents(frame.ctx.p, chi.weights):
+            counts[e % m] += 1
+        return counts
+    if chi.h % m == 0:
+        raise ValueError(f"{chi.label} is not defined when the frame order divides h")
+    counts = [(q - eps) // m] * m
+    if chi.kind == "phi":
+        counts[chi.h % m] += eps
+        counts[-chi.h % m] += eps
+    return counts
 
 
 def brauer_irreducibles(ctx: GroupContext, frame: CyclicFrame) -> tuple[CharRestriction, ...]:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import floor, gcd
 
 from helpzc.cyclotomic import CycSum
+from helpzc.help_core import MultiplicityCheck, V4Report, _trace_rows
 from helpzc.solver import (
     BoundsBox,
     RankDeficientError,
@@ -115,6 +116,22 @@ def float_multiplicity(pa, chi, l: int) -> float:
                 tr += sum(coef * float_root(sub, j * e) for coef, e in exps)
         total += v * tr
     return (total / n).real
+
+
+def trace_row_v4(pa, characters) -> V4Report:
+    """The (V4) check through per-character trace rows: one char_value per class,
+    one twisted_traces per entry, for every character."""
+    entries = list(pa.entries())
+    pairs = [(d, cls) for d, cls, _v in entries]
+    values = [v for _d, _cls, v in entries]
+    checks = []
+    for chi in characters:
+        label = chi.label
+        for l, row in enumerate(_trace_rows(pa.frame, chi, pairs)):
+            mu = Fraction(sum(v * a for v, a in zip(values, row)), pa.n)
+            ok = mu >= 0 and mu.denominator == 1
+            checks.append(MultiplicityCheck(character=label, l=l, value=mu, ok=ok))
+    return V4Report.build(checks)
 
 
 def naive_box_scan(system, box):

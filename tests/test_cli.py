@@ -346,6 +346,16 @@ def test_chars_table_from_character_file(tmp_path, capsys):
     assert {"order": 1, "exp": 0, "value": "5"} in table[0]["values"]
 
 
+def test_check_phi_h_on_the_frame_order_exits_2(tmp_path, capsys):
+    chars = tmp_path / "phi10.json"
+    chars.write_text(json.dumps([{"kind": "phi", "h": 10}]))
+    dist = write_dist(tmp_path, exceptional(frame_for(19, 10), 5))
+    code, out, err = run_cli(capsys, "check", dist, "--chars", str(chars))
+    assert code == 2
+    assert out == ""
+    assert "not defined when the frame order divides h" in err
+
+
 def test_empty_character_file_exits_2(tmp_path, capsys):
     # an empty family would pass (V4) vacuously or be coerced into brauer-p
     chars = tmp_path / "empty.json"

@@ -32,7 +32,7 @@ from helpzc.help_core import (
 from helpzc.psl2 import CharRestriction, brauer_irreducibles, make_context, make_frame
 from helpzc.solver import character_family
 
-from helpers import float_multiplicity
+from helpers import float_multiplicity, trace_row_v4
 
 TRIV = CharRestriction.trivial()
 CHI2 = CharRestriction.brauer((2,))
@@ -277,21 +277,52 @@ def test_verify_v4_rejects_v3_violation():
         verify_v4(pa, [CharRestriction.phi(1)])
 
 
-def test_verify_v4_evaluates_each_character_value_once(monkeypatch):
+def test_verify_v4_takes_eigen_counts_once_per_character(monkeypatch):
     fr = frame_for(19, 10)
     chars = brauer_irreducibles(fr.ctx, fr)
     pa = perturb_level_1(exceptional(fr, 5), random.Random(1))
-    expected = verify_v4(pa, chars)
-    calls = []
-    original = help_core.char_value
+    expected = trace_row_v4(pa, chars)
+    value_calls, count_calls = [], []
+    original_value, original_counts = help_core.char_value, help_core.eigen_counts
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted_value(*args):
+        value_calls.append(args)
+        return original_value(*args)
 
-    monkeypatch.setattr(help_core, "char_value", counted)
+    def counted_counts(frame, chi):
+        count_calls.append(chi)
+        return original_counts(frame, chi)
+
+    monkeypatch.setattr(help_core, "char_value", counted_value)
+    monkeypatch.setattr(help_core, "eigen_counts", counted_counts)
     assert verify_v4(pa, chars) == expected
-    assert 0 < len(calls) <= len(chars) * len(list(pa.entries()))
+    assert value_calls == []
+    assert count_calls == list(chars)
+
+
+ORACLE_FRAMES = [frame_for(q, n) for q, n in [(19, 10), (53, 26), (25, 12), (81, 20)]]
+
+
+@st.composite
+def v3_valid_distributions(draw):
+    """A frame of ORACLE_FRAMES and random values on every (V3)-allowed entry;
+    (V1) and (V2) may fail, as `check` evaluates (V4) whenever (V3) holds."""
+    fr = draw(st.sampled_from(ORACLE_FRAMES))
+    n = fr.m
+    levels: dict = {}
+    for d in divisors(n):
+        for cls in fr.classes_of_order_dividing(n // d):
+            levels.setdefault(d, {})[cls] = draw(st.integers(-2, 2))
+    return PADistribution(fr, levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(v3_valid_distributions(), st.sampled_from(["paper", "brauer-p"]))
+def test_verify_v4_matches_trace_row_oracle(pa, family):
+    chars, _ = character_family(pa.frame, family)
+    report = verify_v4(pa, chars)
+    assert report == trace_row_v4(pa, chars)
+    assert all(type(c.value) is Fraction for c in report.checks)
 
 
 @pytest.mark.parametrize("q,n", [(19, 10), (53, 26)])

@@ -15,6 +15,7 @@ from helpzc.psl2 import (
     brauer_irreducibles,
     char_value,
     decompose_chi,
+    eigen_counts,
     make_context,
     make_frame,
     v_pair_count,
@@ -150,6 +151,38 @@ def test_phi_requires_h_off_the_frame_order():
         char_value(fr, CharRestriction.phi(10), fr.class_of(1))
     with pytest.raises(ValueError):
         char_value(fr, CharRestriction.psi(20), fr.class_of(1))
+
+
+@pytest.mark.parametrize("q,m", [(19, 10), (41, 10), (25, 12), (49, 24)])
+def test_eigen_counts_expand_char_value(q, m):
+    # eps = -1, eps = +1, and f = 2 (twice)
+    fr = frame_for(q, m)
+    chars = [CharRestriction.trivial(), *brauer_irreducibles(fr.ctx, fr)]
+    chars += [CharRestriction.phi(h) for h in range(1, m)]
+    chars += [CharRestriction.psi(h) for h in range(1, m)]
+    for chi in chars:
+        counts = eigen_counts(fr, chi)
+        assert len(counts) == m
+        assert sum(counts) == chi.degree(fr)
+        assert all(counts[e] == counts[-e % m] for e in range(m))
+        for i in range(m):
+            expanded = CycSum(m, [sum(counts[e] for e in range(m) if e * i % m == k)
+                                  for k in range(m)])
+            assert expanded == char_value(fr, chi, fr.class_of(i))
+
+
+def test_eigen_counts_phi_h_at_half_the_order():
+    # h = -h mod m: both eigenvalues eps * zeta^(+-h) land on one index
+    fr = frame_for(19, 10)
+    counts = eigen_counts(fr, CharRestriction.phi(5))
+    assert counts == [2] * 5 + [0] + [2] * 4
+
+
+def test_eigen_counts_reject_h_on_the_frame_order():
+    fr = frame_for(19, 10)
+    for chi in (CharRestriction.phi(10), CharRestriction.psi(20)):
+        with pytest.raises(ValueError, match="not defined when the frame order divides h"):
+            eigen_counts(fr, chi)
 
 
 def test_brauer_validation():
