@@ -22,6 +22,7 @@ from .help_core import (
     check_wagner,
     exceptional_set,
     json_int,
+    json_text,
     tpa_set,
     verify_v4,
 )
@@ -138,7 +139,7 @@ def _solutions_text(payload: dict, solutions: SolutionSet) -> str:
 
 def _render_solutions(args, payload: dict, solutions: SolutionSet) -> str:
     if args.format == "json":
-        return json.dumps(payload, indent=2)
+        return json_text(payload)
     if args.format == "csv":
         return _solutions_csv(solutions)
     return _solutions_text(payload, solutions)
@@ -277,7 +278,7 @@ def cmd_verify_main(args) -> int:
         "ok": ok,
     }
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json_text(payload), args.out)
     else:
         lines = [
             f"q={args.q} t={t}: enumerated {len(report.solutions)} = "
@@ -340,7 +341,7 @@ def cmd_check(args) -> int:
     payload["ok"] = all_ok
 
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json_text(payload), args.out)
     else:
         lines = [f"q={pa.q} n={pa.n}"]
         for cond in ("V1", "V2", "V3"):
@@ -370,10 +371,9 @@ def cmd_chars(args) -> int:
         k0, coeffs = decompose_chi(frame, weights)
         if args.format == "json":
             _emit(
-                json.dumps(
+                json_text(
                     {"q": args.q, "m": args.m, "weights": list(weights), "k0": k0,
-                     "n_h": {str(h): v for h, v in coeffs.items() if v}},
-                    indent=2,
+                     "n_h": {str(h): v for h, v in coeffs.items() if v}}
                 ),
                 args.out,
             )
@@ -395,9 +395,7 @@ def cmd_chars(args) -> int:
         table.append({"character": chi.label, "values": values})
     if args.format == "json":
         _emit(
-            json.dumps(
-                {"q": args.q, "m": args.m, "epsilon": frame.epsilon, "table": table}, indent=2
-            ),
+            json_text({"q": args.q, "m": args.m, "epsilon": frame.epsilon, "table": table}),
             args.out,
         )
     elif args.format == "csv":

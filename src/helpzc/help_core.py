@@ -39,6 +39,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import mul
 from typing import Iterable, Iterator, Mapping
@@ -60,6 +61,54 @@ def json_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"expected an integer, got {value!r}")
     return value
+
+
+# Leaves by exact type, so that True is not written as 1.
+_JSON_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, built a container at a time.
+
+    With an indent the stdlib takes its pure-Python encoder, one generator
+    step per token.  Here each container is one join over its members, and
+    each leaf one C call.  A tuple is written as a list; a dict key that is
+    not a str raises TypeError (the stdlib would coerce it); another leaf,
+    such as a float, goes through json.dumps.
+    """
+    return _json_text(obj, "\n")
+
+
+def _json_text(v, nl: str) -> str:
+    get = _JSON_LEAVES.get
+    leaf = get(type(v))
+    if leaf is not None:
+        return leaf(v)
+    inner = nl + "  "
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        body = ("," + inner).join(
+            [
+                f"{encode_basestring_ascii(k)}: "
+                f"{f(x) if (f := get(type(x))) else _json_text(x, inner)}"
+                for k, x in v.items()
+            ]
+        )
+        return "{" + inner + body + nl + "}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        body = ("," + inner).join(
+            [f(x) if (f := get(type(x))) else _json_text(x, inner) for x in v]
+        )
+        return "[" + inner + body + nl + "]"
+    return json.dumps(v)
 
 
 class PADistribution:
@@ -147,7 +196,7 @@ class PADistribution:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json_text(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> PADistribution:

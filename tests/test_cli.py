@@ -268,6 +268,29 @@ def test_round_trip_every_emitted_solution(tmp_path, capsys):
         assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("vpa", "--q", "19", "--n", "10"),
+        ("tpa", "--q", "19", "--n", "10"),
+        ("verify-main", "--q", "19", "--t", "5"),
+        ("check", "DIST", "--chars", "brauer-p"),
+        ("chars", "--q", "19", "--m", "10", "--chars", "brauer-p"),
+        ("chars", "--q", "19", "--m", "10", "--decompose", "4"),
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_json_output_is_indent_2_json_dumps(argv, tmp_path, capsys):
+    """--format json writes json.dumps(report, indent=2), keys in report order."""
+    dist = write_dist(tmp_path, exceptional(frame_for(19, 10), 5))
+    target = tmp_path / "out.json"
+    argv = [dist if a == "DIST" else a for a in argv]
+    code, _, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(target))
+    assert code == 0
+    text = target.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 # ---------------------------------------------------------------- chars / trace
 
 

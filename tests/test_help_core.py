@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from helpzc.help_core import (
     distribution_from_vector,
     exceptional,
     exceptional_set,
+    json_text,
     mu1_accumulated_form,
     mu_minus,
     multiplicity,
@@ -582,6 +584,36 @@ def test_json_round_trip():
         again = PADistribution.from_json_dict(pa.to_json_dict())
         assert again == pa
         assert again.to_json_dict() == pa.to_json_dict()
+
+
+# strings with quotes, backslashes, control characters, non-ASCII and a lone surrogate
+JSON_STRINGS = st.text(
+    st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600')
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | JSON_STRINGS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(JSON_STRINGS, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+def test_json_text_is_indent_2_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_empty_containers_and_float_leaf():
+    value = {"a": [], "b": {}, "c": (), "d": [1.5, float("inf"), {"e": [[]]}]}
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("key", [1, True, None, 1.5])
+def test_json_text_rejects_non_str_keys(key):
+    # the stdlib would write the key as a string; json_text never coerces
+    with pytest.raises(TypeError):
+        json_text({"ok": 0, "nested": [{key: 1}]})
 
 
 def test_json_rejects_malformed():
