@@ -8,10 +8,7 @@ decided on demand by reducing the coefficient polynomial modulo x^m - 1
 (implicit in the indexing) and then modulo the m-th cyclotomic
 polynomial.  Rational traces use the closed form
 Tr(zeta_m^k) = mu(d) * phi(m) / phi(d) with d = m / gcd(m, k), which is
-the Ramanujan sum c_m(k) = sum over e | gcd(m, k) of e * mu(m/e).  The
-Ramanujan form gives all m twisted traces Tr(z * zeta_m^-k) of one value
-z at once: trace k is the sum over e | m of e * mu(m/e) * S_e[k mod e],
-where S_e[r] adds the coefficients of z at the indices = r mod e.
+the Ramanujan sum c_m(k) = sum over e | gcd(m, k) of e * mu(m/e).
 
 Everything here is plain integer arithmetic; no floating point appears
 anywhere.
@@ -297,22 +294,6 @@ class CycSum:
     def trace(self) -> int:
         """Field trace to Q, the linear extension of trace_root."""
         return sum(c * trace_root(self._order, i) for i, c in enumerate(self._coeffs) if c)
-
-    def twisted_traces(self) -> list[int]:
-        """[Tr(self * zeta_m^-k) for k in range(m)], in one integer pass.
-
-        Tr(zeta_m^j) is the Ramanujan sum c_m(j), so trace k is the sum over
-        the divisors e of m with mu(m/e) != 0 of e * mu(m/e) * S_e[k mod e],
-        where S_e[r] is the sum of the coefficients at indices = r mod e.
-        """
-        m = self._order
-        out = [0] * m
-        for e in divisors(m):
-            weight = e * mobius(m // e)
-            if weight:
-                sums = [weight * sum(self._coeffs[r::e]) for r in range(e)]
-                out = [a + b for a, b in zip(out, sums * (m // e))]
-        return out
 
     def __str__(self) -> str:
         parts = []

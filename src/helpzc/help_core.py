@@ -16,21 +16,20 @@ Conditions (V2), (V3) and eps_n(1) = 1 are baked into a variable layout;
 each (chi, l) pair then becomes one integer row a.x + c with the two
 requirements a.x + c >= 0 and a.x + c = 0 mod n, and c = chi(1).
 
-The constraint rows come from one trace-row computation per character.
-It evaluates each character value once per class and takes the traces
-for all l from it in one integer pass (CycSum.twisted_traces, the
-Ramanujan-sum form of the trace).
-
-The (V4) check of one distribution takes its traces once for all
-characters.  The multiplicity is linear in the character, and every chi
-restricted to <g0> is sum_h H[h] lambda_h over the linear characters
+One integer table serves both the constraint rows and the (V4) check.
+The multiplicity is linear in the character, and every chi restricted to
+<g0> is sum_h H[h] lambda_h over the linear characters
 lambda_h: g0^i -> zeta_n^(h i), with H = eigen_counts(chi).  With the
 Ramanujan sum c_m(k) = Tr(zeta_m^k), the integer table
 
     K[h][l] = sum over entries (d, x, v) of v * c_{n/d}(exp_x h / d - l)
 
 holds n * mu(zeta_n^l) of each lambda_h, so chi's is sum_h H[h] K[h][l].
-multiplicity() keeps the direct single-l formula as the reference.
+A constraint row takes the table of one unit entry per variable, so the
+coefficient of (d, x) in row (chi, l) is sum_h H[h] K_x[h][l]; the (V4)
+check of one distribution takes the table of its entries once for all
+characters.  multiplicity() keeps the direct single-l formula as the
+reference.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Iterator, Mapping
 
-from .cyclotomic import CycSum, divisors, is_prime, trace_root
+from .cyclotomic import divisors, is_prime, trace_root
 from .psl2 import (
     CharRestriction,
     ClassLabel,
@@ -313,23 +312,26 @@ class ConstraintSystem:
         return self.frame.m
 
 
-def _trace_rows(
-    frame: CyclicFrame, chi: CharRestriction, pairs: Iterable[tuple[int, ClassLabel]]
-) -> list[tuple[int, ...]]:
-    """Row l holds Tr_{Q(zeta_n^d)/Q}( chi(x) * zeta_n^{-l d} ) for each (d, x).
+@cache
+def _ramanujan_shifts(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Row k is [c_m(k - l) for l in range(n)], c_m(j) = Tr(zeta_m^j) the Ramanujan sum."""
+    return tuple(tuple(trace_root(m, k - l) for l in range(n)) for k in range(m))
 
-    chi(x) is evaluated once per distinct class x.  Descended to order n/d
-    it turns the twist by zeta_n^{-l d} into one by zeta_{n/d}^{-l}, so each
-    entry repeats with period n/d, and twisted_traces gives those n/d traces
-    in one pass.
+
+def _eigen_table(n: int, entries: Iterable[tuple[int, ClassLabel, int]]) -> list[list[int]]:
+    """K[h][l] = sum over entries (d, x, v) of v * c_{n/d}(exp_x * h / d - l).
+
+    Row h is n * mu(zeta_n^l) of the linear character lambda_h: g0^i -> zeta_n^(h i),
+    whose value at x descends to zeta_{n/d}^(exp_x h / d) on level d.
     """
-    values: dict[ClassLabel, CycSum] = {}
-    periods = []
-    for d, cls in pairs:
-        if cls not in values:
-            values[cls] = char_value(frame, chi, cls)
-        periods.append(values[cls].descend(d).twisted_traces())
-    return [tuple(t[l % len(t)] for t in periods) for l in range(frame.m)]
+    table = [[0] * n for _ in range(n)]
+    for d, cls, v in entries:
+        m = n // d
+        k = cls.exp // d
+        shifts = _ramanujan_shifts(m, n)
+        for h, row in enumerate(table):
+            table[h] = [a + v * b for a, b in zip(row, shifts[k * h % m])]
+    return table
 
 
 def build_constraints(
@@ -338,13 +340,19 @@ def build_constraints(
     layout: VariableLayout | None = None,
     family: str = "custom",
 ) -> ConstraintSystem:
+    """Row (chi, l) has coefficient sum_h H[h] K_x[h][l] at variable x = (d, cls),
+    with H = eigen_counts(chi) and K_x the table of the unit entry (d, cls, 1)."""
     characters = tuple(characters)
     layout = layout if layout is not None else variable_layout(frame)
     n = frame.m
+    # per variable x, the columns K_x[.][l] of its unit-entry table
+    unit_columns = [list(zip(*_eigen_table(n, [(d, cls, 1)]))) for d, cls in layout.variables]
     rows = []
     for chi in characters:
+        counts = eigen_counts(frame, chi)
         deg = chi.degree(frame)
-        for l, coeffs in enumerate(_trace_rows(frame, chi, layout.variables)):
+        for l in range(n):
+            coeffs = tuple(sum(map(mul, counts, columns[l])) for columns in unit_columns)
             rows.append(
                 ConstraintRow(character=chi.label, l=l, coeffs=coeffs, const=deg, upper=n * deg)
             )
@@ -353,14 +361,24 @@ def build_constraints(
     )
 
 
+def _check_v3(entries: Iterable[tuple[int, ClassLabel, int]]) -> None:
+    """Raise unless every entry (d, x, v) has exp_x divisible by d, i.e. (V3) holds."""
+    for d, cls, _v in entries:
+        if cls.exp % d:
+            raise ValueError(
+                f"eps_{d} at g0^{cls.exp} is not supported on the requested subframe (V3)"
+            )
+
+
 def multiplicity(pa: PADistribution, chi: CharRestriction, l: int) -> Fraction:
     """Exact eigenvalue multiplicity mu(zeta_n^l) for the candidate distribution.
 
     For members of VPA_n this is a nonnegative integer for every actual
     ordinary or Brauer character; here it is returned as an exact rational
-    so that failures are visible.
+    so that failures are visible.  (V3) must hold.
     """
     n = pa.n
+    _check_v3(pa.entries())
     total = 0
     for d, cls, v in pa.entries():
         value = char_value(pa.frame, chi, cls)
@@ -369,10 +387,11 @@ def multiplicity(pa: PADistribution, chi: CharRestriction, l: int) -> Fraction:
 
 
 def mu_minus(pa: PADistribution, chi: CharRestriction, m: int) -> Fraction:
-    """The partial multiplicity sum over divisors d with m | d (no root twist)."""
+    """The partial multiplicity sum over divisors d with m | d (no root twist); (V3) must hold."""
     n = pa.n
     if m < 1 or n % m:
         raise ValueError(f"{m} does not divide the order {n}")
+    _check_v3(pa.entries())
     total = 0
     for d, cls, v in pa.entries():
         if d % m == 0:
@@ -513,28 +532,6 @@ class V4Report:
         return cls(checks=checks, ok=all(c.ok for c in checks))
 
 
-@cache
-def _ramanujan_shifts(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Row k is [c_m(k - l) for l in range(n)], c_m(j) = Tr(zeta_m^j) the Ramanujan sum."""
-    return tuple(tuple(trace_root(m, k - l) for l in range(n)) for k in range(m))
-
-
-def _eigen_table(n: int, entries: Iterable[tuple[int, ClassLabel, int]]) -> list[list[int]]:
-    """K[h][l] = sum over entries (d, x, v) of v * c_{n/d}(exp_x * h / d - l).
-
-    Row h is n * mu(zeta_n^l) of the linear character lambda_h: g0^i -> zeta_n^(h i),
-    whose value at x descends to zeta_{n/d}^(exp_x h / d) on level d.
-    """
-    table = [[0] * n for _ in range(n)]
-    for d, cls, v in entries:
-        m = n // d
-        k = cls.exp // d
-        shifts = _ramanujan_shifts(m, n)
-        for h, row in enumerate(table):
-            table[h] = [a + v * b for a, b in zip(row, shifts[k * h % m])]
-    return table
-
-
 def verify_v4(pa: PADistribution, characters: Iterable[CharRestriction]) -> V4Report:
     """Evaluate every multiplicity and report whether each is a nonnegative integer.
 
@@ -543,11 +540,7 @@ def verify_v4(pa: PADistribution, characters: Iterable[CharRestriction]) -> V4Re
     """
     n = pa.n
     entries = list(pa.entries())
-    for d, cls, _v in entries:
-        if cls.exp % d:
-            raise ValueError(
-                f"eps_{d} at g0^{cls.exp} is not supported on the requested subframe (V3)"
-            )
+    _check_v3(entries)
     columns = list(zip(*_eigen_table(n, entries)))
     mus: dict[int, Fraction] = {}
     checks = []

@@ -5,19 +5,22 @@ q = eps mod 2m for some sign eps, every element of order dividing m is
 conjugate into <g0>, and g0^i ~ g0^j iff i = +-j mod m.  That turns class
 bookkeeping into arithmetic on canonical exponents 0 <= exp <= m/2.
 
-Character values on those classes are exact CycSum values of order m:
+A character restricted to <g0> is sum_e H[e] lambda_e over the linear
+characters lambda_e: g0^i -> zeta^(e i), and eigen_counts gives H, the
+number of eigenvalues zeta^e of g0:
 
-    trivial      1 everywhere
-    phi_h        q + eps at 1, else eps * (zeta^(h i) + zeta^(-h i))
-    psi_h        q - eps at 1, else 0
-    chi_R        sum over digit tuples s (|s_j| <= r_j, same parity as r_j)
-                 of zeta^(i * (sum_j s_j p^j) / 2)
+    trivial      H[0] = 1
+    phi_h        (q - eps) / m everywhere, plus eps at e = h and at e = -h
+    psi_h        (q - eps) / m everywhere
+    chi_R        one count per digit tuple s (|s_j| <= r_j, same parity as
+                 r_j), at e = (sum_j s_j p^j) / 2
 
 phi_h and psi_h restrict ordinary characters when m does not divide h;
 chi_R restricts a Brauer character mod p, and the irreducible ones are
 exactly the tuples R of length f with digits below p and even sum.
-eigen_counts gives the same restrictions as eigenvalue counts of g0, one
-count per linear character of <g0>.
+eigen_counts is the one statement of these restrictions: char_value
+expands it into the exact CycSum value chi(g0^i) = sum_e H[e] zeta^(i e),
+and v_set_count reads the sets V_{R;h} off it.
 """
 
 from __future__ import annotations
@@ -185,26 +188,6 @@ def _brauer_half_exponents(p: int, weights: tuple[int, ...]) -> list[int]:
     return [e // 2 for e in out]
 
 
-def char_value(frame: CyclicFrame, chi: CharRestriction, cls: ClassLabel) -> CycSum:
-    """Exact value of the restriction at the given class, as an order-m CycSum."""
-    m, q, eps = frame.m, frame.ctx.q, frame.epsilon
-    i = cls.exp
-    if chi.kind == "trivial":
-        return CycSum.integer(m, 1)
-    if chi.kind in ("phi", "psi"):
-        if chi.h % m == 0:
-            raise ValueError(f"{chi.label} is not defined when the frame order divides h")
-        if i % m == 0:
-            return CycSum.integer(m, q + eps if chi.kind == "phi" else q - eps)
-        if chi.kind == "psi":
-            return CycSum.zero(m)
-        return eps * (CycSum.root(m, chi.h * i) + CycSum.root(m, -chi.h * i))
-    coeffs = [0] * m
-    for e in _brauer_half_exponents(frame.ctx.p, chi.weights):
-        coeffs[(i * e) % m] += 1
-    return CycSum(m, coeffs)
-
-
 def eigen_counts(frame: CyclicFrame, chi: CharRestriction) -> list[int]:
     """H with H[e] the number of eigenvalues zeta_m^e of g0 under chi.
 
@@ -230,6 +213,18 @@ def eigen_counts(frame: CyclicFrame, chi: CharRestriction) -> list[int]:
     return counts
 
 
+def char_value(frame: CyclicFrame, chi: CharRestriction, cls: ClassLabel) -> CycSum:
+    """Exact value of the restriction at the given class, as an order-m CycSum.
+
+    The expansion sum_e H[e] zeta_m^(exp e) of H = eigen_counts(chi).
+    """
+    m = frame.m
+    coeffs = [0] * m
+    for e, count in enumerate(eigen_counts(frame, chi)):
+        coeffs[cls.exp * e % m] += count
+    return CycSum(m, coeffs)
+
+
 def brauer_irreducibles(ctx: GroupContext, frame: CyclicFrame) -> tuple[CharRestriction, ...]:
     """All irreducible Brauer character restrictions mod p: length-f digit tuples, even sum."""
     if gcd(frame.m, ctx.p) != 1:
@@ -244,16 +239,16 @@ def brauer_irreducibles(ctx: GroupContext, frame: CyclicFrame) -> tuple[CharRest
 def v_set_count(frame: CyclicFrame, weights, h: int) -> int:
     """|V_{R;h}|: nonzero digit tuples whose half exponent is +-h mod m.
 
-    The zero tuple exists only when every digit of R is even; its half
-    exponent 0 is counted exactly when h = 0 mod m, and is taken off then.
+    Read off H = eigen_counts(chi_R) as H[h] + H[-h], with H[h] taken once
+    when h = -h mod m.  The zero tuple exists only when every digit of R is
+    even; its half exponent 0 is counted exactly when h = 0 mod m, and is
+    taken off then.
     """
-    weights = tuple(weights)
-    if sum(weights) % 2:
-        raise ValueError("chi_R requires an even digit sum")
+    chi = CharRestriction.brauer(weights)
     m = frame.m
-    halves = _brauer_half_exponents(frame.ctx.p, weights)
-    count = sum((e - h) % m == 0 or (e + h) % m == 0 for e in halves)
-    if h % m == 0 and all(r % 2 == 0 for r in weights):
+    counts = eigen_counts(frame, chi)
+    count = sum(counts[e] for e in {h % m, -h % m})
+    if h % m == 0 and all(r % 2 == 0 for r in chi.weights):
         count -= 1
     return count
 

@@ -8,7 +8,8 @@ from fractions import Fraction
 from math import floor, gcd
 
 from helpzc.cyclotomic import CycSum
-from helpzc.help_core import MultiplicityCheck, V4Report, _trace_rows
+from helpzc.help_core import MultiplicityCheck, V4Report
+from helpzc.psl2 import char_value
 from helpzc.solver import (
     BoundsBox,
     RankDeficientError,
@@ -118,16 +119,34 @@ def float_multiplicity(pa, chi, l: int) -> float:
     return (total / n).real
 
 
+def trace_rows(frame, chi, pairs) -> list[tuple[int, ...]]:
+    """Row l holds Tr_{Q(zeta_n^d)/Q}( chi(x) * zeta_n^{-l d} ) for each (d, x).
+
+    The constraint-row kernel the library used before its rows came from
+    eigen_counts: chi(x) is evaluated once per distinct class, descended to
+    order n/d (which turns the twist into one by zeta_{n/d}^{-l}, so each
+    entry repeats with period n/d), and traced once per rotation.
+    """
+    values = {}
+    periods = []
+    for d, cls in pairs:
+        if cls not in values:
+            values[cls] = char_value(frame, chi, cls)
+        z = values[cls].descend(d)
+        periods.append([z.mul_root(-k).trace() for k in range(z.order)])
+    return [tuple(t[l % len(t)] for t in periods) for l in range(frame.m)]
+
+
 def trace_row_v4(pa, characters) -> V4Report:
     """The (V4) check through per-character trace rows: one char_value per class,
-    one twisted_traces per entry, for every character."""
+    one trace per entry and rotation, for every character."""
     entries = list(pa.entries())
     pairs = [(d, cls) for d, cls, _v in entries]
     values = [v for _d, _cls, v in entries]
     checks = []
     for chi in characters:
         label = chi.label
-        for l, row in enumerate(_trace_rows(pa.frame, chi, pairs)):
+        for l, row in enumerate(trace_rows(pa.frame, chi, pairs)):
             mu = Fraction(sum(v * a for v, a in zip(values, row)), pa.n)
             ok = mu >= 0 and mu.denominator == 1
             checks.append(MultiplicityCheck(character=label, l=l, value=mu, ok=ok))

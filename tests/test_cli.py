@@ -309,6 +309,16 @@ def test_chars_decompose(capsys):
     assert out.strip() == "k_0=1; n_1=1; n_2=1"
 
 
+@pytest.mark.parametrize("digits", ["-2,4", "2,-2"])
+def test_chars_decompose_rejects_a_negative_digit(capsys, digits):
+    code, out, err = run_cli(
+        capsys, "chars", "--q", "19", "--m", "10", f"--decompose={digits}"
+    )
+    assert code == 2
+    assert err == "error: chi_R requires a nonempty tuple of nonnegative digits\n"
+    assert not out
+
+
 def test_chars_csv(capsys):
     code, out, _ = run_cli(
         capsys, "chars", "--q", "19", "--m", "10", "--chi", "2", "--format", "csv"

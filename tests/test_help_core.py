@@ -34,7 +34,7 @@ from helpzc.help_core import (
 from helpzc.psl2 import CharRestriction, brauer_irreducibles, make_context, make_frame
 from helpzc.solver import character_family
 
-from helpers import float_multiplicity, trace_row_v4
+from helpers import float_multiplicity, trace_row_v4, trace_rows
 
 TRIV = CharRestriction.trivial()
 CHI2 = CharRestriction.brauer((2,))
@@ -328,21 +328,57 @@ def test_verify_v4_matches_trace_row_oracle(pa, family):
 
 
 @pytest.mark.parametrize("q,n", [(19, 10), (53, 26)])
-def test_build_constraints_evaluates_each_class_once_per_character(monkeypatch, q, n):
+def test_build_constraints_takes_eigen_counts_once_per_character(monkeypatch, q, n):
     fr = frame_for(q, n)
     chars, _ = character_family(fr, "paper")
     layout = variable_layout(fr)
-    calls = []
-    original = help_core.char_value
+    expected = build_constraints(fr, chars, layout)
+    value_calls, count_calls = [], []
+    original_value, original_counts = help_core.char_value, help_core.eigen_counts
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted_value(*args):
+        value_calls.append(args)
+        return original_value(*args)
 
-    monkeypatch.setattr(help_core, "char_value", counted)
-    build_constraints(fr, chars, layout)
-    classes = {cls for _d, cls in layout.variables}
-    assert len(calls) == len(chars) * len(classes)
+    def counted_counts(frame, chi):
+        count_calls.append(chi)
+        return original_counts(frame, chi)
+
+    monkeypatch.setattr(help_core, "char_value", counted_value)
+    monkeypatch.setattr(help_core, "eigen_counts", counted_counts)
+    assert build_constraints(fr, chars, layout) == expected
+    assert value_calls == []
+    assert count_calls == list(chars)
+
+
+@pytest.mark.parametrize("family", ["paper", "brauer-p"])
+@pytest.mark.parametrize("fr", ORACLE_FRAMES, ids=lambda fr: f"{fr.ctx.q}-{fr.m}")
+def test_build_constraints_matches_trace_row_oracle(fr, family):
+    chars, _ = character_family(fr, family)
+    layout = variable_layout(fr)
+    system = build_constraints(fr, chars, layout)
+    expected = [
+        (chi.label, l, row, chi.degree(fr), fr.m * chi.degree(fr))
+        for chi in chars
+        for l, row in enumerate(trace_rows(fr, chi, layout.variables))
+    ]
+    assert [(r.character, r.l, r.coeffs, r.const, r.upper) for r in system.rows] == expected
+
+
+def test_v3_violation_raises_for_every_character():
+    # eps_2(g0) = 1: g0 does not have order dividing 10 / 2
+    fr = frame_for(19, 10)
+    pa = PADistribution(fr, {10: {fr.identity: 1}, 2: {fr.class_of(1): 1}})
+    chars = [TRIV, *character_family(fr, "paper")[0], *brauer_irreducibles(fr.ctx, fr)]
+    for chi in chars:
+        for call in (
+            lambda: multiplicity(pa, chi, 0),
+            lambda: mu_minus(pa, chi, 1),
+            lambda: mu_minus(pa, chi, 5),
+            lambda: verify_v4(pa, [chi]),
+        ):
+            with pytest.raises(ValueError, match="not supported on the requested subframe"):
+                call()
 
 
 def test_verify_v4_tpa_always_passes():

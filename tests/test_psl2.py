@@ -22,7 +22,7 @@ from helpzc.psl2 import (
     v_set_count,
 )
 
-from helpers import brauer_half_exponents_oracle, v_set_count_oracle
+from helpers import brauer_half_exponents_oracle, float_char_exponents, v_set_count_oracle
 
 
 def frame_for(q, m):
@@ -155,9 +155,11 @@ def test_phi_requires_h_off_the_frame_order():
 
 @pytest.mark.parametrize("q,m", [(19, 10), (41, 10), (25, 12), (49, 24)])
 def test_eigen_counts_expand_char_value(q, m):
-    # eps = -1, eps = +1, and f = 2 (twice)
+    # eps = -1, eps = +1, and f = 2 (twice); char_value expands eigen_counts,
+    # so both are held against the closed-form values of the oracle
     fr = frame_for(q, m)
     chars = [CharRestriction.trivial(), *brauer_irreducibles(fr.ctx, fr)]
+    chars += [CharRestriction.brauer(w) for w in [(2, 2), (1, 3), (0, 4, 2)]]
     chars += [CharRestriction.phi(h) for h in range(1, m)]
     chars += [CharRestriction.psi(h) for h in range(1, m)]
     for chi in chars:
@@ -165,10 +167,11 @@ def test_eigen_counts_expand_char_value(q, m):
         assert len(counts) == m
         assert sum(counts) == chi.degree(fr)
         assert all(counts[e] == counts[-e % m] for e in range(m))
-        for i in range(m):
-            expanded = CycSum(m, [sum(counts[e] for e in range(m) if e * i % m == k)
-                                  for k in range(m)])
-            assert expanded == char_value(fr, chi, fr.class_of(i))
+        for cls in fr.classes():
+            coeffs = [0] * m
+            for coef, e in float_char_exponents(fr, chi, cls.exp):
+                coeffs[e] += coef
+            assert char_value(fr, chi, cls) == CycSum(m, coeffs), (chi, cls)
 
 
 def test_eigen_counts_phi_h_at_half_the_order():
@@ -243,6 +246,17 @@ def test_brauer_half_exponents_match_digit_box_oracle(p, weights):
 def test_v_set_count_matches_oracle(qm, weights, h):
     fr = frame_for(*qm)
     assert v_set_count(fr, weights, h) == v_set_count_oracle(fr, weights, h)
+
+
+@pytest.mark.parametrize(
+    "weights", [(-2, 4), (2, -2), (-1, -1), ()], ids=["-2,4", "2,-2", "-1,-1", "empty"]
+)
+def test_v_set_count_and_decompose_reject_negative_and_empty_digits(weights):
+    fr = frame_for(19, 10)
+    with pytest.raises(ValueError, match="nonempty tuple of nonnegative digits"):
+        v_set_count(fr, weights, 0)
+    with pytest.raises(ValueError, match="nonempty tuple of nonnegative digits"):
+        decompose_chi(fr, weights)
 
 
 def test_decompose_chi_examples():
