@@ -21,7 +21,6 @@ from .help_core import (
     accumulated,
     check_wagner,
     exceptional_set,
-    json_int,
     json_text,
     tpa_set,
     verify_v4,
@@ -75,11 +74,11 @@ def _characters_from_file(path: str) -> tuple[CharRestriction, ...]:
             if kind == "trivial":
                 out.append(CharRestriction.trivial())
             elif kind == "phi":
-                out.append(CharRestriction.phi(json_int(item["h"])))
+                out.append(CharRestriction.phi(item["h"]))
             elif kind == "psi":
-                out.append(CharRestriction.psi(json_int(item["h"])))
+                out.append(CharRestriction.psi(item["h"]))
             elif kind == "brauer":
-                out.append(CharRestriction.brauer([json_int(r) for r in item["weights"]]))
+                out.append(CharRestriction.brauer(item["weights"]))
             else:
                 raise ValueError(f"unknown character kind {kind!r}")
     except (KeyError, TypeError, AttributeError) as exc:
@@ -166,7 +165,6 @@ def cmd_vpa(args) -> int:
         node_count=report.node_count,
         complete=report.complete,
     )
-    payload["family"] = report.family
     _emit(_render_solutions(args, payload, report.solutions), args.out)
     return EXIT_OK
 
@@ -234,27 +232,20 @@ def cmd_verify_main(args) -> int:
 
     per_solution = []
     for pa in report.solutions:
+        acc = {f"order_{k}": accumulated(pa, 1, k) for k in (2, t, 2 * t)}
         per_solution.append(
             {
-                "accumulated": {
-                    "order_2": accumulated(pa, 1, 2),
-                    f"order_{t}": accumulated(pa, 1, t),
-                    f"order_{2 * t}": accumulated(pa, 1, 2 * t),
-                },
-                "accumulated_ok": accumulated(pa, 1, 2) == 0
-                and accumulated(pa, 1, t) == 0
-                and accumulated(pa, 1, 2 * t) == 1,
+                "accumulated": acc,
+                "accumulated_ok": list(acc.values()) == [0, 0, 1],
                 "wagner_ok": check_wagner(pa, 2, t),
             }
         )
     trace_checks = _trace_identity_checks(frame, t) if t >= 5 else []
 
-    ok = (
-        diff.equal
-        and all(s["ok"] for s in sufficiency)
-        and all(s["accumulated_ok"] and s["wagner_ok"] for s in per_solution)
-        and all(c["ok"] for c in trace_checks)
-    )
+    sufficiency_ok = all(s["ok"] for s in sufficiency)
+    solutions_ok = all(s["accumulated_ok"] and s["wagner_ok"] for s in per_solution)
+    traces_ok = all(c["ok"] for c in trace_checks)
+    ok = diff.equal and sufficiency_ok and solutions_ok and traces_ok
     payload = {
         "command": "verify-main",
         "q": args.q,
@@ -285,13 +276,11 @@ def cmd_verify_main(args) -> int:
             f"{len(tpa)} TPA + {len(exceptionals)} exceptional",
             f"set equality: {'ok' if diff.equal else 'MISMATCH'}",
             f"sufficiency (brauer-p, {len(brauer)} characters): "
-            f"{'ok' if all(s['ok'] for s in sufficiency) else 'FAIL'}"
+            f"{'ok' if sufficiency_ok else 'FAIL'}"
             if sufficiency
             else "sufficiency: no exceptional distributions expected",
-            "accumulated/wagner checks: "
-            + ("ok" if all(s["accumulated_ok"] and s["wagner_ok"] for s in per_solution) else "FAIL"),
-            "trace identities: "
-            + ("ok" if all(c["ok"] for c in trace_checks) else "FAIL"),
+            f"accumulated/wagner checks: {'ok' if solutions_ok else 'FAIL'}",
+            f"trace identities: {'ok' if traces_ok else 'FAIL'}",
             f"verdict: {'ok' if ok else 'FAIL'}",
         ]
         if not diff.equal:

@@ -50,16 +50,10 @@ from .psl2 import (
     CyclicFrame,
     char_value,
     eigen_counts,
+    exact_int,
     make_context,
     make_frame,
 )
-
-
-def json_int(value) -> int:
-    """A JSON integer as it is; floats, strings and booleans are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
 
 
 # Leaves by exact type, so that True is not written as 1.
@@ -200,8 +194,8 @@ class PADistribution:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> PADistribution:
         try:
-            q = json_int(data["q"])
-            n = json_int(data["n"])
+            q = exact_int(data["q"])
+            n = exact_int(data["n"])
             raw = list(data["entries"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed distribution object: {exc}") from exc
@@ -209,13 +203,13 @@ class PADistribution:
         levels: dict[int, dict[ClassLabel, int]] = {}
         for item in raw:
             try:
-                d, exp, v = (json_int(item[key]) for key in ("d", "exp", "value"))
+                d, exp, v = (exact_int(item[key]) for key in ("d", "exp", "value"))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed distribution entry: {exc}") from exc
             label = frame.class_of(exp)
             if label.exp != exp:
                 raise ValueError(f"exponent {exp} is not canonical for order {n}")
-            if "order" in item and json_int(item["order"]) != label.order:
+            if "order" in item and exact_int(item["order"]) != label.order:
                 raise ValueError(
                     f"entry order {item['order']} does not match class order {label.order}"
                 )

@@ -20,7 +20,8 @@ chi_R restricts a Brauer character mod p, and the irreducible ones are
 exactly the tuples R of length f with digits below p and even sum.
 eigen_counts is the one statement of these restrictions: char_value
 expands it into the exact CycSum value chi(g0^i) = sum_e H[e] zeta^(i e),
-and v_set_count reads the sets V_{R;h} off it.
+v_set_count reads the sets V_{R;h} off it, and decompose_chi the
+coefficients of chi_R over the phi_h - psi_h.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cyclotomic import CycSum, prime_factorization
+
+
+def exact_int(value) -> int:
+    """An int as it is; floats, strings and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -132,19 +140,19 @@ class CharRestriction:
 
     @classmethod
     def phi(cls, h: int) -> CharRestriction:
-        if h < 1:
+        if exact_int(h) < 1:
             raise ValueError("phi_h requires h >= 1")
         return cls(kind="phi", h=h)
 
     @classmethod
     def psi(cls, h: int) -> CharRestriction:
-        if h < 1:
+        if exact_int(h) < 1:
             raise ValueError("psi_h requires h >= 1")
         return cls(kind="psi", h=h)
 
     @classmethod
     def brauer(cls, weights) -> CharRestriction:
-        weights = tuple(int(r) for r in weights)
+        weights = tuple(exact_int(r) for r in weights)
         if not weights or any(r < 0 for r in weights):
             raise ValueError("chi_R requires a nonempty tuple of nonnegative digits")
         if sum(weights) % 2:
@@ -263,11 +271,13 @@ def v_pair_count(frame: CyclicFrame, weights, h: int) -> int:
 def decompose_chi(frame: CyclicFrame, weights) -> tuple[int, dict[int, int]]:
     """Coefficients (k_0, n_h) with chi_R = k_0 * 1 + eps * sum_h n_h (phi_h - psi_h).
 
-    k_0 is 1 + 2 n_0 when every digit of R is even (the zero tuple then
-    contributes the trivial character once), otherwise 2 n_0.
+    All of them are read off H = eigen_counts(chi_R), which is symmetric
+    because the digit box is closed under negation: k_0 = H[0], n_h = H[h]
+    for 0 < h < m/2, and n_(m/2) = H[m/2] / 2.  That is k_0 = 1 + 2 n_0 when
+    every digit of R is even (the zero tuple then contributes the trivial
+    character once), otherwise 2 n_0, and n_h = |V_{R;h}| / 2.
     """
-    weights = tuple(weights)
-    n0 = v_pair_count(frame, weights, 0)
-    k0 = (1 if all(r % 2 == 0 for r in weights) else 0) + 2 * n0
-    coeffs = {h: v_pair_count(frame, weights, h) for h in range(1, frame.m // 2 + 1)}
-    return k0, coeffs
+    m = frame.m
+    counts = eigen_counts(frame, CharRestriction.brauer(weights))
+    coeffs = {h: counts[h] // (2 if 2 * h == m else 1) for h in range(1, m // 2 + 1)}
+    return counts[0], coeffs

@@ -1,16 +1,15 @@
 """Complete enumeration of the integer solutions of a HeLP constraint system.
 
-The pipeline is: check that the character rows have full column rank
-(otherwise the linear relaxation is unbounded), bound every variable by
-exact linear programming, then run a depth-first search over the
-integer box.  Before the search, each level's (V1) equation sum = 1
-substitutes the level's last variable out of every row, so a row bounds
-the level's earlier variables without the box reach of the last one.  At
-each node interval propagation gives the next variable's range, and a
-row's mod-n congruence is checked where its last variable is assigned.
-A node tries the bound that last emptied its range first, and a parent
-evaluates its child's first two bounds before building it, so most dead
-ends cost two divisions.
+The pipeline is: check that the distinct character rows have full
+column rank, bound every variable by exact linear programming, then run
+a depth-first search over the integer box.  Before the search, each
+level's (V1) equation sum = 1 substitutes the level's last variable out
+of every row, so a row bounds the level's earlier variables without the
+box reach of the last one.  At each node interval propagation gives the
+next variable's range, and a row's mod-n congruence is checked where its
+last variable is assigned.  A node tries the bound that last emptied its
+range first, and a parent evaluates its child's first two bounds before
+building it, so most dead ends cost two divisions.
 The node count adds every candidate value of the box range at each node,
 pruned or not; that count is what the budget bounds.  Everything is
 exact; the search either finishes with the complete solution set or
@@ -20,20 +19,26 @@ The per-variable LPs are solved through the dual: the primal has few
 variables and hundreds of rows, so the dual tableau has one row per
 primal variable and stays tiny.  A condition lo <= const + a.x <= hi
 is one dual column, a or -a as needed, so the tableau is the transposed
-condition matrix.  The Gauss-Jordan elimination behind the rank check
-gives a basis from which the first dual starts feasible after column
-flips, for one phase of Bland-rule simplex.  The LPs share their cost
-and differ only in the right-hand side, so each later one starts from
-the previous optimum, which stays dual feasible, and re-optimises by
-dual simplex under Bland's rule.  All of it is integer-preserving: an
-int tableau over one common denominator whose every pivot divides
-exactly (Bareiss).
+condition matrix.  derive_bounds's own Gauss-Jordan elimination of
+[A^T | I], over the distinct rows and the level equations, gives a basis
+from which the first dual starts feasible after column flips, for one
+phase of Bland-rule simplex.  The LPs share their cost and differ only
+in the right-hand side, so each later one starts from the previous
+optimum, which stays dual feasible, and re-optimises by dual simplex
+under Bland's rule.  All of it is integer-preserving: an int tableau
+over one common denominator whose every pivot divides exactly (Bareiss).
 
 The frame automorphisms g0^i -> g0^(u i) permute the variables.  Those
 that map the set of conditions onto itself map the relaxation onto
 itself, so the LP bounds are equal on each of their orbits: one LP pair
 (max and min) is solved per orbit, not per variable.  The check is
 mechanical; a system without the symmetry solves one pair per variable.
+
+Two gates stop an unbounded relaxation.  solve_vpa rejects a family whose
+distinct rows have rank below the variable count (rank_check ranks those
+rows alone), and derive_bounds raises for a direct caller when the rows
+plus the level equations leave a variable without a pivot.  Both raise
+RankDeficientError; neither extends the family.
 """
 
 from __future__ import annotations
@@ -624,8 +629,7 @@ def character_family(
             return (CharRestriction.trivial(),), "paper"
         chars = [CharRestriction.trivial(), CharRestriction.brauer((2,))]
         if ctx.p >= 5:
-            # chi_4 needs digits below p; for p = 3 the irreducible family
-            # added on rank deficiency covers for it
+            # chi_4 needs digits below p, so at p = 3 the family has no chi_4
             chars.append(CharRestriction.brauer((4,)))
         chars.extend(CharRestriction.phi(h) for h in range(1, n // 2 + 1))
         chars.append(CharRestriction.psi(1))
@@ -651,10 +655,11 @@ def solve_vpa(
     workers: int = 1,
     family: str | None = None,
 ) -> EnumerationReport:
-    """Full pipeline: build rows, ensure full rank, bound, enumerate.
+    """Full pipeline: build rows, check their rank, bound, enumerate.
 
-    On rank deficiency the family is extended once with the irreducible
-    Brauer characters mod p before giving up.
+    Raises RankDeficientError when the distinct rows of the family have
+    rank below the variable count: the system solved is always the one of
+    the family given.
     """
     if isinstance(chars, str):
         characters, family = character_family(frame, chars)
@@ -664,15 +669,9 @@ def solve_vpa(
     system = build_constraints(frame, characters, layout, family)
     rank = rank_check(system)
     if rank < len(layout):
-        extra = tuple(
-            chi for chi in brauer_irreducibles(frame.ctx, frame) if chi not in characters
+        raise RankDeficientError(
+            f"rank-deficient family {family}: its distinct rows have rank {rank} "
+            f"for {len(layout)} variables; augment the character family"
         )
-        if extra:
-            characters = characters + extra
-            family = f"{family}+brauer-p"
-            system = build_constraints(frame, characters, layout, family)
-            rank = rank_check(system)
-        if rank < len(layout):
-            raise RankDeficientError("unbounded relaxation: augment the character family")
     box = derive_bounds(system)
     return enumerate_solutions(system, box, node_budget=node_budget, workers=workers)

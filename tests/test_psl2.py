@@ -196,6 +196,21 @@ def test_brauer_validation():
     assert CharRestriction.brauer((2, 0)).label == "chi_2,0"
 
 
+@pytest.mark.parametrize(
+    "value", [2.9, 2.0, "2", True], ids=["float", "integral-float", "str", "bool"]
+)
+@pytest.mark.parametrize(
+    "make",
+    [CharRestriction.phi, CharRestriction.psi, lambda r: CharRestriction.brauer([r, 0.5])],
+    ids=["phi", "psi", "brauer"],
+)
+def test_char_restriction_rejects_non_integers(make, value):
+    # no truncation (brauer([2.9, 0.5]) was chi_2,0), no later TypeError,
+    # no label phi_True
+    with pytest.raises(ValueError, match=f"expected an integer, got {value!r}"):
+        make(value)
+
+
 def test_brauer_irreducibles_counts():
     ctx19 = make_context(19)
     assert len(brauer_irreducibles(ctx19, make_frame(ctx19, 10))) == 10
@@ -257,6 +272,29 @@ def test_v_set_count_and_decompose_reject_negative_and_empty_digits(weights):
         v_set_count(fr, weights, 0)
     with pytest.raises(ValueError, match="nonempty tuple of nonnegative digits"):
         decompose_chi(fr, weights)
+
+
+# the criterion-7 frames, plus f = 2 at (81,10)
+DECOMPOSE_FRAMES = [(13, 6), (19, 10), (29, 14), (43, 22), (81, 10)]
+
+
+@pytest.mark.parametrize("q,m", DECOMPOSE_FRAMES)
+def test_decompose_chi_matches_v_pair_counts(q, m):
+    fr = frame_for(q, m)
+    tuples = [(r,) for r in range(0, 7, 2)]
+    tuples += [t for t in itertools.product(range(7), repeat=2) if sum(t) % 2 == 0]
+    for weights in tuples:
+        k0, n = decompose_chi(fr, weights)
+        all_even = all(r % 2 == 0 for r in weights)
+        assert k0 == int(all_even) + 2 * v_pair_count(fr, weights, 0), weights
+        assert n == {h: v_pair_count(fr, weights, h) for h in range(1, m // 2 + 1)}, weights
+
+
+def test_decompose_chi_rejects_odd_digit_sums():
+    fr = frame_for(19, 10)
+    for weights in [(3,), (1, 2)]:
+        with pytest.raises(ValueError, match="even digit sum"):
+            decompose_chi(fr, weights)
 
 
 def test_decompose_chi_examples():

@@ -759,13 +759,12 @@ def test_node_budget_is_loud():
         enumerate_solutions(system, box, node_budget=5)
 
 
-def test_rank_deficiency_error_after_augmentation():
-    # a frame of order 1 has no variables, never deficient; force failure via
-    # an empty character family on a nontrivial frame: augmentation rescues it
+@pytest.mark.parametrize("chars", [(), "brauer-p:1"], ids=["empty", "brauer-p:1"])
+def test_rank_deficient_family_is_rejected(chars):
+    # the family given is solved as given: no character is added to it
     fr = frame_for(19, 10)
-    rep = solve_vpa(fr, chars=())
-    assert rep.family == "custom+brauer-p"
-    assert rep.complete
+    with pytest.raises(RankDeficientError, match="augment"):
+        solve_vpa(fr, chars)
 
 
 def test_enumerate_trivial_frame():
