@@ -153,7 +153,6 @@ def cmd_vpa(args) -> int:
         chars=chars,
         family=family,
         node_budget=args.node_budget,
-        workers=args.workers,
     )
     payload = _solution_set_payload(
         "vpa",
@@ -213,7 +212,7 @@ def cmd_verify_main(args) -> int:
         raise ValueError("t must be an odd prime")
     ctx = make_context(args.q)
     frame = make_frame(ctx, 2 * t)  # exists iff q = +-1 mod 4t
-    report = solve_vpa(frame, "paper", node_budget=args.node_budget, workers=args.workers)
+    report = solve_vpa(frame, "paper", node_budget=args.node_budget)
 
     tpa = tpa_set(frame)
     expected_items = list(tpa)
@@ -431,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     def solver_opts(p):
         p.add_argument("--node-budget", type=_positive_int, default=10_000_000,
                        help="most search nodes (candidate values) to visit (default: 10000000)")
-        p.add_argument("--workers", type=_positive_int, default=1,
-                       help="search worker processes (default: 1)")
+        p.add_argument("--workers", type=int, choices=(1,), default=1,
+                       help="search processes; the search runs in one, so only 1 is accepted")
 
     p = sub.add_parser("vpa", help="enumerate all virtual partial augmentation distributions")
     p.add_argument("--q", type=int, required=True)

@@ -107,9 +107,10 @@ def _json_text(v, nl: str) -> str:
 class PADistribution:
     """An integer class-function family (eps_d)_{d | n} on the classes of a frame.
 
-    Construction checks only structure (levels divide n, classes belong to
-    the frame); the defining conditions (V1)-(V3) are reported by
-    violations() so that invalid candidates can still be inspected.
+    Construction checks only structure (levels and values are ints, levels
+    divide n, classes belong to the frame); the defining conditions
+    (V1)-(V3) are reported by violations() so that invalid candidates can
+    still be inspected.
     """
 
     def __init__(self, frame: CyclicFrame, levels: Mapping[int, Mapping[ClassLabel, int]]):
@@ -117,13 +118,13 @@ class PADistribution:
         cleaned: dict[int, dict[ClassLabel, int]] = {}
         valid = set(frame.classes())
         for d, row in levels.items():
-            if d < 1 or n % d:
+            if exact_int(d) < 1 or n % d:
                 raise ValueError(f"level {d} does not divide the order {n}")
             for cls, v in row.items():
                 if cls not in valid:
                     raise ValueError(f"{cls} is not a class of the order-{n} frame")
-                if v:
-                    cleaned.setdefault(d, {})[cls] = int(v)
+                if exact_int(v):
+                    cleaned.setdefault(d, {})[cls] = v
         self.frame = frame
         self._levels = cleaned
 

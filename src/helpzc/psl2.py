@@ -54,6 +54,7 @@ class GroupContext:
 
 
 def make_context(q: int) -> GroupContext:
+    q = exact_int(q)
     if q < 3 or q % 2 == 0:
         raise ValueError("q must be an odd prime power")
     factors = prime_factorization(q)
@@ -104,6 +105,7 @@ class CyclicFrame:
 
 def make_frame(ctx: GroupContext, m: int) -> CyclicFrame:
     """Frame for an element of order m; requires q = +-1 mod 2m (m > 1)."""
+    m = exact_int(m)
     if m < 1:
         raise ValueError("m must be a positive integer")
     if gcd(m, ctx.q) != 1:

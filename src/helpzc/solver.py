@@ -11,7 +11,8 @@ last variable is assigned.  A node tries the bound that last emptied its
 range first, and a parent evaluates its child's first two bounds before
 building it, so most dead ends cost two divisions.
 The node count adds every candidate value of the box range at each node,
-pruned or not; that count is what the budget bounds.  Everything is
+pruned or not; that count is what the budget bounds.  The search runs in
+one process and stops at the first count past the budget.  Everything is
 exact; the search either finishes with the complete solution set or
 fails loudly when the node budget runs out.
 
@@ -43,7 +44,6 @@ RankDeficientError; neither extends the family.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, replace
 
 from .help_core import (
@@ -70,10 +70,6 @@ class SearchIncomplete(Exception):
         )
         self.node_count = node_count
         self.budget = budget
-
-    def __reduce__(self):
-        # keeps the exception picklable across worker pool boundaries
-        return (SearchIncomplete, (self.node_count, self.budget))
 
 
 class RankDeficientError(ValueError):
@@ -419,7 +415,7 @@ def _substitute_levels(
     return out, consistent
 
 
-def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None, budget: int):
+def _search(system: ConstraintSystem, box: BoundsBox, budget: int):
     """Depth-first enumeration; returns (solution vectors, node count).
 
     Every condition is linear in the next variable, so the values it admits
@@ -427,8 +423,7 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
     level's last variable substituted out (_substitute_levels): a row then
     bounds the level's earlier variables by the level equation rather than
     the box reach of the last one, and that last variable's single value is
-    forced by its level equation.  first_values, if given, is a range
-    inside the box that replaces the first level's box range.
+    forced by its level equation.
 
     A node evaluates its first upper bound, then the lower bounds, then the
     other upper bounds, and returns at the first that empties its interval;
@@ -449,9 +444,6 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
         return [()], 0
 
     conds = rows + levels
-    values = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
-    if first_values is not None:
-        values[0] = first_values
     # x_k >= ceil((b - p) / a) for each (ci, a, b, c) in lower[k], x_k <= floor
     # of the same for each in upper[k]: p is partial sum ci, b a bound of its
     # condition less the reach of its later variables, c the coefficient of
@@ -492,13 +484,14 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
         elif cond.modn:
             sums[last].append((cond.const, terms, a))
     # the parent peeks at a level that has a lower and an upper bound
+    sizes = [max(0, hi - lo + 1) for lo, hi in zip(box.lo, box.hi)]
     peeks = [
-        (len(values[k]), box.lo[k], box.hi[k], lower[k], upper[k])
+        (sizes[k], box.lo[k], box.hi[k], lower[k], upper[k])
         if lower[k] and upper[k]
         else None
         for k in range(1, nvars)
     ]
-    plan = list(zip(values, box.lo, box.hi, lower, upper, moves, closes, sums, peeks + [None]))
+    plan = list(zip(sizes, box.lo, box.hi, lower, upper, moves, closes, sums, peeks + [None]))
 
     point = [0] * nvars
     solutions: list[tuple[int, ...]] = []
@@ -509,8 +502,8 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
         if k == nvars:
             solutions.append(tuple(point))
             return
-        candidates, lo, hi, lows, highs, move, close, sum_at, peek = plan[k]
-        nodes += len(candidates)
+        size, lo, hi, lows, highs, move, close, sum_at, peek = plan[k]
+        nodes += size
         if nodes > budget:
             raise SearchIncomplete(nodes, budget)
         # the first upper bound, the lower ones, then the other upper ones;
@@ -539,10 +532,9 @@ def _search(system: ConstraintSystem, box: BoundsBox, first_values: range | None
                 hi = t
         ends = [(partial[ci], a) for ci, a in close]
         ends += [(c + sum(b * point[j] for j, b in terms), a) for c, terms, a in sum_at]
-        step = candidates.step
         if peek:
             count, clo, chi, clows, chighs = peek
-        for v in range(lo + (candidates.start - lo) % step, hi + 1, step):
+        for v in range(lo, hi + 1):
             if ends and any((p + a * v) % n for p, a in ends):
                 continue
             point[k] = v
@@ -575,28 +567,15 @@ def enumerate_solutions(
     system: ConstraintSystem,
     box: BoundsBox,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    workers: int = 1,
 ) -> EnumerationReport:
     """All integer points of the box satisfying every row and level equation.
 
-    Complete and duplicate free; deterministic regardless of worker count.
-    Raises SearchIncomplete instead of silently truncating when the budget
-    is exhausted.
+    Complete, duplicate free and deterministic.  Raises SearchIncomplete
+    instead of silently truncating as soon as the node count exceeds the
+    budget.
     """
     nvars = len(system.layout)
-    if workers > 1 and nvars > 0 and box.feasible:
-        first = range(box.lo[0], box.hi[0] + 1)
-        chunks = [first[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
-        with multiprocessing.Pool(len(chunks)) as pool:
-            parts = pool.starmap(_search, [(system, box, c, node_budget) for c in chunks])
-        vectors = [v for sols, _n in parts for v in sols]
-        nodes = sum(n for _sols, n in parts)
-        # each chunk only checks its own count against the budget
-        if nodes > node_budget:
-            raise SearchIncomplete(nodes, node_budget)
-    else:
-        vectors, nodes = _search(system, box, None, node_budget)
+    vectors, nodes = _search(system, box, node_budget)
     dists = (distribution_from_vector(system.layout, v) for v in vectors)
     solutions = SolutionSet.build(dists, family=system.family)
     rank = rank_check(system)
@@ -652,7 +631,6 @@ def solve_vpa(
     frame: CyclicFrame,
     chars: str | tuple[CharRestriction, ...] = "paper",
     node_budget: int = DEFAULT_NODE_BUDGET,
-    workers: int = 1,
     family: str | None = None,
 ) -> EnumerationReport:
     """Full pipeline: build rows, check their rank, bound, enumerate.
@@ -674,4 +652,4 @@ def solve_vpa(
             f"for {len(layout)} variables; augment the character family"
         )
     box = derive_bounds(system)
-    return enumerate_solutions(system, box, node_budget=node_budget, workers=workers)
+    return enumerate_solutions(system, box, node_budget=node_budget)

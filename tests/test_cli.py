@@ -453,17 +453,15 @@ def test_closed_pipe_exits_without_traceback():
 
 
 def test_workers_env_and_flag(capsys):
-    # --workers is the only way to set the worker count
-    code, out, _ = run_cli(capsys, "vpa", "--q", "19", "--n", "10", "--workers", "2")
-    assert code == 0
-    duo = json.loads(out)
-    code, out, _ = run_cli(capsys, "vpa", "--q", "19", "--n", "10", "--workers", "1")
-    assert code == 0
-    assert json.loads(out)["solutions"] == duo["solutions"]
-    with pytest.raises(SystemExit) as exc:
-        main(["vpa", "--q", "19", "--n", "10", "--workers", "0"])
-    assert exc.value.code == 2
-    assert "at least 1" in capsys.readouterr().err
+    # the search runs in one process: --workers takes only 1, and changes nothing
+    plain = run_cli(capsys, "vpa", "--q", "19", "--n", "10")
+    assert plain[0] == 0
+    assert run_cli(capsys, "vpa", "--q", "19", "--n", "10", "--workers", "1") == plain
+    for workers in ("2", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["vpa", "--q", "19", "--n", "10", "--workers", workers])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])
@@ -474,13 +472,12 @@ def test_node_budget_below_one_exits_2(budget, capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
-def test_worker_pool_budget_exhaustion_is_loud(capsys):
-    code, _, err = run_cli(
-        capsys, "vpa", "--q", "19", "--n", "10", "--workers", "2",
-        "--node-budget", "4",
-    )
+def test_budget_error_reports_the_crossing(capsys):
+    # the search stops at the first node count past the budget
+    code, out, err = run_cli(capsys, "vpa", "--q", "31", "--n", "15", "--node-budget", "1500")
     assert code == 3
-    assert "incomplete" in err
+    assert out == ""
+    assert "node budget 1500 exhausted after 1502 nodes" in err
 
 
 def test_rank_deficient_family_exits_2(capsys):

@@ -272,6 +272,21 @@ def test_verify_v4_on_v3_valid_distributions(values):
         assert abs(float_multiplicity(pa, chi, check.l) - float(check.value)) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "levels, value",
+    [
+        (lambda v: {10: {FRAME_19_10.identity: 1}, v: {FRAME_19_10.class_of(1): 1}}, v)
+        for v in (1.0, "1", True)
+    ]
+    + [(lambda v: {1: {FRAME_19_10.class_of(1): v}}, v) for v in (2.7, "3", True)],
+    ids=["level-float", "level-str", "level-bool", "value-float", "value-str", "value-bool"],
+)
+def test_distribution_rejects_non_integers(levels, value):
+    # the value 2.7 was stored as 2 and "3" as 3; the level True was level 1
+    with pytest.raises(ValueError, match=f"expected an integer, got {value!r}"):
+        PADistribution(FRAME_19_10, levels(value))
+
+
 def test_verify_v4_rejects_v3_violation():
     fr = frame_for(19, 10)
     pa = PADistribution(fr, {10: {fr.identity: 1}, 2: {fr.class_of(1): 1}})

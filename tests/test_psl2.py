@@ -211,6 +211,25 @@ def test_char_restriction_rejects_non_integers(make, value):
         make(value)
 
 
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        (make_context, 19.0),
+        (make_context, "19"),
+        (make_context, True),
+        (lambda m: make_frame(make_context(19), m), 10.0),
+        (lambda m: make_frame(make_context(19), m), "10"),
+        (lambda m: make_frame(make_context(19), m), True),
+    ],
+    ids=["q-float", "q-str", "q-bool", "m-float", "m-str", "m-bool"],
+)
+def test_context_and_frame_reject_non_integers(make, value):
+    # make_context(19.0) was GroupContext(q=19.0, p=19.0, f=1), and
+    # make_frame(ctx, True) the order-1 frame
+    with pytest.raises(ValueError, match=f"expected an integer, got {value!r}"):
+        make(value)
+
+
 def test_brauer_irreducibles_counts():
     ctx19 = make_context(19)
     assert len(brauer_irreducibles(ctx19, make_frame(ctx19, 10))) == 10

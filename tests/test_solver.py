@@ -506,29 +506,16 @@ def test_determinism():
     )
 
 
-def test_workers_match_single_thread():
-    # the first variable spans 2 values at (19,10) and 3 at (29,14)
-    for q, n, counts in ((19, 10, (2,)), (29, 14, (2, 3))):
-        system = paper_system(q, n)
-        box = derive_bounds(system)
-        solo = enumerate_solutions(system, box, workers=1)
-        for workers in counts:
-            many = enumerate_solutions(system, box, workers=workers)
-            assert [p.sort_key() for p in solo.solutions] == [
-                p.sort_key() for p in many.solutions
-            ]
-            assert solo.node_count == many.node_count
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_node_budget_counts_nodes_of_all_workers(workers):
+def test_node_budget_is_exact():
+    # a budget of the total node count completes, one less fails just past it
     system = paper_system(19, 10)
     box = derive_bounds(system)
     total = enumerate_solutions(system, box).node_count
     assert total == 99
-    with pytest.raises(SearchIncomplete):
-        enumerate_solutions(system, box, node_budget=total - 1, workers=workers)
-    rep = enumerate_solutions(system, box, node_budget=total, workers=workers)
+    with pytest.raises(SearchIncomplete) as info:
+        enumerate_solutions(system, box, node_budget=total - 1)
+    assert info.value.node_count == total
+    rep = enumerate_solutions(system, box, node_budget=total)
     assert rep.node_count == total
 
 
@@ -562,37 +549,29 @@ def test_violated_constant_row_enumerates_nothing():
     assert rep.node_count == 0
 
 
-SEARCH_CASES = [
-    ("paper", 13, 6, None),
-    ("paper", 19, 10, None),
-    ("paper", 29, 14, None),
-    ("paper", 31, 15, None),
-    ("paper", 43, 22, None),
-    ("brauer-p", 19, 10, None),
-    ("paper", 31, 15, 0),
-    ("paper", 31, 15, 1),
-]
-
-
 @pytest.mark.parametrize(
-    "spec, q, n, chunk",
-    SEARCH_CASES,
-    ids=[f"{s}-{q}-{n}" + ("" if c is None else f"-chunk{c}of2") for s, q, n, c in SEARCH_CASES],
+    "spec, q, n",
+    [
+        ("paper", 13, 6),
+        ("paper", 19, 10),
+        ("paper", 29, 14),
+        ("paper", 31, 15),
+        ("paper", 43, 22),
+        ("brauer-p", 19, 10),
+    ],
 )
-def test_search_matches_naive_oracle(spec, q, n, chunk):
+def test_search_matches_naive_oracle(spec, q, n):
     # same vectors in the same order as the per-candidate search over the
-    # original rows, also on a worker's strided first level; the substituted
-    # rows prune at least as much on every case, and the node count is the
-    # plain interval search's
+    # original rows; the substituted rows prune at least as much on every
+    # case, and the node count is the plain interval search's
     system = family_system(q, n, spec)
     box = derive_bounds(system)
-    first = None if chunk is None else range(box.lo[0], box.hi[0] + 1)[chunk::2]
     budget = solver.DEFAULT_NODE_BUDGET
-    vectors, nodes = solver._search(system, box, first, budget)
-    oracle_vectors, oracle_nodes = naive_search(system, box, first, budget)
+    vectors, nodes = solver._search(system, box, budget)
+    oracle_vectors, oracle_nodes = naive_search(system, box, None, budget)
     assert vectors == oracle_vectors
     assert nodes <= oracle_nodes
-    assert nodes == interval_search(system, box, first, budget)[1]
+    assert nodes == interval_search(system, box, None, budget)[1]
 
 
 @st.composite
@@ -630,10 +609,7 @@ def _search_instance(draw):
     )
     extra = draw(st.lists(st.one_of(row, _level_row(system)), max_size=2))
     system = replace(system, rows=system.rows + tuple(extra))
-    sub = BoundsBox(lo=tuple(lo), hi=tuple(hi))
-    first = range(lo[0], hi[0] + 1)
-    workers = draw(st.integers(1, 2))
-    return system, sub, first[draw(st.integers(0, workers - 1))::workers]
+    return system, BoundsBox(lo=tuple(lo), hi=tuple(hi))
 
 
 @settings(max_examples=60, deadline=None)
@@ -642,15 +618,15 @@ def test_search_matches_naive_oracle_on_random_boxes(instance):
     # random sub-boxes and rows with negative coefficients reach the a < 0
     # ceil/floor branch and the single-value ranges; level rows become
     # constant after substitution
-    system, box, first = instance
+    system, box = instance
     budget = solver.DEFAULT_NODE_BUDGET
-    vectors = solver._search(system, box, first, budget)[0]
-    assert vectors == naive_search(system, box, first, budget)[0]
+    vectors = solver._search(system, box, budget)[0]
+    assert vectors == naive_search(system, box, None, budget)[0]
 
 
-def _budget_error(search, system, box, first, budget):
+def _budget_error(search, *args):
     with pytest.raises(SearchIncomplete) as info:
-        search(system, box, first, budget)
+        search(*args)
     return info.value.node_count
 
 
@@ -660,15 +636,15 @@ def test_search_matches_interval_oracle_on_random_boxes(instance, data):
     # the culprit-first bound order and the parent-side peek change neither
     # the vectors, their order, nor the node count; a budget below the total
     # fails at the same count, also where it is crossed at a skipped child
-    system, box, first = instance
+    system, box = instance
     budget = solver.DEFAULT_NODE_BUDGET
-    result = solver._search(system, box, first, budget)
-    assert result == interval_search(system, box, first, budget)
+    result = solver._search(system, box, budget)
+    assert result == interval_search(system, box, None, budget)
     total = result[1]
     if total:
         low = data.draw(st.integers(0, total - 1), label="budget")
-        assert _budget_error(solver._search, system, box, first, low) == _budget_error(
-            interval_search, system, box, first, low
+        assert _budget_error(solver._search, system, box, low) == _budget_error(
+            interval_search, system, box, None, low
         )
 
 
@@ -676,29 +652,21 @@ def test_every_budget_fails_where_the_interval_oracle_fails():
     # the parent skips two children here, so two budgets are crossed there
     system = paper_system(19, 10)
     box = derive_bounds(system)
-    total = solver._search(system, box, None, solver.DEFAULT_NODE_BUDGET)[1]
+    total = solver._search(system, box, solver.DEFAULT_NODE_BUDGET)[1]
     for budget in range(total):
-        assert _budget_error(solver._search, system, box, None, budget) == _budget_error(
+        assert _budget_error(solver._search, system, box, budget) == _budget_error(
             interval_search, system, box, None, budget
         )
-    assert solver._search(system, box, None, total)[1] == total
+    assert solver._search(system, box, total)[1] == total
 
 
-def test_search_repeats_and_chunks_commute():
-    # the reordered bound lists live in one call: a second run, or the
-    # worker chunks in either order, see the lists as the first one did
+def test_search_repeats_identically():
+    # the reordered bound lists live in one call: a second run sees the
+    # lists as the first one did
     system = paper_system(31, 15)
     box = derive_bounds(system)
     budget = solver.DEFAULT_NODE_BUDGET
-    whole = solver._search(system, box, None, budget)
-    assert solver._search(system, box, None, budget) == whole
-    first = range(box.lo[0], box.hi[0] + 1)
-    chunks = [first[0::2], first[1::2]]
-    forward = [solver._search(system, box, c, budget) for c in chunks]
-    backward = [solver._search(system, box, c, budget) for c in reversed(chunks)][::-1]
-    assert forward == backward
-    assert sum(nodes for _v, nodes in forward) == whole[1]
-    assert sorted(v for vectors, _n in forward for v in vectors) == sorted(whole[0])
+    assert solver._search(system, box, budget) == solver._search(system, box, budget)
 
 
 def test_row_constant_after_substitution_and_violated_enumerates_nothing():
@@ -709,7 +677,7 @@ def test_row_constant_after_substitution_and_violated_enumerates_nothing():
     coeffs = tuple(int(i in idxs) for i in range(len(system.layout)))
     bad = replace(system, rows=system.rows + (ConstraintRow("level", 0, coeffs, 0, 10),))
     budget = solver.DEFAULT_NODE_BUDGET
-    assert solver._search(bad, box, None, budget) == ([], 0)
+    assert solver._search(bad, box, budget) == ([], 0)
     assert naive_search(bad, box, None, budget)[0] == []
 
 
@@ -719,11 +687,10 @@ def test_search_node_counts_pinned(q, n, nodes):
     box = derive_bounds(system)
     assert enumerate_solutions(system, box).node_count == nodes
     if (q, n) == (31, 15):
-        for workers in (1, 2):
-            with pytest.raises(SearchIncomplete):
-                enumerate_solutions(system, box, node_budget=nodes - 1, workers=workers)
-            rep = enumerate_solutions(system, box, node_budget=nodes, workers=workers)
-            assert rep.node_count == nodes
+        with pytest.raises(SearchIncomplete):
+            enumerate_solutions(system, box, node_budget=nodes - 1)
+        rep = enumerate_solutions(system, box, node_budget=nodes)
+        assert rep.node_count == nodes
 
 
 def test_search_q289_n12_paper():
@@ -744,7 +711,7 @@ def test_search_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        solver._search(system, box, None, solver.DEFAULT_NODE_BUDGET)
+        solver._search(system, box, solver.DEFAULT_NODE_BUDGET)
         assert gc.collect() == 0
     finally:
         gc.enable()
