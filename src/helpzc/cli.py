@@ -67,6 +67,9 @@ def _characters_from_file(path: str) -> tuple[CharRestriction, ...]:
             items = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read character file {path}: {exc}") from exc
+    except ValueError as exc:
+        # not JSON, or not UTF-8
+        raise ValueError(f"malformed character file {path}: {exc}") from exc
     out = []
     try:
         for item in items:

@@ -6,10 +6,11 @@ a depth-first search over the integer box.  Before the search, each
 level's (V1) equation sum = 1 substitutes the level's last variable out
 of every row, so a row bounds the level's earlier variables without the
 box reach of the last one.  At each node interval propagation gives the
-next variable's range, and a row's mod-n congruence is checked where its
-last variable is assigned.  A node tries the bound that last emptied its
-range first, and a parent evaluates its child's first two bounds before
-building it, so most dead ends cost two divisions.
+next variable's range.  Every condition keeps one partial sum, and a
+row's mod-n congruence is read from it where its last variable is
+assigned.  A node tries the bound that last emptied its range first, and
+a parent evaluates its child's first two bounds before building it, so
+most dead ends cost two divisions.
 The node count adds every candidate value of the box range at each node,
 pruned or not; that count is what the budget bounds.  The search runs in
 one process and stops at the first count past the budget.  Everything is
@@ -142,12 +143,14 @@ class _Condition:
 
 
 def _relaxation(system: ConstraintSystem) -> tuple[list[_Condition], list[_Condition], bool]:
-    """The relaxation of the system, built once for the rank, LP and search.
+    """The relaxation of the system: (rows, levels, consistent).
 
-    Returns (rows, levels, consistent).  rows are the distinct non-constant
-    character rows 0 <= const + coeffs.x <= upper, = 0 mod n; levels are
-    the (V1) equations sum = 1, one per level; consistent says whether
-    every constant row already holds.
+    rows are the distinct non-constant character rows
+    0 <= const + coeffs.x <= upper, = 0 mod n; levels are the (V1)
+    equations sum = 1, one per level; consistent says whether every
+    constant row already holds.  rank_check reads the rows, derive_bounds
+    the rows and levels, _search all three.  Each call builds it anew, so
+    one solve_vpa builds it four times: rank_check runs twice.
     """
     nvars = len(system.layout)
     rows = list(
@@ -340,8 +343,6 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     variable of each orbit (_orbit_roots) and copied to the others.
     """
     nvars = len(system.layout)
-    if nvars == 0:
-        return BoundsBox(lo=(), hi=(), feasible=True)
     rows, levels, _consistent = _relaxation(system)
     conds = rows + levels
     ncols = len(conds)
@@ -381,18 +382,18 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
 
 
 def _substitute_levels(
-    system: ConstraintSystem, rows: list[_Condition], box: BoundsBox
+    system: ConstraintSystem, rows: list[_Condition]
 ) -> tuple[list[_Condition], bool]:
     """The rows with each level's last variable x_j eliminated by its (V1) equation.
 
     On sum(level) = 1, x_j = 1 - sum(the level's other variables), so the row
     const + a.x equals const + a_j + (a - a_j 1_level).x with x_j's
     coefficient 0: its bounds and congruence carry over unchanged.  x_j keeps
-    its box through one condition box.lo[j] <= 1 - sum(others) <= box.hi[j]
-    per level.  Returns (the distinct non-constant rows followed by those
-    conditions, whether every row that became constant holds).
+    its box through the level equation itself, which the search keeps: over
+    x_j's box it bounds the other variables exactly as
+    box.lo[j] <= 1 - sum(others) <= box.hi[j] would.  Returns (the distinct
+    non-constant rows, whether every row that became constant holds).
     """
-    nvars = len(system.layout)
     levels = [idxs for idxs in system.layout.level_indices().values() if len(idxs) > 1]
     out, consistent = [], True
     for row in rows:
@@ -408,11 +409,7 @@ def _substitute_levels(
             out.append(replace(row, coeffs=tuple(coeffs), const=const))
         elif not row.lo <= const <= row.hi or const % system.n:
             consistent = False
-    out = list(dict.fromkeys(out))
-    for *others, j in levels:
-        coeffs = tuple(-1 if i in others else 0 for i in range(nvars))
-        out.append(_Condition(coeffs, 1, box.lo[j], box.hi[j], False))
-    return out, consistent
+    return list(dict.fromkeys(out)), consistent
 
 
 def _search(system: ConstraintSystem, box: BoundsBox, budget: int):
@@ -423,7 +420,9 @@ def _search(system: ConstraintSystem, box: BoundsBox, budget: int):
     level's last variable substituted out (_substitute_levels): a row then
     bounds the level's earlier variables by the level equation rather than
     the box reach of the last one, and that last variable's single value is
-    forced by its level equation.
+    forced by its level equation.  Every condition keeps one partial sum
+    over its assigned variables; a row's congruence is read from it where
+    the row's last variable is assigned.
 
     A node evaluates its first upper bound, then the lower bounds, then the
     other upper bounds, and returns at the first that empties its interval;
@@ -437,11 +436,9 @@ def _search(system: ConstraintSystem, box: BoundsBox, budget: int):
     n = system.n
     nvars = len(system.layout)
     rows, levels, consistent = _relaxation(system)
-    rows, holds = _substitute_levels(system, rows, box)
+    rows, holds = _substitute_levels(system, rows)
     if not (consistent and holds and box.feasible):
         return [], 0
-    if nvars == 0:
-        return [()], 0
 
     conds = rows + levels
     # x_k >= ceil((b - p) / a) for each (ci, a, b, c) in lower[k], x_k <= floor
@@ -450,14 +447,9 @@ def _search(system: ConstraintSystem, box: BoundsBox, budget: int):
     # x_(k-1) in it (the parent's peek adds c * x_(k-1) to p).  A bound no
     # partial sum in the box can push into the box is left out.  moves[k] are
     # the sums x_k changes that have a later variable, closes[k] the
-    # congruences it ends.  A condition left with no bound keeps no partial
-    # sum: its congruence is checked from the point where its last variable
-    # is assigned (sums[k]).
-    lower, upper, moves, closes, sums = ([[] for _ in range(nvars)] for _ in range(5))
-    starts = []
-    for cond in conds:
-        ci = len(starts)
-        cuts = False
+    # congruences it ends: each is read from the condition's partial sum.
+    lower, upper, moves, closes = ([[] for _ in range(nvars)] for _ in range(4))
+    for ci, cond in enumerate(conds):
         reach = [sorted((a * lo, a * hi)) for a, lo, hi in zip(cond.coeffs, box.lo, box.hi)]
         pmin = pmax = cond.const
         smin, smax = (sum(r) for r in zip(*reach))
@@ -469,20 +461,14 @@ def _search(system: ConstraintSystem, box: BoundsBox, budget: int):
             c = cond.coeffs[k - 1] if k else 0
             if pmin + rmin + smax < cond.lo:
                 (lower if a > 0 else upper)[k].append((ci, a, cond.lo - smax, c))
-                cuts = True
             if pmax + rmax + smin > cond.hi:
                 (upper if a > 0 else lower)[k].append((ci, a, cond.hi - smin, c))
-                cuts = True
             pmin, pmax = pmin + rmin, pmax + rmax
         *terms, (last, a) = [(k, a) for k, a in enumerate(cond.coeffs) if a]
-        if cuts:
-            starts.append(cond.const)
-            for k, b in terms:
-                moves[k].append((ci, b))
-            if cond.modn:
-                closes[last].append((ci, a))
-        elif cond.modn:
-            sums[last].append((cond.const, terms, a))
+        for k, b in terms:
+            moves[k].append((ci, b))
+        if cond.modn:
+            closes[last].append((ci, a))
     # the parent peeks at a level that has a lower and an upper bound
     sizes = [max(0, hi - lo + 1) for lo, hi in zip(box.lo, box.hi)]
     peeks = [
@@ -491,7 +477,7 @@ def _search(system: ConstraintSystem, box: BoundsBox, budget: int):
         else None
         for k in range(1, nvars)
     ]
-    plan = list(zip(sizes, box.lo, box.hi, lower, upper, moves, closes, sums, peeks + [None]))
+    plan = list(zip(sizes, box.lo, box.hi, lower, upper, moves, closes, peeks + [None]))
 
     point = [0] * nvars
     solutions: list[tuple[int, ...]] = []
@@ -502,7 +488,7 @@ def _search(system: ConstraintSystem, box: BoundsBox, budget: int):
         if k == nvars:
             solutions.append(tuple(point))
             return
-        size, lo, hi, lows, highs, move, close, sum_at, peek = plan[k]
+        size, lo, hi, lows, highs, move, close, peek = plan[k]
         nodes += size
         if nodes > budget:
             raise SearchIncomplete(nodes, budget)
@@ -531,7 +517,6 @@ def _search(system: ConstraintSystem, box: BoundsBox, budget: int):
                     return
                 hi = t
         ends = [(partial[ci], a) for ci, a in close]
-        ends += [(c + sum(b * point[j] for j, b in terms), a) for c, terms, a in sum_at]
         if peek:
             count, clo, chi, clows, chighs = peek
         for v in range(lo, hi + 1):
@@ -557,7 +542,7 @@ def _search(system: ConstraintSystem, box: BoundsBox, budget: int):
             descend(k + 1, child)
 
     try:
-        descend(0, starts)
+        descend(0, [cond.const for cond in conds])
     finally:
         del descend
     return solutions, nodes

@@ -4,18 +4,19 @@ from __future__ import annotations
 
 import cmath
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from math import floor, gcd
 
 from helpzc.cyclotomic import CycSum
-from helpzc.help_core import MultiplicityCheck, V4Report
+from helpzc.help_core import ConstraintSystem, MultiplicityCheck, V4Report
 from helpzc.psl2 import char_value
 from helpzc.solver import (
     BoundsBox,
     RankDeficientError,
     SearchIncomplete,
+    _Condition,
     _relaxation,
-    _substitute_levels,
 )
 
 
@@ -376,6 +377,44 @@ def naive_search(system, box, first_values, budget):
 
     descend(0)
     return solutions, nodes
+
+
+# The library's level substitution as it was when it also added a box
+# condition per level; interval_search runs this copy, so that the oracle
+# does not change with the kernel it checks.
+def _substitute_levels(
+    system: ConstraintSystem, rows: list[_Condition], box: BoundsBox
+) -> tuple[list[_Condition], bool]:
+    """The rows with each level's last variable x_j eliminated by its (V1) equation.
+
+    On sum(level) = 1, x_j = 1 - sum(the level's other variables), so the row
+    const + a.x equals const + a_j + (a - a_j 1_level).x with x_j's
+    coefficient 0: its bounds and congruence carry over unchanged.  x_j keeps
+    its box through one condition box.lo[j] <= 1 - sum(others) <= box.hi[j]
+    per level.  Returns (the distinct non-constant rows followed by those
+    conditions, whether every row that became constant holds).
+    """
+    nvars = len(system.layout)
+    levels = [idxs for idxs in system.layout.level_indices().values() if len(idxs) > 1]
+    out, consistent = [], True
+    for row in rows:
+        coeffs, const = list(row.coeffs), row.const
+        for *others, j in levels:
+            a = coeffs[j]
+            if a:
+                for i in others:
+                    coeffs[i] -= a
+                coeffs[j] = 0
+                const += a
+        if any(coeffs):
+            out.append(replace(row, coeffs=tuple(coeffs), const=const))
+        elif not row.lo <= const <= row.hi or const % system.n:
+            consistent = False
+    out = list(dict.fromkeys(out))
+    for *others, j in levels:
+        coeffs = tuple(-1 if i in others else 0 for i in range(nvars))
+        out.append(_Condition(coeffs, 1, box.lo[j], box.hi[j], False))
+    return out, consistent
 
 
 def interval_search(system, box, first_values, budget):

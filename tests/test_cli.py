@@ -414,6 +414,17 @@ def test_unreadable_character_file_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_character_file_that_is_not_json_exits_2(tmp_path, capsys):
+    # the decoder's message alone would not say which file is broken
+    chars = tmp_path / "broken.json"
+    chars.write_text('[{"kind": "trivial"}, ')
+    code, out, err = run_cli(capsys, "vpa", "--q", "19", "--n", "10", "--chars", str(chars))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: malformed character file {chars}: Expecting value")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec", ["brauer-p:-1", "brauer-p:0", "brauer-p:1.5"])
 def test_bad_degree_bound_exits_2(spec, capsys):
     code, out, err = run_cli(capsys, "vpa", "--q", "19", "--n", "10", "--chars", spec)

@@ -681,7 +681,10 @@ def test_row_constant_after_substitution_and_violated_enumerates_nothing():
     assert naive_search(bad, box, None, budget)[0] == []
 
 
-@pytest.mark.parametrize("q, n, nodes", [(29, 14, 540), (31, 15, 2381), (43, 22, 3322)])
+@pytest.mark.parametrize(
+    "q, n, nodes",
+    [(29, 14, 540), (31, 15, 2381), (43, 22, 3322), (37, 18, 5542), (53, 26, 11723)],
+)
 def test_search_node_counts_pinned(q, n, nodes):
     system = paper_system(q, n)
     box = derive_bounds(system)
@@ -691,6 +694,12 @@ def test_search_node_counts_pinned(q, n, nodes):
             enumerate_solutions(system, box, node_budget=nodes - 1)
         rep = enumerate_solutions(system, box, node_budget=nodes)
         assert rep.node_count == nodes
+
+
+@pytest.mark.parametrize("q, n, nodes", [(19, 10, 96), (29, 14, 272), (43, 22, 1567)])
+def test_search_node_counts_pinned_brauer_p(q, n, nodes):
+    # the same search on a second family, with more rows than paper
+    assert solve_vpa(frame_for(q, n), "brauer-p").node_count == nodes
 
 
 def test_search_q289_n12_paper():
@@ -737,6 +746,18 @@ def test_rank_deficient_family_is_rejected(chars):
 def test_enumerate_trivial_frame():
     fr = frame_for(19, 1)
     rep = solve_vpa(fr, "paper")
+    assert len(rep.solutions) == 1
+    assert rep.solutions.distributions[0].value(1, fr.identity) == 1
+
+
+@pytest.mark.parametrize("spec", ["paper", "brauer-p"])
+def test_empty_layout_runs_the_search(spec):
+    # n = 1 has no variable: the general bounds and search paths give the
+    # empty box, the empty vector and no node
+    fr = frame_for(19, 1)
+    rep = solve_vpa(fr, spec)
+    assert (rep.bounds.lo, rep.bounds.hi) == ((), ())
+    assert rep.node_count == 0 and rep.complete
     assert len(rep.solutions) == 1
     assert rep.solutions.distributions[0].value(1, fr.identity) == 1
 
