@@ -2,10 +2,13 @@
 
 The pipeline is: check that the distinct character rows have full
 column rank, bound every variable by exact linear programming, then run
-a depth-first search over the integer box.  Before the search, each
-level's (V1) equation sum = 1 substitutes the level's last variable out
-of every row, so a row bounds the level's earlier variables without the
-box reach of the last one.  At each node interval propagation gives the
+a depth-first search over the integer box.  The search takes the levels
+from the highest divisor d down, and within a level the variables from
+the narrowest box to the widest, ties by layout index.  Before the
+search, each level's (V1) equation sum = 1 substitutes the level's last,
+widest, variable out of every row, so a row bounds the level's earlier
+variables without the box reach of the last one, and the search never
+branches on it.  At each node interval propagation gives the
 next variable's range.  Every condition keeps one partial sum, and a
 row's mod-n congruence is read from it where its last variable is
 assigned.  A node tries the bound that last emptied its range first, and
@@ -548,6 +551,20 @@ def _search(system: ConstraintSystem, box: BoundsBox, budget: int):
     return solutions, nodes
 
 
+def _search_order(layout: VariableLayout, box: BoundsBox) -> list[int]:
+    """The layout indices in search order: levels by descending d, then box width, then index.
+
+    Each level's widest variable comes last, so its (V1) equation
+    substitutes it out and the search never branches on it; the high
+    levels, with their narrow boxes, are fixed before the level-1 rows
+    are propagated.
+    """
+    return sorted(
+        range(len(layout)),
+        key=lambda i: (-layout.variables[i][0], box.hi[i] - box.lo[i], i),
+    )
+
+
 def enumerate_solutions(
     system: ConstraintSystem,
     box: BoundsBox,
@@ -555,13 +572,24 @@ def enumerate_solutions(
 ) -> EnumerationReport:
     """All integer points of the box satisfying every row and level equation.
 
-    Complete, duplicate free and deterministic.  Raises SearchIncomplete
-    instead of silently truncating as soon as the node count exceeds the
-    budget.
+    _search runs on the system and box with the variables permuted into
+    _search_order, and its vectors are read back through the permuted
+    layout; the node count is counted in that order.  Complete, duplicate
+    free and deterministic.  Raises SearchIncomplete instead of silently
+    truncating as soon as the node count exceeds the budget.
     """
     nvars = len(system.layout)
-    vectors, nodes = _search(system, box, node_budget)
-    dists = (distribution_from_vector(system.layout, v) for v in vectors)
+    order = _search_order(system.layout, box)
+    searched = replace(
+        system,
+        layout=replace(system.layout, variables=tuple(system.layout.variables[i] for i in order)),
+        rows=tuple(replace(r, coeffs=tuple(r.coeffs[i] for i in order)) for r in system.rows),
+    )
+    searched_box = replace(
+        box, lo=tuple(box.lo[i] for i in order), hi=tuple(box.hi[i] for i in order)
+    )
+    vectors, nodes = _search(searched, searched_box, node_budget)
+    dists = (distribution_from_vector(searched.layout, v) for v in vectors)
     solutions = SolutionSet.build(dists, family=system.family)
     rank = rank_check(system)
     return EnumerationReport(

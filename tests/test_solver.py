@@ -511,7 +511,7 @@ def test_node_budget_is_exact():
     system = paper_system(19, 10)
     box = derive_bounds(system)
     total = enumerate_solutions(system, box).node_count
-    assert total == 99
+    assert total == 55
     with pytest.raises(SearchIncomplete) as info:
         enumerate_solutions(system, box, node_budget=total - 1)
     assert info.value.node_count == total
@@ -549,17 +549,17 @@ def test_violated_constant_row_enumerates_nothing():
     assert rep.node_count == 0
 
 
-@pytest.mark.parametrize(
-    "spec, q, n",
-    [
-        ("paper", 13, 6),
-        ("paper", 19, 10),
-        ("paper", 29, 14),
-        ("paper", 31, 15),
-        ("paper", 43, 22),
-        ("brauer-p", 19, 10),
-    ],
-)
+ORACLE_GRID = [
+    ("paper", 13, 6),
+    ("paper", 19, 10),
+    ("paper", 29, 14),
+    ("paper", 31, 15),
+    ("paper", 43, 22),
+    ("brauer-p", 19, 10),
+]
+
+
+@pytest.mark.parametrize("spec, q, n", ORACLE_GRID)
 def test_search_matches_naive_oracle(spec, q, n):
     # same vectors in the same order as the per-candidate search over the
     # original rows; the substituted rows prune at least as much on every
@@ -624,6 +624,51 @@ def test_search_matches_naive_oracle_on_random_boxes(instance):
     assert vectors == naive_search(system, box, None, budget)[0]
 
 
+def _index_order_keys(system, box):
+    # the sorted solution keys of the search in layout order
+    vectors = solver._search(system, box, solver.DEFAULT_NODE_BUDGET)[0]
+    dists = (distribution_from_vector(system.layout, v) for v in vectors)
+    return [pa.sort_key() for pa in SolutionSet.build(dists)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=_search_instance())
+def test_search_order_keeps_the_solution_set_on_random_boxes(instance):
+    # enumerate_solutions searches a permuted system; its set is the one of
+    # the search in layout order on the same rows and box
+    system, box = instance
+    rep = enumerate_solutions(system, box)
+    assert [pa.sort_key() for pa in rep.solutions] == _index_order_keys(system, box)
+    assert rep.bounds == box
+
+
+@pytest.mark.parametrize("spec, q, n", ORACLE_GRID)
+def test_search_order_keeps_the_solution_set(spec, q, n):
+    system = family_system(q, n, spec)
+    box = derive_bounds(system)
+    rep = enumerate_solutions(system, box)
+    assert [pa.sort_key() for pa in rep.solutions] == _index_order_keys(system, box)
+
+
+def test_search_order_by_level_then_width():
+    # levels from the highest d down, each from its narrowest box to its
+    # widest, ties by index: the last variable of a level is its widest
+    system = paper_system(19, 10)
+    box = derive_bounds(system)
+    order = solver._search_order(system.layout, box)
+    assert order == [7, 5, 6, 0, 2, 4, 1, 3]
+    for q, n in [(19, 10), (31, 15), (53, 26), (289, 12)]:
+        system = paper_system(q, n)
+        box = derive_bounds(system)
+        order = solver._search_order(system.layout, box)
+        assert sorted(order) == list(range(len(system.layout)))
+        levels = [system.layout.variables[i][0] for i in order]
+        assert levels == sorted(levels, reverse=True)
+        for idxs in system.layout.level_indices().values():
+            widths = [box.hi[i] - box.lo[i] for i in order if i in idxs]
+            assert widths == sorted(widths)
+
+
 def _budget_error(search, *args):
     with pytest.raises(SearchIncomplete) as info:
         search(*args)
@@ -681,10 +726,12 @@ def test_row_constant_after_substitution_and_violated_enumerates_nothing():
     assert naive_search(bad, box, None, budget)[0] == []
 
 
-@pytest.mark.parametrize(
-    "q, n, nodes",
-    [(29, 14, 540), (31, 15, 2381), (43, 22, 3322), (37, 18, 5542), (53, 26, 11723)],
-)
+def _node_counts(cases):
+    # the ids name the frame alone, so a re-pinned count keeps the test's name
+    return pytest.mark.parametrize("q, n, nodes", cases, ids=[f"{q}-{n}" for q, n, _ in cases])
+
+
+@_node_counts([(29, 14, 361), (31, 15, 1025), (43, 22, 619), (37, 18, 3292), (53, 26, 1045)])
 def test_search_node_counts_pinned(q, n, nodes):
     system = paper_system(q, n)
     box = derive_bounds(system)
@@ -696,7 +743,7 @@ def test_search_node_counts_pinned(q, n, nodes):
         assert rep.node_count == nodes
 
 
-@pytest.mark.parametrize("q, n, nodes", [(19, 10, 96), (29, 14, 272), (43, 22, 1567)])
+@_node_counts([(19, 10, 55), (29, 14, 142), (43, 22, 499)])
 def test_search_node_counts_pinned_brauer_p(q, n, nodes):
     # the same search on a second family, with more rows than paper
     assert solve_vpa(frame_for(q, n), "brauer-p").node_count == nodes
@@ -711,7 +758,18 @@ def test_search_q289_n12_paper():
     assert len(keys) == 560
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert digest == "2c2ea703edb947f42dad9443043b1aa0757ffa51e1f6dd4300516b125373c256"
-    assert rep.node_count == 3216325
+    assert rep.node_count == 93368
+
+
+def test_search_q47_n24_paper():
+    # ROADMAP item 3's target: the digest of the sorted keys is the one the
+    # search in layout order gave, in 290,822,093 nodes and about 200 s
+    rep = solve_vpa(frame_for(47, 24), "paper")
+    keys = sorted(pa.sort_key() for pa in rep.solutions)
+    assert len(keys) == 48
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert digest == "7ceeb8009d7e2de37917f4bfb3a8e832c7a10940db05f62c72e1a89545e0205c"
+    assert rep.node_count == 1004819
 
 
 def test_search_leaves_no_reference_cycle():
