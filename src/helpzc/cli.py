@@ -27,6 +27,7 @@ from .help_core import (
 )
 from .psl2 import CharRestriction, char_value, decompose_chi, make_context, make_frame
 from .solver import (
+    DEFAULT_NODE_BUDGET,
     SearchIncomplete,
     character_family,
     compare_sets,
@@ -254,7 +255,7 @@ def cmd_verify_main(args) -> int:
         "t": t,
         "n": 2 * t,
         "epsilon": frame.epsilon,
-        "family": report.family,
+        "family": report.solutions.family,
         "enumerated": len(report.solutions),
         "tpa": len(tpa),
         "exceptional": len(exceptionals),
@@ -431,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
     def solver_opts(p):
-        p.add_argument("--node-budget", type=_positive_int, default=10_000_000,
-                       help="most search nodes (candidate values) to visit (default: 10000000)")
+        p.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
+                       help="most search nodes (candidate values) to visit (default: %(default)s)")
         p.add_argument("--workers", type=int, choices=(1,), default=1,
                        help="search processes; the search runs in one, so only 1 is accepted")
 

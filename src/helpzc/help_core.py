@@ -241,17 +241,17 @@ class VariableLayout:
         return {d: tuple(v) for d, v in out.items()}
 
     def unit_permutations(self) -> list[tuple[int, ...]]:
-        """The frame automorphisms g0^i -> g0^(u i), 1 < u < n, on the variables.
+        """The frame automorphisms g0^i -> g0^(u i), 1 < u <= n/2, on the variables.
 
         Entry i of u's permutation is the index of (d, class of u * exp) for
         variable i = (d, class of exp): the action relabel applies to
-        distributions.  u and n - u give the same permutation.
+        distributions.  u and n - u give the same one, so each is listed once.
         """
         n = self.frame.m
         where = {v: i for i, v in enumerate(self.variables)}
         return [
             tuple(where[d, self.frame.class_of(u * cls.exp)] for d, cls in self.variables)
-            for u in range(2, n)
+            for u in range(2, n // 2 + 1)
             if gcd(u, n) == 1
         ]
 
@@ -296,10 +296,11 @@ class ConstraintRow:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
+    """The rows of a character family over the layout of the frame's variables."""
+
     frame: CyclicFrame
     layout: VariableLayout
     rows: tuple[ConstraintRow, ...]
-    characters: tuple[CharRestriction, ...]
     family: str = "custom"
 
     @property
@@ -332,13 +333,11 @@ def _eigen_table(n: int, entries: Iterable[tuple[int, ClassLabel, int]]) -> list
 def build_constraints(
     frame: CyclicFrame,
     characters: Iterable[CharRestriction],
-    layout: VariableLayout | None = None,
     family: str = "custom",
 ) -> ConstraintSystem:
-    """Row (chi, l) has coefficient sum_h H[h] K_x[h][l] at variable x = (d, cls),
-    with H = eigen_counts(chi) and K_x the table of the unit entry (d, cls, 1)."""
-    characters = tuple(characters)
-    layout = layout if layout is not None else variable_layout(frame)
+    """Row (chi, l) has coefficient sum_h H[h] K_x[h][l] at x = (d, cls) of
+    variable_layout(frame), H = eigen_counts(chi), K_x the table of entry (d, cls, 1)."""
+    layout = variable_layout(frame)
     n = frame.m
     # per variable x, the columns K_x[.][l] of its unit-entry table
     unit_columns = [list(zip(*_eigen_table(n, [(d, cls, 1)]))) for d, cls in layout.variables]
@@ -351,9 +350,7 @@ def build_constraints(
             rows.append(
                 ConstraintRow(character=chi.label, l=l, coeffs=coeffs, const=deg, upper=n * deg)
             )
-    return ConstraintSystem(
-        frame=frame, layout=layout, rows=tuple(rows), characters=characters, family=family
-    )
+    return ConstraintSystem(frame=frame, layout=layout, rows=tuple(rows), family=family)
 
 
 def _check_v3(entries: Iterable[tuple[int, ClassLabel, int]]) -> None:

@@ -57,7 +57,6 @@ from .help_core import (
     VariableLayout,
     build_constraints,
     distribution_from_vector,
-    variable_layout,
 )
 from .psl2 import CharRestriction, CyclicFrame, brauer_irreducibles
 
@@ -82,11 +81,10 @@ class RankDeficientError(ValueError):
 
 @dataclass(frozen=True)
 class BoundsBox:
-    """Per-variable closed integer intervals enclosing the LP relaxation."""
+    """Per-variable closed integer intervals enclosing the LP relaxation; lo > hi if empty."""
 
     lo: tuple[int, ...]
     hi: tuple[int, ...]
-    feasible: bool = True
 
     def volume(self) -> int:
         out = 1
@@ -97,12 +95,20 @@ class BoundsBox:
 
 @dataclass(frozen=True)
 class EnumerationReport:
+    """The solutions in the box bounds, the search's node count and the rows' rank.
+
+    The family is solutions.family; complete is False only for a direct
+    enumerate_solutions call on rows of deficient rank (solve_vpa rejects them).
+    """
+
     solutions: SolutionSet
     node_count: int
     bounds: BoundsBox
     rank: int
-    family: str
-    complete: bool
+
+    @property
+    def complete(self) -> bool:
+        return self.rank == len(self.bounds.lo)
 
 
 @dataclass(frozen=True)
@@ -358,7 +364,7 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
         raise RankDeficientError("unbounded relaxation: augment the character family")
     T.append([den * (c.hi - c.const) for c in conds] + [0] * (nvars + 1))
     widths = [c.hi - c.lo for c in conds]
-    empty = BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars, feasible=False)
+    empty = BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
     solve = _phase2
     lo, hi = [], []
     for i, root in enumerate(_orbit_roots(system.layout, conds)):
@@ -378,7 +384,7 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
             bounds.append(sense * (-T[-1][-1] // den))
     if any(a > b for a, b in zip(lo, hi)):
         return empty
-    return BoundsBox(lo=tuple(lo), hi=tuple(hi), feasible=True)
+    return BoundsBox(lo=tuple(lo), hi=tuple(hi))
 
 
 # ------------------------------------------------------------------ search
@@ -440,7 +446,7 @@ def _search(system: ConstraintSystem, box: BoundsBox, budget: int):
     nvars = len(system.layout)
     rows, levels, consistent = _relaxation(system)
     rows, holds = _substitute_levels(system, rows)
-    if not (consistent and holds and box.feasible):
+    if not (consistent and holds):
         return [], 0
 
     conds = rows + levels
@@ -578,7 +584,6 @@ def enumerate_solutions(
     free and deterministic.  Raises SearchIncomplete instead of silently
     truncating as soon as the node count exceeds the budget.
     """
-    nvars = len(system.layout)
     order = _search_order(system.layout, box)
     searched = replace(
         system,
@@ -591,14 +596,8 @@ def enumerate_solutions(
     vectors, nodes = _search(searched, searched_box, node_budget)
     dists = (distribution_from_vector(searched.layout, v) for v in vectors)
     solutions = SolutionSet.build(dists, family=system.family)
-    rank = rank_check(system)
     return EnumerationReport(
-        solutions=solutions,
-        node_count=nodes,
-        bounds=box,
-        rank=rank,
-        family=system.family,
-        complete=rank == nvars,
+        solutions=solutions, node_count=nodes, bounds=box, rank=rank_check(system)
     )
 
 
@@ -656,13 +655,12 @@ def solve_vpa(
         characters, family = character_family(frame, chars)
     else:
         characters, family = tuple(chars), (family or "custom")
-    layout = variable_layout(frame)
-    system = build_constraints(frame, characters, layout, family)
+    system = build_constraints(frame, characters, family)
     rank = rank_check(system)
-    if rank < len(layout):
+    if rank < len(system.layout):
         raise RankDeficientError(
             f"rank-deficient family {family}: its distinct rows have rank {rank} "
-            f"for {len(layout)} variables; augment the character family"
+            f"for {len(system.layout)} variables; augment the character family"
         )
     box = derive_bounds(system)
     return enumerate_solutions(system, box, node_budget=node_budget)

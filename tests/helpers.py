@@ -275,7 +275,7 @@ def two_phase_bounds(system) -> BoundsBox:
     """derive_bounds by one cold two-phase simplex per bound LP."""
     nvars = len(system.layout)
     if nvars == 0:
-        return BoundsBox(lo=(), hi=(), feasible=True)
+        return BoundsBox(lo=(), hi=())
     rows, levels, _consistent = _relaxation(system)
     G: list[tuple[int, ...]] = []
     h: list[int] = []
@@ -295,18 +295,18 @@ def two_phase_bounds(system) -> BoundsBox:
                     "unbounded relaxation: augment the character family"
                 )
             if status == "unbounded":
-                return BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars, feasible=False)
+                return BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
             if sense == 1:
                 hi.append(floor(value))
             else:
                 lo.append(-floor(value))
     for a, b in zip(lo, hi):
         if a > b:
-            return BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars, feasible=False)
-    return BoundsBox(lo=tuple(lo), hi=tuple(hi), feasible=True)
+            return BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
+    return BoundsBox(lo=tuple(lo), hi=tuple(hi))
 
 
-def naive_search(system, box, first_values, budget):
+def naive_search(system, box, budget):
     """The per-candidate DFS the library used before interval propagation.
 
     Tests every value of every level against every touching condition;
@@ -315,7 +315,7 @@ def naive_search(system, box, first_values, budget):
     n = system.n
     nvars = len(system.layout)
     rows, levels, consistent = _relaxation(system)
-    if not consistent or not box.feasible:
+    if not consistent:
         return [], 0
     if nvars == 0:
         return [()], 0
@@ -337,8 +337,6 @@ def naive_search(system, box, first_values, budget):
         for k in range(nvars)
     ]
     values = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
-    if first_values is not None:
-        values[0] = first_values
 
     partial = [c.const for c in conds]
     point = [0] * nvars
@@ -417,7 +415,7 @@ def _substitute_levels(
     return out, consistent
 
 
-def interval_search(system, box, first_values, budget):
+def interval_search(system, box, budget):
     """The interval DFS the library used before the culprit-first bound order
     and the parent-side peek; returns (solution vectors, node count).
 
@@ -426,22 +424,19 @@ def interval_search(system, box, first_values, budget):
     level's last variable substituted out (_substitute_levels): a row then
     bounds the level's earlier variables by the level equation rather than
     the box reach of the last one, and that last variable's single value is
-    forced by its level equation.  first_values, if given, is a range
-    inside the box that replaces the first level's box range.
+    forced by its level equation.
     """
     n = system.n
     nvars = len(system.layout)
     rows, levels, consistent = _relaxation(system)
     rows, holds = _substitute_levels(system, rows, box)
-    if not (consistent and holds and box.feasible):
+    if not (consistent and holds):
         return [], 0
     if nvars == 0:
         return [()], 0
 
     conds = rows + levels
     values = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
-    if first_values is not None:
-        values[0] = first_values
     # x_k >= ceil((b - p) / a) for each (ci, a, b) in lower[k], x_k <= floor
     # of the same for each in upper[k]: p is partial sum ci, b a bound of its
     # condition less the reach of its later variables.  A bound no partial

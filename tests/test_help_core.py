@@ -346,8 +346,7 @@ def test_verify_v4_matches_trace_row_oracle(pa, family):
 def test_build_constraints_takes_eigen_counts_once_per_character(monkeypatch, q, n):
     fr = frame_for(q, n)
     chars, _ = character_family(fr, "paper")
-    layout = variable_layout(fr)
-    expected = build_constraints(fr, chars, layout)
+    expected = build_constraints(fr, chars)
     value_calls, count_calls = [], []
     original_value, original_counts = help_core.char_value, help_core.eigen_counts
 
@@ -361,7 +360,7 @@ def test_build_constraints_takes_eigen_counts_once_per_character(monkeypatch, q,
 
     monkeypatch.setattr(help_core, "char_value", counted_value)
     monkeypatch.setattr(help_core, "eigen_counts", counted_counts)
-    assert build_constraints(fr, chars, layout) == expected
+    assert build_constraints(fr, chars) == expected
     assert value_calls == []
     assert count_calls == list(chars)
 
@@ -371,7 +370,7 @@ def test_build_constraints_takes_eigen_counts_once_per_character(monkeypatch, q,
 def test_build_constraints_matches_trace_row_oracle(fr, family):
     chars, _ = character_family(fr, family)
     layout = variable_layout(fr)
-    system = build_constraints(fr, chars, layout)
+    system = build_constraints(fr, chars)
     expected = [
         (chi.label, l, row, chi.degree(fr), fr.m * chi.degree(fr))
         for chi in chars
@@ -603,7 +602,7 @@ def test_constraint_coefficient_specialized_trace():
     # the trace of chi_2(g0^2) zeta_10^(-2l) over Q(zeta_5): t*w_l - 3 with t=5
     fr = frame_for(19, 10)
     layout = variable_layout(fr)
-    system = build_constraints(fr, [CHI2], layout)
+    system = build_constraints(fr, [CHI2])
     var = layout.index(2, fr.class_of(2))
     expected = {0: 2, 1: 2, 2: -3, 3: -3, 4: 2}
     for row in system.rows:
@@ -615,7 +614,7 @@ def test_rows_evaluate_to_n_times_multiplicity():
     fr = frame_for(19, 10)
     layout = variable_layout(fr)
     chars = [TRIV, CHI2, CHI4, CharRestriction.phi(2), CharRestriction.psi(1)]
-    system = build_constraints(fr, chars, layout)
+    system = build_constraints(fr, chars)
     rng = random.Random(55)
     for _ in range(10):
         pa = random_distribution(fr, rng)

@@ -51,6 +51,7 @@ from helpers import (
 
 TRIV = CharRestriction.trivial()
 CHI2 = CharRestriction.brauer((2,))
+CHI4 = CharRestriction.brauer((4,))
 
 
 def frame_for(q, m):
@@ -60,7 +61,7 @@ def frame_for(q, m):
 def paper_system(q, n):
     fr = frame_for(q, n)
     chars, fam = character_family(fr, "paper")
-    return build_constraints(fr, chars, variable_layout(fr), fam)
+    return build_constraints(fr, chars, fam)
 
 
 # ---------------------------------------------------------------- simplex unit
@@ -179,7 +180,7 @@ def test_bounds_pinned_paper_61_30():
 def family_system(q, n, spec):
     fr = frame_for(q, n)
     chars, fam = character_family(fr, spec)
-    return build_constraints(fr, chars, variable_layout(fr), fam)
+    return build_constraints(fr, chars, fam)
 
 
 def infeasible_system():
@@ -341,7 +342,7 @@ def test_bounds_chain_matches_oracle_on_random_rows(extra):
     system = paper_system(19, 10)
     system = replace(system, rows=system.rows + tuple(extra))
     box = derive_bounds(system)
-    assert box.feasible
+    assert all(a <= b for a, b in zip(box.lo, box.hi))
     assert box == two_phase_bounds(system)
 
 
@@ -371,8 +372,19 @@ def test_orbit_bounds_match_per_variable_bounds_on_symmetric_rows(extra):
 def test_infeasible_relaxation_enumerates_nothing():
     system = infeasible_system()
     box = derive_bounds(system)
-    assert not box.feasible
-    assert len(enumerate_solutions(system, box).solutions) == 0
+    assert box == BoundsBox((0,) * 8, (-1,) * 8)
+    rep = enumerate_solutions(system, box)
+    assert rep.node_count == 0 and len(rep.solutions) == 0
+
+
+def test_rank_deficient_rows_enumerate_as_incomplete():
+    # chi_2 and chi_4 alone have rank 7 for 8 variables; with the level
+    # equations the LP still has a box, and its search finds the paper's 4
+    fr = frame_for(19, 10)
+    system = build_constraints(fr, [CHI2, CHI4])
+    rep = enumerate_solutions(system, derive_bounds(system))
+    assert rep.rank == 7 and rep.complete is False
+    assert compare_sets(rep.solutions, solve_vpa(fr, "paper").solutions).equal
 
 
 def test_bounds_require_full_rank():
@@ -386,7 +398,7 @@ def test_bounds_empty_layout():
     fr = frame_for(19, 1)
     system = build_constraints(fr, [TRIV])
     box = derive_bounds(system)
-    assert box.feasible and box.lo == () and box.hi == ()
+    assert box.lo == () and box.hi == ()
 
 
 # ---------------------------------------------------------------- enumeration
@@ -421,7 +433,7 @@ def test_enumerate_agrees_with_naive_scan():
         fr = frame_for(q, n)
         if chars is None:
             chars, fam = character_family(fr, "paper")
-        system = build_constraints(fr, chars, variable_layout(fr))
+        system = build_constraints(fr, chars)
         box = derive_bounds(system)
         assert box.volume() <= 10**6
         rep = enumerate_solutions(system, box)
@@ -437,7 +449,7 @@ def test_enumerate_synthetic_congruence_system():
     # hand-built box + rows on the n=10 layout, checked against the scanner
     fr = frame_for(19, 10)
     chars, fam = character_family(fr, "paper")
-    system = build_constraints(fr, chars[:4], variable_layout(fr))
+    system = build_constraints(fr, chars[:4])
     box = BoundsBox(lo=(-1,) * 8, hi=(1,) * 8)
     rep = enumerate_solutions(system, box)
     scan = naive_box_scan(system, box)
@@ -470,7 +482,7 @@ def test_relabel_maps_vpa_onto_itself():
     fr = frame_for(19, 10)
     rep = solve_vpa(fr, "paper")
     layout = variable_layout(fr)
-    units = [u for u in range(2, 10) if gcd(u, 10) == 1]
+    units = [u for u in range(2, 10 // 2 + 1) if gcd(u, 10) == 1]
     assert len(units) == len(layout.unit_permutations())
     for u, perm in zip(units, layout.unit_permutations()):
         assert {relabel(pa, u) for pa in rep.solutions} == set(rep.solutions)
@@ -498,11 +510,11 @@ def test_determinism():
     a = solve_vpa(fr, "paper")
     b = solve_vpa(fr, "paper")
     assert [pa.sort_key() for pa in a.solutions] == [pa.sort_key() for pa in b.solutions]
-    assert (a.node_count, a.bounds, a.rank, a.family) == (
+    assert (a.node_count, a.bounds, a.rank, a.solutions.family) == (
         b.node_count,
         b.bounds,
         b.rank,
-        b.family,
+        b.solutions.family,
     )
 
 
@@ -568,10 +580,10 @@ def test_search_matches_naive_oracle(spec, q, n):
     box = derive_bounds(system)
     budget = solver.DEFAULT_NODE_BUDGET
     vectors, nodes = solver._search(system, box, budget)
-    oracle_vectors, oracle_nodes = naive_search(system, box, None, budget)
+    oracle_vectors, oracle_nodes = naive_search(system, box, budget)
     assert vectors == oracle_vectors
     assert nodes <= oracle_nodes
-    assert nodes == interval_search(system, box, None, budget)[1]
+    assert nodes == interval_search(system, box, budget)[1]
 
 
 @st.composite
@@ -621,7 +633,7 @@ def test_search_matches_naive_oracle_on_random_boxes(instance):
     system, box = instance
     budget = solver.DEFAULT_NODE_BUDGET
     vectors = solver._search(system, box, budget)[0]
-    assert vectors == naive_search(system, box, None, budget)[0]
+    assert vectors == naive_search(system, box, budget)[0]
 
 
 def _index_order_keys(system, box):
@@ -684,12 +696,12 @@ def test_search_matches_interval_oracle_on_random_boxes(instance, data):
     system, box = instance
     budget = solver.DEFAULT_NODE_BUDGET
     result = solver._search(system, box, budget)
-    assert result == interval_search(system, box, None, budget)
+    assert result == interval_search(system, box, budget)
     total = result[1]
     if total:
         low = data.draw(st.integers(0, total - 1), label="budget")
         assert _budget_error(solver._search, system, box, low) == _budget_error(
-            interval_search, system, box, None, low
+            interval_search, system, box, low
         )
 
 
@@ -700,7 +712,7 @@ def test_every_budget_fails_where_the_interval_oracle_fails():
     total = solver._search(system, box, solver.DEFAULT_NODE_BUDGET)[1]
     for budget in range(total):
         assert _budget_error(solver._search, system, box, budget) == _budget_error(
-            interval_search, system, box, None, budget
+            interval_search, system, box, budget
         )
     assert solver._search(system, box, total)[1] == total
 
@@ -723,7 +735,7 @@ def test_row_constant_after_substitution_and_violated_enumerates_nothing():
     bad = replace(system, rows=system.rows + (ConstraintRow("level", 0, coeffs, 0, 10),))
     budget = solver.DEFAULT_NODE_BUDGET
     assert solver._search(bad, box, budget) == ([], 0)
-    assert naive_search(bad, box, None, budget)[0] == []
+    assert naive_search(bad, box, budget)[0] == []
 
 
 def _node_counts(cases):
@@ -787,7 +799,7 @@ def test_search_leaves_no_reference_cycle():
 def test_node_budget_is_loud():
     fr = frame_for(19, 10)
     chars, fam = character_family(fr, "paper")
-    system = build_constraints(fr, chars, variable_layout(fr), fam)
+    system = build_constraints(fr, chars, fam)
     box = derive_bounds(system)
     with pytest.raises(SearchIncomplete):
         enumerate_solutions(system, box, node_budget=5)
