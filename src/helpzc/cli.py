@@ -85,7 +85,7 @@ def _characters_from_file(path: str) -> tuple[CharRestriction, ...]:
                 out.append(CharRestriction.brauer(item["weights"]))
             else:
                 raise ValueError(f"unknown character kind {kind!r}")
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"malformed character file {path}: {exc}") from exc
     if not out:
         raise ValueError(f"character file {path} lists no character")

@@ -17,7 +17,7 @@ anywhere.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -138,12 +138,11 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 class CycSum:
     """An integer combination of m-th roots of unity.
 
-    coeffs[i] is the coefficient of zeta_m^i.  Instances are immutable;
-    all operations return new values.  The representation is redundant,
-    so canonical forms (reduction modulo the m-th cyclotomic polynomial)
-    are computed lazily and cached.  Because values of different orders
-    can represent the same complex number, equality rescales both sides
-    to a common order first; CycSum is therefore unhashable.
+    coeffs[i] is the coefficient of zeta_m^i; instances are immutable.
+    The representation is redundant, so canonical forms (reduction modulo
+    the m-th cyclotomic polynomial) are computed lazily and cached.
+    Equality lifts ints and compares canonical forms of one order; mixed
+    orders raise, as in arithmetic.  CycSum is unhashable: it can equal an int.
     """
 
     def __init__(self, order: int, coeffs: Iterable[int]):
@@ -185,9 +184,6 @@ class CycSum:
         rem = _poly_divmod(self._coeffs, phi_m)[1]
         return tuple(rem) + (0,) * (len(phi_m) - 1 - len(rem))
 
-    def is_zero(self) -> bool:
-        return not any(self.canonical)
-
     def is_integer(self) -> bool:
         return not any(self.canonical[1:])
 
@@ -196,18 +192,11 @@ class CycSum:
             raise ValueError(f"{self!r} is not a rational integer")
         return self.canonical[0]
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = CycSum.integer(self._order, other)
-        if not isinstance(other, CycSum):
+        other = self._lift(other)
+        if other is NotImplemented:
             return NotImplemented
-        if self._order == other._order:
-            return self.canonical == other.canonical
-        target = lcm(self._order, other._order)
-        return self.rescale(target).canonical == other.rescale(target).canonical
+        return self.canonical == other.canonical
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -233,12 +222,6 @@ class CycSum:
         if other is NotImplemented:
             return NotImplemented
         return CycSum(self._order, (a - b for a, b in zip(self._coeffs, other._coeffs)))
-
-    def __rsub__(self, other: int | CycSum) -> CycSum:
-        return (-self) + other
-
-    def __neg__(self) -> CycSum:
-        return CycSum(self._order, (-a for a in self._coeffs))
 
     def __mul__(self, other: int | CycSum) -> CycSum:
         if isinstance(other, int):
@@ -267,16 +250,6 @@ class CycSum:
         """Complex conjugation, the index map i -> -i mod m."""
         m = self._order
         return CycSum(m, tuple(self._coeffs[(-i) % m] for i in range(m)))
-
-    def rescale(self, target: int) -> CycSum:
-        """Re-express in order `target`; preserves the represented complex number."""
-        if target % self._order:
-            raise ValueError("incompatible cyclotomic orders")
-        step = target // self._order
-        out = [0] * target
-        for i, c in enumerate(self._coeffs):
-            out[i * step] = c
-        return CycSum(target, out)
 
     def descend(self, k: int) -> CycSum:
         """Re-express in order m/k; the support must lie on multiples of k."""

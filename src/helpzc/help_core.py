@@ -35,7 +35,7 @@ reference.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -446,9 +446,6 @@ class SolutionSet:
     def __iter__(self) -> Iterator[PADistribution]:
         return iter(self.distributions)
 
-    def __contains__(self, pa: object) -> bool:
-        return any(pa == other for other in self.distributions)
-
 
 def tpa_set(frame: CyclicFrame) -> SolutionSet:
     """One distribution per conjugacy class of elements of full frame order."""
@@ -515,13 +512,13 @@ class MultiplicityCheck:
 
 @dataclass(frozen=True)
 class V4Report:
-    checks: tuple[MultiplicityCheck, ...]
-    ok: bool = field(default=False)
+    """Every multiplicity check of one distribution; ok when all of them pass."""
 
-    @classmethod
-    def build(cls, checks: Iterable[MultiplicityCheck]) -> V4Report:
-        checks = tuple(checks)
-        return cls(checks=checks, ok=all(c.ok for c in checks))
+    checks: tuple[MultiplicityCheck, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
 
 
 def verify_v4(pa: PADistribution, characters: Iterable[CharRestriction]) -> V4Report:
@@ -547,7 +544,7 @@ def verify_v4(pa: PADistribution, characters: Iterable[CharRestriction]) -> V4Re
             checks.append(
                 MultiplicityCheck(character=label, l=l, value=mu, ok=s >= 0 and s % n == 0)
             )
-    return V4Report.build(checks)
+    return V4Report(tuple(checks))
 
 
 def check_wagner(pa: PADistribution, r: int, t: int) -> bool:

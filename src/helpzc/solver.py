@@ -123,17 +123,12 @@ class SetDiff:
 
 def compare_sets(found: SolutionSet, expected: SolutionSet) -> SetDiff:
     """Symmetric difference by canonical form; both sets must share (q, n)."""
-
-    def keyed(ss: SolutionSet) -> dict:
-        return {pa.sort_key(): pa for pa in ss}
-
-    fk, ek = keyed(found), keyed(expected)
-    frames = {(pa.q, pa.n) for pa in found} | {(pa.q, pa.n) for pa in expected}
-    if len(frames) > 1:
+    if len({(pa.q, pa.n) for pa in (*found, *expected)}) > 1:
         raise ValueError("solution sets live on different (q, n)")
+    fs, es = set(found), set(expected)
     return SetDiff(
-        only_found=tuple(fk[k] for k in sorted(fk.keys() - ek.keys())),
-        only_expected=tuple(ek[k] for k in sorted(ek.keys() - fk.keys())),
+        only_found=SolutionSet.build(fs - es).distributions,
+        only_expected=SolutionSet.build(es - fs).distributions,
     )
 
 

@@ -151,7 +151,7 @@ def trace_row_v4(pa, characters) -> V4Report:
             mu = Fraction(sum(v * a for v, a in zip(values, row)), pa.n)
             ok = mu >= 0 and mu.denominator == 1
             checks.append(MultiplicityCheck(character=label, l=l, value=mu, ok=ok))
-    return V4Report.build(checks)
+    return V4Report(tuple(checks))
 
 
 def naive_box_scan(system, box):

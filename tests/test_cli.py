@@ -425,6 +425,24 @@ def test_character_file_that_is_not_json_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "item",
+    [
+        {"kind": "phi", "h": 0},
+        {"kind": "quux"},
+        {"kind": "brauer", "weights": [1]},
+        {"kind": "phi"},
+    ],
+)
+def test_bad_character_entry_names_the_file(item, tmp_path, capsys):
+    chars = tmp_path / "bad.json"
+    chars.write_text(json.dumps([item]))
+    code, out, err = run_cli(capsys, "vpa", "--q", "19", "--n", "10", "--chars", str(chars))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: malformed character file {chars}: ")
+
+
 @pytest.mark.parametrize("spec", ["brauer-p:-1", "brauer-p:0", "brauer-p:1.5"])
 def test_bad_degree_bound_exits_2(spec, capsys):
     code, out, err = run_cli(capsys, "vpa", "--q", "19", "--n", "10", "--chars", spec)

@@ -80,24 +80,6 @@ def test_trace_conjugation_invariant():
         assert z.conjugate().trace() == z.trace()
         assert z.conjugate().conjugate() == z
 
-def test_rescale_trace_relation():
-    # For z in the order-m frame, the order-M trace is phi(M)/phi(m) times larger.
-    rng = random.Random(13)
-    for m in range(1, 31):
-        for mult in (2, 3):
-            big = m * mult
-            if big > 60:
-                continue
-            z = CycSum(m, [rng.randrange(-3, 4) for _ in range(m)])
-            assert z.rescale(big).trace() * euler_phi(m) == z.trace() * euler_phi(big)
-
-def test_rescale_preserves_equality_and_value():
-    assert CycSum.root(5, 1).rescale(10) == CycSum.root(10, 2)
-    z = CycSum(6, [1, -2, 0, 3, 0, 1])
-    assert z.rescale(12) == z
-    with pytest.raises(ValueError, match="incompatible cyclotomic orders"):
-        z.rescale(9)
-
 def test_conjugate_and_root_examples():
     assert CycSum.root(10, 1).conjugate() == CycSum.root(10, 9)
     assert (CycSum.root(10, 1) + CycSum.root(10, -1)).trace() == 2
@@ -137,7 +119,6 @@ def test_zero_of_full_residue_system():
     # The sum of all m-th roots of unity vanishes for m > 1.
     for m in range(2, 20):
         total = CycSum(m, [1] * m)
-        assert total.is_zero()
         assert total == CycSum.zero(m)
 
 def test_mul_root_and_product_consistency():
@@ -179,6 +160,8 @@ def test_descend_and_subfield_trace():
 def test_arithmetic_order_mismatch_raises():
     with pytest.raises(ValueError, match="incompatible cyclotomic orders"):
         CycSum.root(10, 1) + CycSum.root(5, 1)
+    with pytest.raises(ValueError, match="incompatible cyclotomic orders"):
+        CycSum.root(5, 1) == CycSum.root(10, 2)
 
 def test_integer_detection():
     assert CycSum.integer(12, -7).as_integer() == -7

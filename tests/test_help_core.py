@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from helpzc import help_core
 from helpzc.cyclotomic import divisors
 from helpzc.help_core import (
+    MultiplicityCheck,
     PADistribution,
+    V4Report,
     accumulated,
     build_constraints,
     check_wagner,
@@ -418,6 +420,14 @@ def test_verify_v4_rejects_bad_distribution():
     assert pa.violations() == []
     report = verify_v4(pa, [CHI2])
     assert not report.ok
+
+
+def test_v4_report_ok_is_derived_from_its_checks():
+    passing = MultiplicityCheck(character="chi", l=0, value=Fraction(1), ok=True)
+    failing = MultiplicityCheck(character="chi", l=1, value=Fraction(-1), ok=False)
+    assert V4Report(()).ok is True
+    assert V4Report((passing,)).ok
+    assert not V4Report((passing, failing)).ok
 
 
 # ---------------------------------------------------------------- mu_minus
