@@ -62,34 +62,38 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _characters_from_file(path: str) -> tuple[CharRestriction, ...]:
+def _read_json_file(path: str, what: str, parse):
+    """parse() of the JSON in the file; every failure is a ValueError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            items = json.load(fh)
+            return parse(json.load(fh))
     except OSError as exc:
-        raise ValueError(f"cannot read character file {path}: {exc}") from exc
-    except ValueError as exc:
-        # not JSON, or not UTF-8
-        raise ValueError(f"malformed character file {path}: {exc}") from exc
-    out = []
-    try:
-        for item in items:
-            kind = item.get("kind")
-            if kind == "trivial":
-                out.append(CharRestriction.trivial())
-            elif kind == "phi":
-                out.append(CharRestriction.phi(item["h"]))
-            elif kind == "psi":
-                out.append(CharRestriction.psi(item["h"]))
-            elif kind == "brauer":
-                out.append(CharRestriction.brauer(item["weights"]))
-            else:
-                raise ValueError(f"unknown character kind {kind!r}")
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise ValueError(f"malformed character file {path}: {exc}") from exc
-    if not out:
+        # not JSON, not UTF-8, or the wrong shape
+        raise ValueError(f"malformed {what} {path}: {exc}") from exc
+
+
+def _character_entry(item) -> CharRestriction:
+    kind = item.get("kind")
+    if kind == "trivial":
+        return CharRestriction.trivial()
+    if kind == "phi":
+        return CharRestriction.phi(item["h"])
+    if kind == "psi":
+        return CharRestriction.psi(item["h"])
+    if kind == "brauer":
+        return CharRestriction.brauer(item["weights"])
+    raise ValueError(f"unknown character kind {kind!r}")
+
+
+def _characters_from_file(path: str) -> tuple[CharRestriction, ...]:
+    chars = _read_json_file(
+        path, "character file", lambda items: tuple(map(_character_entry, items))
+    )
+    if not chars:
         raise ValueError(f"character file {path} lists no character")
-    return tuple(out)
+    return chars
 
 
 def _resolve_characters(frame, spec: str):
@@ -116,13 +120,11 @@ def _solution_set_payload(command: str, frame, solutions: SolutionSet, **extra) 
     return payload
 
 
-def _solutions_csv(solutions: SolutionSet) -> str:
+def _csv(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["solution", "d", "order", "exp", "value"])
-    for i, pa in enumerate(solutions):
-        for d, cls, v in pa.entries():
-            writer.writerow([i, d, cls.order, cls.exp, v])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
 
 
@@ -144,11 +146,15 @@ def _render_solutions(args, payload: dict, solutions: SolutionSet) -> str:
     if args.format == "json":
         return json_text(payload)
     if args.format == "csv":
-        return _solutions_csv(solutions)
+        return _csv(
+            ["solution", "d", "order", "exp", "value"],
+            ([i, d, cls.order, cls.exp, v] for i, pa in enumerate(solutions)
+             for d, cls, v in pa.entries()),
+        )
     return _solutions_text(payload, solutions)
 
 
-def cmd_vpa(args) -> int:
+def cmd_vpa(args) -> tuple[int, str]:
     ctx = make_context(args.q)
     frame = make_frame(ctx, args.n)
     chars, family = _resolve_characters(frame, args.chars)
@@ -168,16 +174,14 @@ def cmd_vpa(args) -> int:
         node_count=report.node_count,
         complete=report.complete,
     )
-    _emit(_render_solutions(args, payload, report.solutions), args.out)
-    return EXIT_OK
+    return EXIT_OK, _render_solutions(args, payload, report.solutions)
 
 
-def cmd_tpa(args) -> int:
+def cmd_tpa(args) -> tuple[int, str]:
     frame = make_frame(make_context(args.q), args.n)
     solutions = tpa_set(frame)
     payload = _solution_set_payload("tpa", frame, solutions)
-    _emit(_render_solutions(args, payload, solutions), args.out)
-    return EXIT_OK
+    return EXIT_OK, _render_solutions(args, payload, solutions)
 
 
 def _trace_identity_checks(frame, t: int) -> list[dict]:
@@ -187,30 +191,24 @@ def _trace_identity_checks(frame, t: int) -> list[dict]:
     The index sets presuppose t >= 5 (for t = 3 the five roots inside
     chi_4(g0^2) collide), so the caller skips this block for t = 3.
     """
+    forms = [("chi_2", 2, (1, t - 1))]  # (name, r, the l with w_l = 1)
+    if frame.ctx.p >= 5:
+        forms.append(("chi_4", 4, (1, 2, t - 2, t - 1)))
+    g2 = frame.class_of(2)
+    values = [char_value(frame, CharRestriction.brauer((r,)), g2) for _, r, _ in forms]
     checks = []
-    chi2 = CharRestriction.brauer((2,))
-    val2 = char_value(frame, chi2, frame.class_of(2))
-    include4 = frame.ctx.p >= 5
-    if include4:
-        val4 = char_value(frame, CharRestriction.brauer((4,)), frame.class_of(2))
     for l in range(1, t):
-        w = 1 if l in (1, t - 1) else 0
-        got2 = val2.mul_root(-2 * l).trace()
-        checks.append(
-            {"character": "chi_2", "l": l, "value": got2, "expected": t * w - 3,
-             "ok": got2 == t * w - 3}
-        )
-        if include4:
-            ww = 1 if l in (1, 2, t - 2, t - 1) else 0
-            got4 = val4.mul_root(-2 * l).trace()
+        for (name, r, ones), value in zip(forms, values):
+            got = value.mul_root(-2 * l).trace()
+            expected = t * (l in ones) - (r + 1)
             checks.append(
-                {"character": "chi_4", "l": l, "value": got4, "expected": t * ww - 5,
-                 "ok": got4 == t * ww - 5}
+                {"character": name, "l": l, "value": got, "expected": expected,
+                 "ok": got == expected}
             )
     return checks
 
 
-def cmd_verify_main(args) -> int:
+def cmd_verify_main(args) -> tuple[int, str]:
     t = args.t
     if not is_prime(t) or t == 2:
         raise ValueError("t must be an odd prime")
@@ -219,11 +217,8 @@ def cmd_verify_main(args) -> int:
     report = solve_vpa(frame, "paper", node_budget=args.node_budget)
 
     tpa = tpa_set(frame)
-    expected_items = list(tpa)
-    exceptionals = exceptional_set(frame, t) if t >= 5 else SolutionSet.build([], "exceptional")
-    expected_items += list(exceptionals)
-    expected = SolutionSet.build(expected_items, family="tpa+exceptional")
-    diff = compare_sets(report.solutions, expected)
+    exceptionals = exceptional_set(frame, t) if t >= 5 else ()
+    diff = compare_sets(report.solutions, SolutionSet.build([*tpa, *exceptionals]))
 
     brauer, _ = character_family(frame, "brauer-p")
     sufficiency = []
@@ -249,6 +244,7 @@ def cmd_verify_main(args) -> int:
     solutions_ok = all(s["accumulated_ok"] and s["wagner_ok"] for s in per_solution)
     traces_ok = all(c["ok"] for c in trace_checks)
     ok = diff.equal and sufficiency_ok and solutions_ok and traces_ok
+    code = EXIT_OK if ok else EXIT_FAIL
     payload = {
         "command": "verify-main",
         "q": args.q,
@@ -272,36 +268,27 @@ def cmd_verify_main(args) -> int:
         "ok": ok,
     }
     if args.format == "json":
-        _emit(json_text(payload), args.out)
-    else:
-        lines = [
-            f"q={args.q} t={t}: enumerated {len(report.solutions)} = "
-            f"{len(tpa)} TPA + {len(exceptionals)} exceptional",
-            f"set equality: {'ok' if diff.equal else 'MISMATCH'}",
-            f"sufficiency (brauer-p, {len(brauer)} characters): "
-            f"{'ok' if sufficiency_ok else 'FAIL'}"
-            if sufficiency
-            else "sufficiency: no exceptional distributions expected",
-            f"accumulated/wagner checks: {'ok' if solutions_ok else 'FAIL'}",
-            f"trace identities: {'ok' if traces_ok else 'FAIL'}",
-            f"verdict: {'ok' if ok else 'FAIL'}",
-        ]
-        if not diff.equal:
-            lines.append(f"only found: {[p.to_json_dict() for p in diff.only_found]}")
-            lines.append(f"only expected: {[p.to_json_dict() for p in diff.only_expected]}")
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK if ok else EXIT_FAIL
+        return code, json_text(payload)
+    lines = [
+        f"q={args.q} t={t}: enumerated {len(report.solutions)} = "
+        f"{len(tpa)} TPA + {len(exceptionals)} exceptional",
+        f"set equality: {'ok' if diff.equal else 'MISMATCH'}",
+        f"sufficiency (brauer-p, {len(brauer)} characters): "
+        f"{'ok' if sufficiency_ok else 'FAIL'}"
+        if sufficiency
+        else "sufficiency: no exceptional distributions expected",
+        f"accumulated/wagner checks: {'ok' if solutions_ok else 'FAIL'}",
+        f"trace identities: {'ok' if traces_ok else 'FAIL'}",
+        f"verdict: {'ok' if ok else 'FAIL'}",
+    ]
+    if not diff.equal:
+        lines.append(f"only found: {[p.to_json_dict() for p in diff.only_found]}")
+        lines.append(f"only expected: {[p.to_json_dict() for p in diff.only_expected]}")
+    return code, "\n".join(lines)
 
 
-def cmd_check(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            data = json.load(fh)
-        pa = PADistribution.from_json_dict(data)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-
+def cmd_check(args) -> tuple[int, str]:
+    pa = _read_json_file(args.file, "distribution file", PADistribution.from_json_dict)
     violations = pa.violations()
     v_ok = {
         cond: not any(v.startswith(cond) for v in violations) for cond in ("V1", "V2", "V3")
@@ -331,29 +318,23 @@ def cmd_check(args) -> int:
         payload["v4"] = {"skipped": "V3 fails, multiplicities undefined on this input"}
         all_ok = False
     payload["ok"] = all_ok
+    code = EXIT_OK if all_ok else EXIT_FAIL
 
     if args.format == "json":
-        _emit(json_text(payload), args.out)
+        return code, json_text(payload)
+    lines = [f"q={pa.q} n={pa.n}"]
+    lines += [f"{cond}: {'ok' if ok else 'FAIL'}" for cond, ok in v_ok.items()]
+    lines += [f"  {v}" for v in violations]
+    if v_ok["V3"]:
+        lines.append(f"V4 ({family}): {'ok' if v4.ok else 'FAIL'}")
+        lines += [f"  mu({c.character}, l={c.l}) = {c.value!s}" for c in v4.checks if not c.ok]
     else:
-        lines = [f"q={pa.q} n={pa.n}"]
-        for cond in ("V1", "V2", "V3"):
-            lines.append(f"{cond}: {'ok' if v_ok[cond] else 'FAIL'}")
-        for v in violations:
-            lines.append(f"  {v}")
-        if "ok" in payload.get("v4", {}):
-            v4 = payload["v4"]
-            lines.append(f"V4 ({v4['family']}): {'ok' if v4['ok'] else 'FAIL'}")
-            for c in v4["multiplicities"]:
-                if not c["ok"]:
-                    lines.append(f"  mu({c['character']}, l={c['l']}) = {c['mu']}")
-        else:
-            lines.append("V4: skipped (V3 fails)")
-        lines.append(f"verdict: {'ok' if all_ok else 'FAIL'}")
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK if all_ok else EXIT_FAIL
+        lines.append("V4: skipped (V3 fails)")
+    lines.append(f"verdict: {'ok' if all_ok else 'FAIL'}")
+    return code, "\n".join(lines)
 
 
-def cmd_chars(args) -> int:
+def cmd_chars(args) -> tuple[int, str]:
     ctx = make_context(args.q)
     frame = make_frame(ctx, args.m)
     if args.decompose is not None:
@@ -362,17 +343,11 @@ def cmd_chars(args) -> int:
         weights = _parse_weights(args.decompose)
         k0, coeffs = decompose_chi(frame, weights)
         if args.format == "json":
-            _emit(
-                json_text(
-                    {"q": args.q, "m": args.m, "weights": list(weights), "k0": k0,
-                     "n_h": {str(h): v for h, v in coeffs.items() if v}}
-                ),
-                args.out,
+            return EXIT_OK, json_text(
+                {"q": args.q, "m": args.m, "weights": list(weights), "k0": k0,
+                 "n_h": {str(h): v for h, v in coeffs.items() if v}}
             )
-        else:
-            parts = [f"k_0={k0}"] + [f"n_{h}={v}" for h, v in coeffs.items() if v]
-            _emit("; ".join(parts), args.out)
-        return EXIT_OK
+        return EXIT_OK, "; ".join([f"k_0={k0}"] + [f"n_{h}={v}" for h, v in coeffs.items() if v])
 
     if args.chi:
         chars = [CharRestriction.brauer(_parse_weights(w)) for w in args.chi]
@@ -386,36 +361,26 @@ def cmd_chars(args) -> int:
         ]
         table.append({"character": chi.label, "values": values})
     if args.format == "json":
-        _emit(
-            json_text({"q": args.q, "m": args.m, "epsilon": frame.epsilon, "table": table}),
-            args.out,
+        return EXIT_OK, json_text(
+            {"q": args.q, "m": args.m, "epsilon": frame.epsilon, "table": table}
         )
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["character", "order", "exp", "value"])
-        for row in table:
-            for v in row["values"]:
-                writer.writerow([row["character"], v["order"], v["exp"], v["value"]])
-        _emit(buf.getvalue().rstrip("\n"), args.out)
-    else:
-        lines = []
-        for row in table:
-            cells = ", ".join(
-                f"{row['character']}(g^{v['exp']})={v['value']}" for v in row["values"]
-            )
-            lines.append(cells)
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    if args.format == "csv":
+        return EXIT_OK, _csv(
+            ["character", "order", "exp", "value"],
+            ([row["character"], v["order"], v["exp"], v["value"]]
+             for row in table for v in row["values"]),
+        )
+    return EXIT_OK, "\n".join(
+        ", ".join(f"{row['character']}(g^{v['exp']})={v['value']}" for v in row["values"])
+        for row in table
+    )
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> tuple[int, str]:
     value = trace_root(args.m, args.k)
     if args.format == "json":
-        _emit(json.dumps({"m": args.m, "k": args.k, "trace": value}), args.out)
-    else:
-        _emit(str(value), args.out)
-    return EXIT_OK
+        return EXIT_OK, json.dumps({"m": args.m, "k": args.k, "trace": value})
+    return EXIT_OK, str(value)
 
 
 @cache
@@ -471,10 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chars", help="dump character value tables and decompositions")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--chi", action="append",
-                   help="digit tuple of a Brauer restriction, e.g. 4 or 2,0 (repeatable)")
-    p.add_argument("--decompose", help="digit tuple to expand into k_0 and n_h coefficients")
-    p.add_argument("--chars", default="paper")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--chi", action="append",
+                       help="digit tuple of a Brauer restriction, e.g. 4 or 2,0 (repeatable)")
+    which.add_argument("--decompose", help="digit tuple to expand into k_0 and n_h coefficients")
+    which.add_argument("--chars", default="paper")
     common(p, formats=("json", "csv", "text"))
     p.set_defaults(func=cmd_chars)
 
@@ -491,7 +457,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        _emit(text, args.out)
+        return code
     except SearchIncomplete as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE

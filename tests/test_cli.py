@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
@@ -257,6 +258,29 @@ def test_check_repeated_entry_exits_2(tmp_path, capsys):
     assert "repeated" in err
 
 
+@pytest.mark.parametrize(
+    "name, content, prefix",
+    [
+        ("missing.json", None, "cannot read"),
+        ("adir", "DIR", "cannot read"),
+        ("broken.json", "{not json", "malformed"),
+        ("list.json", "[1, 2]", "malformed"),
+        ("badq.json", json.dumps({"q": 15, "n": 10, "entries": []}), "malformed"),
+    ],
+    ids=["missing", "directory", "not-json", "json-list", "q15"],
+)
+def test_check_input_failure_names_the_file(name, content, prefix, tmp_path, capsys):
+    path = tmp_path / name
+    if content == "DIR":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {prefix} distribution file {path}: ")
+
+
 def test_round_trip_every_emitted_solution(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "vpa", "--q", "19", "--n", "10")
     assert code == 0
@@ -288,6 +312,60 @@ def test_json_output_is_indent_2_json_dumps(argv, tmp_path, capsys):
     assert code == 0
     text = target.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+# sha256 of stdout, recorded before the renderers shared one writer; outputs
+# that carry node_count are left out, since search changes move it
+RENDERER_PINS = [
+    ("vpa --q 19 --n 10 --format csv", 0,
+     "c12750335cc28aecfe6d97a69719da2610e3db49d47c024cb8f0b01c14a7a5b1"),
+    ("tpa --q 19 --n 10 --format json", 0,
+     "ab1fb7ddf9ad1c07746d89b6c3c39199eb13bdf5ec97573efcfc2c070c73d5de"),
+    ("tpa --q 19 --n 10 --format text", 0,
+     "f383400e55bb96d268743986d3c999e35f90194233128b7ea77fe08f362f6bd7"),
+    ("tpa --q 19 --n 10 --format csv", 0,
+     "9fe93a48301c36391626f22c5087f640f35e36a011ad96497432290108a12542"),
+    ("verify-main --q 13 --t 3", 0,
+     "65a657aa51b1b06282fcef3fb95a2592f366a992db04316fe861732dd560eb60"),
+    ("verify-main --q 19 --t 5", 0,
+     "6ef934046f7583aa56bebd8191d027be4cc8f2593d08059c9aa883688e7ae331"),
+    ("verify-main --q 121 --t 5", 1,
+     "ce99018d962e4558fc3a00c28f090a420314fb3fd469b392caa9f951fff2b74b"),
+    ("chars --q 19 --m 10 --chi 4", 0,
+     "8ff4ef642d33ad698e42e6384a98ab8bb0fbb7232ac228756983d9b0adb141e1"),
+    ("chars --q 19 --m 10 --chi 4 --format csv", 0,
+     "e4eab1290ecc4eb634c0445b7fd31820ee2a8e051d1d7ca768ac42b0fdf45a1d"),
+    ("chars --q 19 --m 10 --chars brauer-p --format json", 0,
+     "194d159d72f94820058c1ea0c95a4ed14ba56390406641005fecd66163ec4ac3"),
+    ("chars --q 19 --m 10 --decompose 4 --format json", 0,
+     "de0ca824fe4164fcc3af0a71d2fecf97e78eecf438c18b58376915a52552316a"),
+    ("chars --q 19 --m 10 --decompose 4", 0,
+     "45961f3890764cef4212bac9fdbed3abb49d884df9d4087127ffef36e643ac54"),
+    ("trace --m 10 --k 5 --format json", 0,
+     "94c09c34c4902ab09f52127f86dc84a978093d7177715a45cdda9963758868f2"),
+    ("trace --m 10 --k 5", 0,
+     "8fbfec21acf8f74313698199401f9eb352920bd889b4865b272e657167808aa0"),
+    ("check EXC --chars brauer-p --format json", 0,
+     "a387af92156b9dc126437d8c8989ddcf7fa40791883341f3d99654b52dc1fac6"),
+    ("check EXC --chars brauer-p", 0,
+     "57ae79a46faafa40f1ab68f7a8ab9bd84bc9ccfe49a0f78d80c13772e77216fe"),
+    ("check V1 --format json", 1,
+     "82e8fc9df1bba83c6b49cf1ea0414876e8578e39126a292a12a6d8afcc4b2056"),
+    ("check V1", 1,
+     "218a3f6d85a4b15822419c4eedf4ab99a596de0e02efc9e0ef159db853194c6d"),
+]
+
+
+@pytest.mark.parametrize("line, expected_code, digest", RENDERER_PINS, ids=lambda v: str(v)[:50])
+def test_renderer_bytes_are_pinned(line, expected_code, digest, tmp_path, capsys):
+    fr = frame_for(19, 10)
+    broken = tpa_distribution(fr, 1).to_json_dict()
+    broken["entries"][0]["value"] = 2  # level 1 now sums to 2: (V1) fails
+    (tmp_path / "v1.json").write_text(json.dumps(broken))
+    files = {"EXC": write_dist(tmp_path, exceptional(fr, 5)), "V1": str(tmp_path / "v1.json")}
+    code, out, _ = run_cli(capsys, *(files.get(a, a) for a in line.split()))
+    assert code == expected_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------- chars / trace
@@ -327,6 +405,21 @@ def test_chars_csv(capsys):
     assert rows[0] == ["character", "order", "exp", "value"]
     assert ["chi_2", "1", "0", "3"] in rows
     assert ["chi_2", "2", "5", "-1"] in rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--chi", "4", "--chars", "brauer-p"), ("--chi", "2", "--decompose", "4")],
+    ids=["chi-chars", "chi-decompose"],
+)
+def test_chars_character_options_are_exclusive(argv, capsys):
+    # brauer-p, not paper: argparse does not flag a value that is the default object
+    with pytest.raises(SystemExit) as exc:
+        main(["chars", "--q", "19", "--m", "10", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_chars_invalid_frame(capsys):
