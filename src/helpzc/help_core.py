@@ -127,6 +127,8 @@ class PADistribution:
                     cleaned.setdefault(d, {})[cls] = v
         self.frame = frame
         self._levels = cleaned
+        # _levels is never mutated, so equality and hashing read one key
+        self._key = tuple((d, cls.exp, v) for d, cls, v in self.entries())
 
     @property
     def n(self) -> int:
@@ -147,15 +149,15 @@ class PADistribution:
                 yield d, cls, row[cls]
 
     def sort_key(self) -> tuple:
-        return tuple((d, cls.exp, v) for d, cls, v in self.entries())
+        return self._key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PADistribution):
             return NotImplemented
-        return (self.q, self.n) == (other.q, other.n) and self.sort_key() == other.sort_key()
+        return (self.q, self.n) == (other.q, other.n) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.q, self.n, self.sort_key()))
+        return hash((self.q, self.n, self._key))
 
     def __repr__(self) -> str:
         body = ", ".join(f"eps_{d}(g^{c.exp})={v}" for d, c, v in self.entries())

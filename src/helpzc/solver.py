@@ -23,15 +23,19 @@ fails loudly when the node budget runs out.
 The per-variable LPs are solved through the dual: the primal has few
 variables and hundreds of rows, so the dual tableau has one row per
 primal variable and stays tiny.  A condition lo <= const + a.x <= hi
-is one dual column, a or -a as needed, so the tableau is the transposed
-condition matrix.  derive_bounds's own Gauss-Jordan elimination of
-[A^T | I], over the distinct rows and the level equations, gives a basis
-from which the first dual starts feasible after column flips, for one
-phase of Bland-rule simplex.  The LPs share their cost and differ only
-in the right-hand side, so each later one starts from the previous
-optimum, which stays dual feasible, and re-optimises by dual simplex
-under Bland's rule.  All of it is integer-preserving: an int tableau
-over one common denominator whose every pivot divides exactly (Bareiss).
+is one dual column, a or -a as needed.  derive_bounds's own
+Gauss-Jordan elimination of [A^T | I], over the distinct rows and the
+level equations, gives a basis from which the first dual starts
+feasible after column flips, for one phase of Bland-rule simplex.  The
+LPs share their cost and differ only in the right-hand side, so each
+later one starts from the previous optimum, which stays dual feasible,
+and re-optimises by dual simplex under Bland's rule.  The tableau holds
+only the elimination's basis columns and the level equations at first;
+after each optimum the omitted conditions are priced against it, and
+the most violated one is appended and the primal simplex resumed, until
+none prices in.  Most conditions never enter.  All of it is
+integer-preserving: an int tableau over one common denominator whose
+every pivot divides exactly (Bareiss).
 
 The frame automorphisms g0^i -> g0^(u i) permute the variables.  Those
 that map the set of conditions onto itself map the relaxation onto
@@ -49,6 +53,7 @@ RankDeficientError; neither extends the family.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import mul
 
 from .help_core import (
     ConstraintSystem,
@@ -276,8 +281,9 @@ def _dual_phase(T: list[list[int]], basis: list[int], den: int, widths: list[int
     cost[j] / -a, or flipped where a is positive, at ratio
     (den * widths[j] - cost[j]) / a; the least ratio enters, ties to the
     least column (Bland), so cycling cannot occur.  A row with no entering
-    column would be a zero combination of the conditions, which the rank
-    check excludes.
+    column would be a row of den * B^-1 that is zero on every column of T;
+    derive_bounds's start columns never leave T and have full rank, so no
+    such row exists there.
     """
     while True:
         leave = min(((bv, r) for r, bv in enumerate(basis) if T[r][-1] < 0), default=None)
@@ -328,37 +334,91 @@ def _orbit_roots(layout: VariableLayout, conds: list[_Condition]) -> list[int]:
     return [min([i, *(perm[i] for perm in kept)]) for i in range(len(layout))]
 
 
+def _price(cost: list[int], waiting: list[_Condition], den: int, ncols: int) -> int | None:
+    """The index in waiting of the condition the optimum violates most; None if none is.
+
+    cost is the optimal cost row of T / den, whose I block (from column
+    ncols) holds -den * c_B B^-1.  So a condition's reduced cost
+    den * (hi - const) + (that block) . a is den times its upper slack
+    hi - (const + a.x) at the primal vertex x.  Below 0 the vertex breaks
+    the upper bound, above den * (hi - lo) the lower one; the largest
+    excess wins, ties to the earliest condition.
+    """
+    pi = cost[ncols:]
+    best, most = None, 0
+    for j, c in enumerate(waiting):
+        slack = den * (c.hi - c.const) + sum(map(mul, pi, c.coeffs))
+        excess = max(-slack, slack - den * (c.hi - c.lo))
+        if excess > most:
+            best, most = j, excess
+    return best
+
+
+def _add_column(T: list[list[int]], cond: _Condition, den: int, widths: list[int]) -> None:
+    """Append cond to the live tableau T / den as its last condition column, direction a.
+
+    The I block holds den * B^-1, so the new column den * B^-1 a is that
+    block times a in every row; in the cost row the same product adds
+    -den * c_B B^-1 a to the cost den * (hi - const).  The basic solution
+    does not move, so a feasible basis stays feasible and _phase2 resumes
+    from it.
+    """
+    ncols = len(widths)
+    for row in T:
+        row.insert(ncols, sum(map(mul, row[ncols:], cond.coeffs)))
+    T[-1][ncols] += den * (cond.hi - cond.const)
+    widths.append(cond.hi - cond.lo)
+
+
 def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     """Exact per-variable LP bounds of the relaxation, rounded inward.
 
     Each bound max/min x_i over G x <= h is solved as its dual
     min h.y, G^T y = +-e_i, y >= 0.  G holds each condition's a as -a and
-    +a; the dual has one column per condition for the direction in use.
-    One Gauss-Jordan elimination of [A^T | I], A the matrix of rows a,
-    gives a start basis; a row without a pivot means A is rank deficient
-    and the relaxation unbounded.  The tableau carries the I block, which
-    holds den * B^-1 for the current basis B, so the right-hand side of
-    the LP for +-e_i is +- its column i, and the cost row's entry there
-    gives the objective.  The LPs form one chain.  The first starts from
-    the Gauss-Jordan basis (_phase2); an unbounded dual means the
-    relaxation is empty, and only this LP can find that.  Every later LP
+    +a; the full dual has one column per condition for the direction in use.
+    One Gauss-Jordan elimination of [A^T | I], A the matrix of all rows a
+    and level equations, gives a start basis; a row without a pivot means
+    A is rank deficient and the relaxation unbounded.  The tableau carries
+    the I block, which holds den * B^-1 for the current basis B, so the
+    right-hand side of the LP for +-e_i is +- its column i, and the cost
+    row's entry there gives the objective.
+
+    The tableau keeps only the basis columns and the level equations of
+    the elimination; the other conditions wait.  The LPs form one chain.
+    The first starts from the Gauss-Jordan basis (_phase2); every later LP
     changes only the right-hand side and re-optimises from the previous
-    optimal basis (_dual_phase).  The LP pair is solved for the least
-    variable of each orbit (_orbit_roots) and copied to the others.
+    optimal basis (_dual_phase).  After each optimum the waiting
+    conditions are priced (_price); the most violated one joins the
+    tableau (_add_column) and _phase2 resumes, until none prices in.
+    Then the bound is exact over every condition.  Two consequences:
+
+    - An empty relaxation shows as an unbounded dual, _phase2 returning
+      None, and only the first LP can find it: once nothing prices in
+      there, the full relaxation has a point.  It may surface in a
+      resumption after pricing rather than in the first _phase2 call.
+    - The start basis columns never leave the tableau and have full rank,
+      so every restricted relaxation is bounded, and _dual_phase's
+      zero-row ArithmeticError stays unreachable.
+
+    The LP pair is solved for the least variable of each orbit
+    (_orbit_roots) and copied to the others.
     """
     nvars = len(system.layout)
     rows, levels, _consistent = _relaxation(system)
     conds = rows + levels
-    ncols = len(conds)
     T = [
         [c.coeffs[i] for c in conds] + [int(j == i) for j in range(nvars)] + [0]
         for i in range(nvars)
     ]
-    basis, den = _eliminate(T, ncols)
+    basis, den = _eliminate(T, len(conds))
     if None in basis:
         raise RankDeficientError("unbounded relaxation: augment the character family")
-    T.append([den * (c.hi - c.const) for c in conds] + [0] * (nvars + 1))
-    widths = [c.hi - c.lo for c in conds]
+    start = sorted({*basis, *range(len(rows), len(conds))})
+    waiting = [c for j, c in enumerate(rows) if j not in basis]
+    T = [[row[j] for j in start] + row[len(conds):] for row in T]
+    T.append([den * (conds[j].hi - conds[j].const) for j in start] + [0] * (nvars + 1))
+    basis = [start.index(bv) for bv in basis]
+    widths = [conds[j].hi - conds[j].lo for j in start]
     empty = BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
     solve = _phase2
     lo, hi = [], []
@@ -370,8 +430,14 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
         for sense, bounds in ((1, hi), (-1, lo)):
             # right-hand side +-B^-1 e_i, and in the cost row its objective
             for row in T:
-                row[-1] = sense * row[ncols + i]
+                row[-1] = sense * row[len(widths) + i]
             den = solve(T, basis, den, widths)
+            while den is not None:
+                j = _price(T[-1], waiting, den, len(widths))
+                if j is None:
+                    break
+                _add_column(T, waiting.pop(j), den, widths)
+                den = _phase2(T, basis, den, widths)
             if den is None:
                 return empty
             # every later LP starts from this optimum

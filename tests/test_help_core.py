@@ -289,6 +289,20 @@ def test_distribution_rejects_non_integers(levels, value):
         PADistribution(FRAME_19_10, levels(value))
 
 
+def test_distribution_equality_ignores_order_and_zeros():
+    # the key is computed once at construction; equality and hash read it
+    fr = frame_for(19, 10)
+    a = PADistribution(fr, {10: {fr.identity: 1}, 2: {fr.class_of(5): 1}})
+    b = PADistribution(fr, {2: {fr.class_of(1): 0, fr.class_of(5): 1}, 10: {fr.identity: 1},
+                            5: {}})
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.sort_key() == b.sort_key() == ((2, 5, 1), (10, 0, 1))
+    other = PADistribution(fr, {10: {fr.identity: 1}, 2: {fr.class_of(5): 2}})
+    assert a != other
+    far = frame_for(41, 10)
+    assert a != PADistribution(far, {10: {far.identity: 1}, 2: {far.class_of(5): 1}})
+
+
 def test_verify_v4_rejects_v3_violation():
     fr = frame_for(19, 10)
     pa = PADistribution(fr, {10: {fr.identity: 1}, 2: {fr.class_of(1): 1}})

@@ -167,7 +167,7 @@ def test_bounds_pinned_paper_boxes(q, n, box):
 
 
 def test_bounds_pinned_paper_61_30():
-    # recorded from one cold simplex phase per LP (about 40 s); the chain takes about 2 s
+    # recorded from one cold simplex phase per LP (about 40 s); the chain takes about 1 s
     box = derive_bounds(paper_system(61, 30))
     assert box == BoundsBox(
         lo=(-4, -4, -5, -4, -4, -4, -4, -4, -5, -2, -4, -4, -4, -4, -2, -3, -3,
@@ -222,15 +222,16 @@ def test_bounds_match_two_phase_oracle(make):
 @pytest.mark.parametrize(
     "make, pivots",
     [
-        (lambda: paper_system(13, 6), 35),
-        (lambda: paper_system(19, 10), 63),
-        (lambda: paper_system(31, 15), 85),
-        (lambda: family_system(19, 10, "brauer-p"), 61),
+        (lambda: paper_system(13, 6), 27),
+        (lambda: paper_system(19, 10), 51),
+        (lambda: paper_system(31, 15), 63),
+        (lambda: family_system(19, 10, "brauer-p"), 53),
     ],
     ids=["paper-13-6", "paper-19-10", "paper-31-15", "brauer-p-19-10"],
 )
 def test_bounds_pivot_counts_pinned(make, pivots, monkeypatch):
-    # the elimination, the first LP's primal phase and the dual phases of the chain
+    # the elimination, the first LP's primal phase, the dual phases of the
+    # chain and the primal phases resumed after pricing
     system = make()
     calls = []
     real = solver._pivot
@@ -292,8 +293,10 @@ def test_one_lp_pair_per_orbit(make, solves, monkeypatch):
     for name in ("_phase2", "_dual_phase"):
         monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
     box = derive_bounds(system)
-    # one chain: the first LP from the Gauss-Jordan basis, each later one from the last optimum
-    assert calls == ["_phase2"] + ["_dual_phase"] * (solves - 1)
+    # one chain: the first LP from the Gauss-Jordan basis, each later one
+    # from the last optimum; between them _phase2 resumes after pricing
+    assert calls[0] == "_phase2"
+    assert 1 + calls.count("_dual_phase") == solves
     if solves == 2 * len(system.layout):
         # the loose row moves no bound: the per-variable path gives the same box
         monkeypatch.undo()
@@ -347,8 +350,8 @@ def test_bounds_chain_matches_oracle_on_random_rows(extra):
 
 
 def test_dual_phase_raises_on_a_zero_row():
-    # a negative right-hand side on a row that is zero on every condition:
-    # rank deficiency the rank check excludes, never a box
+    # a negative right-hand side on a row that is zero on every column:
+    # derive_bounds's full-rank start columns exclude it, never a box
     T = [[0, 0, 1, -1], [3, 2, 0, 0]]
     with pytest.raises(ArithmeticError):
         solver._dual_phase(T, [0], 1, [4, 5])
@@ -367,6 +370,59 @@ def test_orbit_bounds_match_per_variable_bounds_on_symmetric_rows(extra):
     box = derive_bounds(system)
     with mock.patch.object(solver, "_orbit_roots", lambda layout, conds: range(len(layout))):
         assert derive_bounds(system) == box
+
+
+def test_bounds_pinned_brauer_p_53_26():
+    # recorded from the chain that carried every condition as a column
+    box = derive_bounds(family_system(53, 26, "brauer-p"))
+    assert box == BoundsBox(
+        lo=(0, -1, 0, -1, 0, -1, 0, -1, 0, -1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 1),
+        hi=(1,) * 20,
+    )
+
+
+def test_emptiness_from_a_priced_in_condition(monkeypatch):
+    # the far row comes after rows of full rank, so it is no start column:
+    # only pricing brings it in, and the resumed _phase2 finds the dual unbounded
+    system = infeasible_system()
+    far = solver._relaxation(system)[0][-1]
+    assert far.const == -50
+    added, results = [], []
+    real_add, real_phase2 = solver._add_column, solver._phase2
+
+    def add(T, cond, den, widths):
+        added.append(cond)
+        return real_add(T, cond, den, widths)
+
+    def phase2(*args):
+        results.append(real_phase2(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "_add_column", add)
+    monkeypatch.setattr(solver, "_phase2", phase2)
+    box = derive_bounds(system)
+    assert box == BoundsBox((0,) * 8, (-1,) * 8)
+    assert added[-1] == far and results[0] is not None and results[-1] is None
+    monkeypatch.undo()
+    assert box == two_phase_bounds(system)
+
+
+def test_tableau_ends_narrower_than_the_conditions(monkeypatch):
+    system = family_system(19, 10, "brauer-p")
+    rows, levels, _consistent = solver._relaxation(system)
+    nvars = len(system.layout)
+    widths = []
+    real = solver._pivot
+
+    def seen(T, r, col, den):
+        widths.append(len(T[r]))
+        return real(T, r, col, den)
+
+    monkeypatch.setattr(solver, "_pivot", seen)
+    derive_bounds(system)
+    # a row is the condition columns, the I block and the right-hand side
+    assert widths[0] == len(rows) + len(levels) + nvars + 1
+    assert widths[-1] - nvars - 1 < len(rows) + len(levels)
 
 
 def test_infeasible_relaxation_enumerates_nothing():
