@@ -107,15 +107,17 @@ def _json_text(v, nl: str) -> str:
 class PADistribution:
     """An integer class-function family (eps_d)_{d | n} on the classes of a frame.
 
-    Construction checks only structure (levels and values are ints, levels
-    divide n, classes belong to the frame); the defining conditions
-    (V1)-(V3) are reported by violations() so that invalid candidates can
-    still be inspected.
+    It stores its nonzero entries once, as a tuple of (d, class, value)
+    sorted by (d, exp), and the key of (d, exp, value) triples derived from
+    it, which equality, hashing and sort_key() read.  Construction checks
+    only structure (levels and values are ints, levels divide n, classes
+    belong to the frame); the defining conditions (V1)-(V3) are reported by
+    violations() so that invalid candidates can still be inspected.
     """
 
     def __init__(self, frame: CyclicFrame, levels: Mapping[int, Mapping[ClassLabel, int]]):
         n = frame.m
-        cleaned: dict[int, dict[ClassLabel, int]] = {}
+        entries = []
         valid = set(frame.classes())
         for d, row in levels.items():
             if exact_int(d) < 1 or n % d:
@@ -124,11 +126,11 @@ class PADistribution:
                 if cls not in valid:
                     raise ValueError(f"{cls} is not a class of the order-{n} frame")
                 if exact_int(v):
-                    cleaned.setdefault(d, {})[cls] = v
+                    entries.append((d, cls, v))
+        entries.sort(key=lambda e: (e[0], e[1].exp))
         self.frame = frame
-        self._levels = cleaned
-        # _levels is never mutated, so equality and hashing read one key
-        self._key = tuple((d, cls.exp, v) for d, cls, v in self.entries())
+        self._entries = tuple(entries)
+        self._key = tuple((d, cls.exp, v) for d, cls, v in self._entries)
 
     @property
     def n(self) -> int:
@@ -139,14 +141,11 @@ class PADistribution:
         return self.frame.ctx.q
 
     def value(self, d: int, cls: ClassLabel) -> int:
-        return self._levels.get(d, {}).get(cls, 0)
+        return next((v for e, c, v in self._entries if e == d and c == cls), 0)
 
     def entries(self) -> Iterator[tuple[int, ClassLabel, int]]:
         """Nonzero entries (d, class, value), sorted by (d, exp)."""
-        for d in sorted(self._levels):
-            row = self._levels[d]
-            for cls in sorted(row, key=lambda c: c.exp):
-                yield d, cls, row[cls]
+        return iter(self._entries)
 
     def sort_key(self) -> tuple:
         return self._key
@@ -165,13 +164,12 @@ class PADistribution:
 
     def violations(self) -> list[str]:
         """Human-readable list of broken (V1)/(V2)/(V3) conditions; empty if valid."""
-        out = []
         n = self.n
-        for d in divisors(n):
-            total = sum(self.value(d, cls) for cls in self.frame.classes())
-            if total != 1:
-                out.append(f"V1: level d={d} sums to {total}, expected 1")
-        for d, cls, v in self.entries():
+        totals = dict.fromkeys(divisors(n), 0)
+        for d, _cls, v in self._entries:
+            totals[d] += v
+        out = [f"V1: level d={d} sums to {t}, expected 1" for d, t in totals.items() if t != 1]
+        for d, cls, v in self._entries:
             if d != n and cls.exp == 0:
                 out.append(f"V2: eps_{d}(1) = {v}, expected 0")
             if (n // d) % cls.order:
@@ -201,14 +199,18 @@ class PADistribution:
             n = exact_int(data["n"])
             raw = list(data["entries"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed distribution object: {exc}") from exc
+            raise ValueError(
+                f"distribution object needs integer q, n and an entries list: {exc}"
+            ) from exc
         frame = make_frame(make_context(q), n)
         levels: dict[int, dict[ClassLabel, int]] = {}
         for item in raw:
             try:
                 d, exp, v = (exact_int(item[key]) for key in ("d", "exp", "value"))
             except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"malformed distribution entry: {exc}") from exc
+                raise ValueError(
+                    f"distribution entry needs integer d, exp and value: {exc}"
+                ) from exc
             label = frame.class_of(exp)
             if label.exp != exp:
                 raise ValueError(f"exponent {exp} is not canonical for order {n}")
@@ -401,17 +403,12 @@ def power_distribution(pa: PADistribution, m: int) -> PADistribution:
     k = n // m
     sub = make_frame(pa.frame.ctx, m)
     levels: dict[int, dict[ClassLabel, int]] = {}
-    for d in divisors(m):
-        row = {}
-        for cls in pa.frame.classes():
-            v = pa.value(d * k, cls)
-            if v:
-                if cls.exp % k:
-                    raise ValueError("distribution breaks (V3); cannot take powers")
-                target = sub.class_of(cls.exp // k)
-                row[target] = row.get(target, 0) + v
-        if row:
-            levels[d] = row
+    for d, cls, v in pa.entries():
+        if d % k:
+            continue
+        if cls.exp % k:
+            raise ValueError("distribution breaks (V3); cannot take powers")
+        levels.setdefault(d // k, {})[sub.class_of(cls.exp // k)] = v
     return PADistribution(sub, levels)
 
 
@@ -438,9 +435,8 @@ class SolutionSet:
 
     @classmethod
     def build(cls, items: Iterable[PADistribution], family: str = "") -> SolutionSet:
-        unique = {pa.sort_key(): pa for pa in items}
-        ordered = tuple(unique[k] for k in sorted(unique))
-        return cls(distributions=ordered, family=family)
+        ordered = sorted(set(items), key=lambda pa: (pa.q, pa.n, pa.sort_key()))
+        return cls(distributions=tuple(ordered), family=family)
 
     def __len__(self) -> int:
         return len(self.distributions)
@@ -499,8 +495,7 @@ def relabel(pa: PADistribution, c: int) -> PADistribution:
         raise ValueError(f"{c} is not coprime to the order {n}")
     levels: dict[int, dict[ClassLabel, int]] = {}
     for d, cls, v in pa.entries():
-        target = pa.frame.class_of(c * cls.exp)
-        levels.setdefault(d, {})[target] = levels.setdefault(d, {}).get(target, 0) + v
+        levels.setdefault(d, {})[pa.frame.class_of(c * cls.exp)] = v
     return PADistribution(pa.frame, levels)
 
 

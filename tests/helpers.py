@@ -8,9 +8,9 @@ from dataclasses import replace
 from fractions import Fraction
 from math import floor, gcd
 
-from helpzc.cyclotomic import CycSum
-from helpzc.help_core import ConstraintSystem, MultiplicityCheck, V4Report
-from helpzc.psl2 import char_value
+from helpzc.cyclotomic import CycSum, divisors
+from helpzc.help_core import ConstraintSystem, MultiplicityCheck, PADistribution, V4Report
+from helpzc.psl2 import char_value, make_frame
 from helpzc.solver import (
     BoundsBox,
     RankDeficientError,
@@ -152,6 +152,84 @@ def trace_row_v4(pa, characters) -> V4Report:
             ok = mu >= 0 and mu.denominator == 1
             checks.append(MultiplicityCheck(character=label, l=l, value=mu, ok=ok))
     return V4Report(tuple(checks))
+
+
+class ProbedDistribution:
+    """A distribution as the library once stored it: a nested dict d -> {class:
+    value} of the nonzero values, read by a probe per (d, class).  value(),
+    entries() and violations() are that code verbatim; no structure is checked."""
+
+    def __init__(self, frame, levels):
+        self.frame = frame
+        self._levels = {}
+        for d, row in levels.items():
+            for cls, v in row.items():
+                if v:
+                    self._levels.setdefault(d, {})[cls] = v
+
+    @property
+    def n(self) -> int:
+        return self.frame.m
+
+    def value(self, d, cls) -> int:
+        return self._levels.get(d, {}).get(cls, 0)
+
+    def entries(self):
+        for d in sorted(self._levels):
+            row = self._levels[d]
+            for cls in sorted(row, key=lambda c: c.exp):
+                yield d, cls, row[cls]
+
+    def violations(self) -> list[str]:
+        out = []
+        n = self.n
+        for d in divisors(n):
+            total = sum(self.value(d, cls) for cls in self.frame.classes())
+            if total != 1:
+                out.append(f"V1: level d={d} sums to {total}, expected 1")
+        for d, cls, v in self.entries():
+            if d != n and cls.exp == 0:
+                out.append(f"V2: eps_{d}(1) = {v}, expected 0")
+            if (n // d) % cls.order:
+                out.append(
+                    f"V3: eps_{d} is nonzero at a class of order {cls.order}, "
+                    f"which does not divide n/d = {n // d}"
+                )
+        return out
+
+
+def probed_power_distribution(pa, m: int) -> PADistribution:
+    """power_distribution by probing every (level, class) pair, summing merged classes."""
+    n = pa.n
+    if m < 1 or n % m:
+        raise ValueError(f"{m} does not divide the order {n}")
+    k = n // m
+    sub = make_frame(pa.frame.ctx, m)
+    levels = {}
+    for d in divisors(m):
+        row = {}
+        for cls in pa.frame.classes():
+            v = pa.value(d * k, cls)
+            if v:
+                if cls.exp % k:
+                    raise ValueError("distribution breaks (V3); cannot take powers")
+                target = sub.class_of(cls.exp // k)
+                row[target] = row.get(target, 0) + v
+        if row:
+            levels[d] = row
+    return PADistribution(sub, levels)
+
+
+def probed_relabel(pa, c: int) -> PADistribution:
+    """relabel adding the values that land on one class."""
+    n = pa.n
+    if gcd(c, n) != 1:
+        raise ValueError(f"{c} is not coprime to the order {n}")
+    levels = {}
+    for d, cls, v in pa.entries():
+        target = pa.frame.class_of(c * cls.exp)
+        levels.setdefault(d, {})[target] = levels.setdefault(d, {}).get(target, 0) + v
+    return PADistribution(pa.frame, levels)
 
 
 def naive_box_scan(system, box):

@@ -266,8 +266,14 @@ def test_check_repeated_entry_exits_2(tmp_path, capsys):
         ("broken.json", "{not json", "malformed"),
         ("list.json", "[1, 2]", "malformed"),
         ("badq.json", json.dumps({"q": 15, "n": 10, "entries": []}), "malformed"),
+        ("noentries.json", json.dumps({"q": 19, "n": 10}), "malformed"),
+        (
+            "noexp.json",
+            json.dumps({"q": 19, "n": 10, "entries": [{"d": 10, "value": 1}]}),
+            "malformed",
+        ),
     ],
-    ids=["missing", "directory", "not-json", "json-list", "q15"],
+    ids=["missing", "directory", "not-json", "json-list", "q15", "no-entries", "entry-no-exp"],
 )
 def test_check_input_failure_names_the_file(name, content, prefix, tmp_path, capsys):
     path = tmp_path / name
@@ -279,6 +285,7 @@ def test_check_input_failure_names_the_file(name, content, prefix, tmp_path, cap
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {prefix} distribution file {path}: ")
+    assert err.count("malformed") == (prefix == "malformed")
 
 
 def test_round_trip_every_emitted_solution(tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from helpzc.cyclotomic import divisors
 from helpzc.help_core import (
     MultiplicityCheck,
     PADistribution,
+    SolutionSet,
     V4Report,
     accumulated,
     build_constraints,
@@ -36,7 +38,14 @@ from helpzc.help_core import (
 from helpzc.psl2 import CharRestriction, brauer_irreducibles, make_context, make_frame
 from helpzc.solver import character_family
 
-from helpers import float_multiplicity, trace_row_v4, trace_rows
+from helpers import (
+    ProbedDistribution,
+    float_multiplicity,
+    probed_power_distribution,
+    probed_relabel,
+    trace_row_v4,
+    trace_rows,
+)
 
 TRIV = CharRestriction.trivial()
 CHI2 = CharRestriction.brauer((2,))
@@ -526,6 +535,64 @@ def test_power_map_multiplicity_identity_phi():
                         lhs = multiplicity(sub, chi, l)
                         rhs = sum(multiplicity(pa, chi, lp) for lp in range(l, 10, m))
                         assert lhs == rhs
+
+
+# ---------------------------------------------------------------- entry readers
+
+PROBE_FRAMES = [(19, 10), (31, 15), (289, 12), (49, 24)]
+
+
+@st.composite
+def level_mappings(draw):
+    """A frame and a sparse level mapping: zero and negative values included,
+    and, unless the cells are drawn from the (V3) support, entries that break
+    (V2) or (V3)."""
+    q, n = draw(st.sampled_from(PROBE_FRAMES))
+    fr = frame_for(q, n)
+    if draw(st.booleans()):
+        cells = [(d, cls) for d in divisors(n) for cls in fr.classes()]
+    else:
+        cells = [(d, cls) for d in divisors(n) for cls in fr.classes_of_order_dividing(n // d)]
+    levels = {}
+    for d, cls in draw(st.lists(st.sampled_from(cells), unique=True, max_size=14)):
+        levels.setdefault(d, {})[cls] = draw(st.integers(-3, 3))
+    return fr, levels
+
+
+@settings(max_examples=80, deadline=None)
+@given(level_mappings())
+def test_entry_readers_match_the_probing_oracle(case):
+    fr, levels = case
+    n = fr.m
+    pa = PADistribution(fr, levels)
+    probe = ProbedDistribution(fr, levels)
+    assert list(pa.entries()) == list(probe.entries())
+    for d in divisors(n):
+        for cls in fr.classes():
+            assert pa.value(d, cls) == levels.get(d, {}).get(cls, 0)
+    assert pa.violations() == probe.violations()
+    for m in divisors(n):
+        try:
+            expected = probed_power_distribution(probe, m)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                power_distribution(pa, m)
+            assert str(raised.value) == str(exc)
+        else:
+            assert power_distribution(pa, m) == expected
+    for c in range(1, n):
+        if gcd(c, n) == 1:
+            assert relabel(pa, c) == probed_relabel(probe, c)
+
+
+def test_solution_set_keeps_distributions_of_every_frame():
+    small = tpa_set(frame_for(19, 10))
+    large = tpa_set(frame_for(41, 10))
+    both = SolutionSet.build([*small, *large])
+    assert len(both) == 4
+    assert [pa.q for pa in both] == [19, 19, 41, 41]
+    assert both.distributions == SolutionSet.build([*large, *small]).distributions
+    assert both.distributions[:2] == small.distributions
 
 
 # ---------------------------------------------------------------- misc ops
