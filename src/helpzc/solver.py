@@ -23,10 +23,10 @@ fails loudly when the node budget runs out.
 The per-variable LPs are solved through the dual: the primal has few
 variables and hundreds of rows, so the dual tableau has one row per
 primal variable and stays tiny.  A condition lo <= const + a.x <= hi
-is one dual column, a or -a as needed.  derive_bounds's own
-Gauss-Jordan elimination of [A^T | I], over the distinct rows and the
-level equations, gives a basis from which the first dual starts
-feasible after column flips, for one phase of Bland-rule simplex.  The
+is one dual column, a or -a as needed.  The system's Gauss-Jordan
+elimination of [A^T | I], over the distinct rows and the level
+equations, gives a basis from which the first dual starts feasible
+after column flips, for one phase of Bland-rule simplex.  The
 LPs share their cost and differ only in the right-hand side, so each
 later one starts from the previous optimum, which stays dual feasible,
 and re-optimises by dual simplex under Bland's rule.  The tableau holds
@@ -43,17 +43,22 @@ itself, so the LP bounds are equal on each of their orbits: one LP pair
 (max and min) is solved per orbit, not per variable.  The check is
 mechanical; a system without the symmetry solves one pair per variable.
 
-Two gates stop an unbounded relaxation.  solve_vpa rejects a family whose
-distinct rows have rank below the variable count (rank_check ranks those
-rows alone), and derive_bounds raises for a direct caller when the rows
-plus the level equations leave a variable without a pivot.  Both raise
-RankDeficientError; neither extends the family.
+Two gates stop an unbounded relaxation, and both read one elimination.
+Each system's relaxation (its distinct rows, level equations and that
+elimination) is built once, on first use, and kept on the system object
+(_prepared); rank_check, derive_bounds and the search all read it.
+solve_vpa rejects a family whose distinct rows have rank below the
+variable count (rank_check counts the pivots in row columns, which rank
+those rows alone), and derive_bounds raises for a direct caller when the
+rows plus the level equations leave a variable without a pivot.  Both
+raise RankDeficientError; neither extends the family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import mul
+from typing import NamedTuple
 
 from .help_core import (
     ConstraintSystem,
@@ -151,34 +156,70 @@ class _Condition:
     modn: bool
 
 
-def _relaxation(system: ConstraintSystem) -> tuple[list[_Condition], list[_Condition], bool]:
-    """The relaxation of the system: (rows, levels, consistent).
+class _Relaxation(NamedTuple):
+    """The relaxation of a system and the one elimination both gates read.
 
     rows are the distinct non-constant character rows
     0 <= const + coeffs.x <= upper, = 0 mod n; levels are the (V1)
     equations sum = 1, one per level; consistent says whether every
-    constant row already holds.  rank_check reads the rows, derive_bounds
-    the rows and levels, _search all three.  Each call builds it anew, so
-    one solve_vpa builds it four times: rank_check runs twice.
+    constant row already holds.  T / den is [A^T | I | 0], A the matrix of
+    the rows followed by the levels, after Gauss-Jordan elimination
+    (_eliminate); basis holds each T row's pivot column, None where the
+    row is zero on every condition.  Readers copy T and never write it.
+    A NamedTuple, not a dataclass: it is cheaper to define, and every fresh
+    import of the package pays for that.
     """
+
+    rows: tuple[_Condition, ...]
+    levels: tuple[_Condition, ...]
+    consistent: bool
+    T: list[list[int]]
+    basis: tuple[int | None, ...]
+    den: int
+
+
+def _relaxation(system: ConstraintSystem) -> _Relaxation:
+    """Build the system's relaxation and eliminate it; _prepared calls it once per system."""
     nvars = len(system.layout)
-    rows = list(
+    rows = tuple(
         dict.fromkeys(
             _Condition(r.coeffs, r.const, 0, r.upper, True)
             for r in system.rows
             if any(r.coeffs)
         )
     )
-    levels = [
+    levels = tuple(
         _Condition(tuple(1 if i in idxs else 0 for i in range(nvars)), 0, 1, 1, False)
         for _d, idxs in sorted(system.layout.level_indices().items())
-    ]
+    )
     consistent = all(
         0 <= r.const <= r.upper and r.const % system.n == 0
         for r in system.rows
         if not any(r.coeffs)
     )
-    return rows, levels, consistent
+    conds = rows + levels
+    T = [
+        [c.coeffs[i] for c in conds] + [int(j == i) for j in range(nvars)] + [0]
+        for i in range(nvars)
+    ]
+    basis, den = _eliminate(T, len(conds))
+    return _Relaxation(rows, levels, consistent, T, tuple(basis), den)
+
+
+def _prepared(system: ConstraintSystem) -> _Relaxation:
+    """The system's _relaxation, built on first use and kept on the system object.
+
+    rank_check, derive_bounds and enumerate_solutions all read it, so one
+    solve_vpa deduplicates the rows and eliminates once.  The memo sits in
+    the object's own __dict__, outside the dataclass fields, so it is keyed
+    by identity: an equal system built apart (replace() included) makes
+    its own, and the tableau goes with its system.
+    """
+    relaxation = vars(system).get("_relaxation")
+    if relaxation is None:
+        relaxation = _relaxation(system)
+        object.__setattr__(system, "_relaxation", relaxation)
+    return relaxation
 
 
 # ------------------------------------------------------------------ rank and exact LP
@@ -218,10 +259,18 @@ def _eliminate(T: list[list[int]], ncols: int) -> tuple[list[int | None], int]:
 
 
 def rank_check(system: ConstraintSystem) -> int:
-    """Exact rank over Q of the coefficient matrix of the distinct rows."""
-    rows = _relaxation(system)[0]
-    T = [[c.coeffs[i] for c in rows] for i in range(len(system.layout))]
-    return sum(col is not None for col in _eliminate(T, len(rows))[0])
+    """Exact rank over Q of the coefficient matrix of the distinct rows.
+
+    Read from the system's one elimination (_prepared), which ranks the
+    rows and then the level equations.  A T row takes its pivot in the
+    first column where it is nonzero, and the rows' columns come first, so
+    a row whose pivot lands in a level column is zero on every row column,
+    and a later pivot only rescales it there.  So the pivots in row columns
+    count the rank of the rows alone; the level equations do not raise it.
+    """
+    relaxation = _prepared(system)
+    nrows = len(relaxation.rows)
+    return sum(col is not None and col < nrows for col in relaxation.basis)
 
 
 def _flip(T: list[list[int]], col: int, width: int, den: int) -> None:
@@ -376,9 +425,11 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     Each bound max/min x_i over G x <= h is solved as its dual
     min h.y, G^T y = +-e_i, y >= 0.  G holds each condition's a as -a and
     +a; the full dual has one column per condition for the direction in use.
-    One Gauss-Jordan elimination of [A^T | I], A the matrix of all rows a
-    and level equations, gives a start basis; a row without a pivot means
-    A is rank deficient and the relaxation unbounded.  The tableau carries
+    The system's one Gauss-Jordan elimination of [A^T | I] (_prepared), A
+    the matrix of all rows a and level equations, gives a start basis; a
+    row without a pivot means A is rank deficient and the relaxation
+    unbounded.  rank_check reads the same elimination, so a system whose
+    rank was checked is not eliminated again.  The tableau carries
     the I block, which holds den * B^-1 for the current basis B, so the
     right-hand side of the LP for +-e_i is +- its column i, and the cost
     row's entry there gives the objective.
@@ -404,18 +455,14 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     (_orbit_roots) and copied to the others.
     """
     nvars = len(system.layout)
-    rows, levels, _consistent = _relaxation(system)
-    conds = rows + levels
-    T = [
-        [c.coeffs[i] for c in conds] + [int(j == i) for j in range(nvars)] + [0]
-        for i in range(nvars)
-    ]
-    basis, den = _eliminate(T, len(conds))
+    relaxation = _prepared(system)
+    rows, basis, den = relaxation.rows, relaxation.basis, relaxation.den
+    conds = rows + relaxation.levels
     if None in basis:
         raise RankDeficientError("unbounded relaxation: augment the character family")
     start = sorted({*basis, *range(len(rows), len(conds))})
     waiting = [c for j, c in enumerate(rows) if j not in basis]
-    T = [[row[j] for j in start] + row[len(conds):] for row in T]
+    T = [[row[j] for j in start] + row[len(conds):] for row in relaxation.T]
     T.append([den * (conds[j].hi - conds[j].const) for j in start] + [0] * (nvars + 1))
     basis = [start.index(bv) for bv in basis]
     widths = [conds[j].hi - conds[j].lo for j in start]
@@ -452,7 +499,7 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
 
 
 def _substitute_levels(
-    system: ConstraintSystem, rows: list[_Condition]
+    rows: tuple[_Condition, ...], levels: tuple[_Condition, ...], n: int
 ) -> tuple[list[_Condition], bool]:
     """The rows with each level's last variable x_j eliminated by its (V1) equation.
 
@@ -464,11 +511,12 @@ def _substitute_levels(
     box.lo[j] <= 1 - sum(others) <= box.hi[j] would.  Returns (the distinct
     non-constant rows, whether every row that became constant holds).
     """
-    levels = [idxs for idxs in system.layout.level_indices().values() if len(idxs) > 1]
+    members = [[i for i, a in enumerate(c.coeffs) if a] for c in levels]
+    members = [idxs for idxs in members if len(idxs) > 1]
     out, consistent = [], True
     for row in rows:
         coeffs, const = list(row.coeffs), row.const
-        for *others, j in levels:
+        for *others, j in members:
             a = coeffs[j]
             if a:
                 for i in others:
@@ -476,23 +524,31 @@ def _substitute_levels(
                 coeffs[j] = 0
                 const += a
         if any(coeffs):
-            out.append(replace(row, coeffs=tuple(coeffs), const=const))
-        elif not row.lo <= const <= row.hi or const % system.n:
+            out.append(_Condition(tuple(coeffs), const, row.lo, row.hi, row.modn))
+        elif not row.lo <= const <= row.hi or const % n:
             consistent = False
     return list(dict.fromkeys(out)), consistent
 
 
-def _search(system: ConstraintSystem, box: BoundsBox, budget: int):
-    """Depth-first enumeration; returns (solution vectors, node count).
+def _search(
+    rows: tuple[_Condition, ...],
+    levels: tuple[_Condition, ...],
+    n: int,
+    box: BoundsBox,
+    budget: int,
+):
+    """Depth-first enumeration in index order; returns (solution vectors, node count).
 
-    Every condition is linear in the next variable, so the values it admits
-    at a node form one integer interval.  The rows are searched with each
-    level's last variable substituted out (_substitute_levels): a row then
-    bounds the level's earlier variables by the level equation rather than
-    the box reach of the last one, and that last variable's single value is
-    forced by its level equation.  Every condition keeps one partial sum
-    over its assigned variables; a row's congruence is read from it where
-    the row's last variable is assigned.
+    The conditions are the distinct rows and the level equations; the
+    caller has checked the system's constant rows.  Every condition is linear in the next variable,
+    so the values it admits at a node form one integer interval.  The rows
+    are searched with each level's last variable substituted out
+    (_substitute_levels): a row then bounds the level's earlier variables
+    by the level equation rather than the box reach of the last one, and
+    that last variable's single value is forced by its level equation.
+    Every condition keeps one partial sum over its assigned variables; a
+    row's congruence is read from it where the row's last variable is
+    assigned.
 
     A node evaluates its first upper bound, then the lower bounds, then the
     other upper bounds, and returns at the first that empties its interval;
@@ -503,14 +559,12 @@ def _search(system: ConstraintSystem, box: BoundsBox, budget: int):
     lists belong to this call, so the node count and the solution order
     are those of the plain interval search.
     """
-    n = system.n
-    nvars = len(system.layout)
-    rows, levels, consistent = _relaxation(system)
-    rows, holds = _substitute_levels(system, rows)
-    if not (consistent and holds):
+    nvars = len(box.lo)
+    rows, holds = _substitute_levels(rows, levels, n)
+    if not holds:
         return [], 0
 
-    conds = rows + levels
+    conds = rows + list(levels)
     # x_k >= ceil((b - p) / a) for each (ci, a, b, c) in lower[k], x_k <= floor
     # of the same for each in upper[k]: p is partial sum ci, b a bound of its
     # condition less the reach of its later variables, c the coefficient of
@@ -639,23 +693,31 @@ def enumerate_solutions(
 ) -> EnumerationReport:
     """All integer points of the box satisfying every row and level equation.
 
-    _search runs on the system and box with the variables permuted into
-    _search_order, and its vectors are read back through the permuted
-    layout; the node count is counted in that order.  Complete, duplicate
-    free and deterministic.  Raises SearchIncomplete instead of silently
-    truncating as soon as the node count exceeds the budget.
+    _search runs on the system's distinct conditions (_prepared) and the
+    box with the variables permuted into _search_order, and its vectors
+    are read back through the permuted layout; the node count is counted
+    in that order.  A violated constant row leaves nothing to search.
+    Complete, duplicate free and deterministic.  Raises SearchIncomplete
+    instead of silently truncating as soon as the node count exceeds the
+    budget.
     """
+    relaxation = _prepared(system)
     order = _search_order(system.layout, box)
-    searched = replace(
-        system,
-        layout=replace(system.layout, variables=tuple(system.layout.variables[i] for i in order)),
-        rows=tuple(replace(r, coeffs=tuple(r.coeffs[i] for i in order)) for r in system.rows),
-    )
-    searched_box = replace(
-        box, lo=tuple(box.lo[i] for i in order), hi=tuple(box.hi[i] for i in order)
-    )
-    vectors, nodes = _search(searched, searched_box, node_budget)
-    dists = (distribution_from_vector(searched.layout, v) for v in vectors)
+    vectors, nodes = [], 0
+    if relaxation.consistent:
+        rows, levels = (
+            tuple(
+                _Condition(tuple(c.coeffs[i] for i in order), c.const, c.lo, c.hi, c.modn)
+                for c in conds
+            )
+            for conds in (relaxation.rows, relaxation.levels)
+        )
+        searched_box = BoundsBox(
+            lo=tuple(box.lo[i] for i in order), hi=tuple(box.hi[i] for i in order)
+        )
+        vectors, nodes = _search(rows, levels, system.n, searched_box, node_budget)
+    layout = replace(system.layout, variables=tuple(system.layout.variables[i] for i in order))
+    dists = (distribution_from_vector(layout, v) for v in vectors)
     solutions = SolutionSet.build(dists, family=system.family)
     return EnumerationReport(
         solutions=solutions, node_count=nodes, bounds=box, rank=rank_check(system)

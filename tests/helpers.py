@@ -354,10 +354,10 @@ def two_phase_bounds(system) -> BoundsBox:
     nvars = len(system.layout)
     if nvars == 0:
         return BoundsBox(lo=(), hi=())
-    rows, levels, _consistent = _relaxation(system)
+    relaxation = _relaxation(system)
     G: list[tuple[int, ...]] = []
     h: list[int] = []
-    for c in rows + levels:
+    for c in relaxation.rows + relaxation.levels:
         G += [tuple(-a for a in c.coeffs), c.coeffs]
         h += [c.const - c.lo, c.hi - c.const]
     A = [[Fraction(g[i]) for g in G] for i in range(nvars)]
@@ -392,13 +392,13 @@ def naive_search(system, box, budget):
     """
     n = system.n
     nvars = len(system.layout)
-    rows, levels, consistent = _relaxation(system)
-    if not consistent:
+    relaxation = _relaxation(system)
+    if not relaxation.consistent:
         return [], 0
     if nvars == 0:
         return [()], 0
 
-    conds = rows + levels
+    conds = relaxation.rows + relaxation.levels
     ncond = len(conds)
     last_var = [max(i for i, a in enumerate(c.coeffs) if a) for c in conds]
     # static suffix ranges of sum_{j >= k} a_j x_j over the box
@@ -506,14 +506,14 @@ def interval_search(system, box, budget):
     """
     n = system.n
     nvars = len(system.layout)
-    rows, levels, consistent = _relaxation(system)
-    rows, holds = _substitute_levels(system, rows, box)
-    if not (consistent and holds):
+    relaxation = _relaxation(system)
+    rows, holds = _substitute_levels(system, relaxation.rows, box)
+    if not (relaxation.consistent and holds):
         return [], 0
     if nvars == 0:
         return [()], 0
 
-    conds = rows + levels
+    conds = rows + list(relaxation.levels)
     values = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
     # x_k >= ceil((b - p) / a) for each (ci, a, b) in lower[k], x_k <= floor
     # of the same for each in upper[k]: p is partial sum ci, b a bound of its

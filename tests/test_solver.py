@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import sys
+import weakref
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpzc import solver
@@ -131,12 +134,20 @@ def _row_span(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(coeffs=_row_span())
+# rows of rank below 5, so level columns take pivots in the shared elimination
+@example(coeffs=[])
+@example(coeffs=[(1, 1, 0, 0, 0), (0, 0, 1, 0, 0)])
 def test_rank_matches_fraction_oracle(coeffs):
     system = paper_system(13, 6)
     rows = tuple(
         ConstraintRow(character="random", l=0, coeffs=c, const=0, upper=6) for c in coeffs
     )
-    assert rank_check(replace(system, rows=rows)) == fraction_rank(coeffs)
+    system = replace(system, rows=rows)
+    assert rank_check(system) == fraction_rank(coeffs)
+    # the same elimination ranks the rows and the level equations together
+    relaxation = solver._prepared(system)
+    levels = [c.coeffs for c in relaxation.levels]
+    assert sum(col is not None for col in relaxation.basis) == fraction_rank(coeffs + levels)
 
 
 # ---------------------------------------------------------------- bounds
@@ -231,8 +242,12 @@ def test_bounds_match_two_phase_oracle(make):
 )
 def test_bounds_pivot_counts_pinned(make, pivots, monkeypatch):
     # the elimination, the first LP's primal phase, the dual phases of the
-    # chain and the primal phases resumed after pricing
+    # chain and the primal phases resumed after pricing; an equal system
+    # eliminated before does not share its elimination
+    checked = make()
+    rank_check(checked)
     system = make()
+    assert system == checked
     calls = []
     real = solver._pivot
 
@@ -246,8 +261,8 @@ def test_bounds_pivot_counts_pinned(make, pivots, monkeypatch):
 
 
 def orbit_count(system):
-    rows, levels, _consistent = solver._relaxation(system)
-    return len(set(solver._orbit_roots(system.layout, rows + levels)))
+    relaxation = solver._relaxation(system)
+    return len(set(solver._orbit_roots(system.layout, relaxation.rows + relaxation.levels)))
 
 
 @pytest.mark.parametrize(
@@ -385,7 +400,7 @@ def test_emptiness_from_a_priced_in_condition(monkeypatch):
     # the far row comes after rows of full rank, so it is no start column:
     # only pricing brings it in, and the resumed _phase2 finds the dual unbounded
     system = infeasible_system()
-    far = solver._relaxation(system)[0][-1]
+    far = solver._relaxation(system).rows[-1]
     assert far.const == -50
     added, results = [], []
     real_add, real_phase2 = solver._add_column, solver._phase2
@@ -409,7 +424,8 @@ def test_emptiness_from_a_priced_in_condition(monkeypatch):
 
 def test_tableau_ends_narrower_than_the_conditions(monkeypatch):
     system = family_system(19, 10, "brauer-p")
-    rows, levels, _consistent = solver._relaxation(system)
+    relaxation = solver._relaxation(system)
+    ncond = len(relaxation.rows) + len(relaxation.levels)
     nvars = len(system.layout)
     widths = []
     real = solver._pivot
@@ -421,8 +437,8 @@ def test_tableau_ends_narrower_than_the_conditions(monkeypatch):
     monkeypatch.setattr(solver, "_pivot", seen)
     derive_bounds(system)
     # a row is the condition columns, the I block and the right-hand side
-    assert widths[0] == len(rows) + len(levels) + nvars + 1
-    assert widths[-1] - nvars - 1 < len(rows) + len(levels)
+    assert widths[0] == ncond + nvars + 1
+    assert widths[-1] - nvars - 1 < ncond
 
 
 def test_infeasible_relaxation_enumerates_nothing():
@@ -434,12 +450,23 @@ def test_infeasible_relaxation_enumerates_nothing():
 
 
 def test_rank_deficient_rows_enumerate_as_incomplete():
-    # chi_2 and chi_4 alone have rank 7 for 8 variables; with the level
-    # equations the LP still has a box, and its search finds the paper's 4
+    # chi_2 and chi_4 alone have rank 7 for 8 variables and 8 with the level
+    # equations, so a level column takes a pivot in the one elimination:
+    # rank_check still reads 7, and the LP on the same system still has a
+    # box, and its search finds the paper's 4
     fr = frame_for(19, 10)
     system = build_constraints(fr, [CHI2, CHI4])
-    rep = enumerate_solutions(system, derive_bounds(system))
+    assert rank_check(system) == 7
+    relaxation = solver._prepared(system)
+    rows = [c.coeffs for c in relaxation.rows]
+    assert fraction_rank(rows) == 7
+    assert fraction_rank(rows + [c.coeffs for c in relaxation.levels]) == 8
+    box = derive_bounds(system)
+    assert all(a <= b for a, b in zip(box.lo, box.hi))
+    assert box == two_phase_bounds(system)
+    rep = enumerate_solutions(system, box)
     assert rep.rank == 7 and rep.complete is False
+    assert len(rep.solutions) == 4
     assert compare_sets(rep.solutions, solve_vpa(fr, "paper").solutions).equal
 
 
@@ -617,6 +644,14 @@ def test_violated_constant_row_enumerates_nothing():
     assert rep.node_count == 0
 
 
+def search(system, box, budget):
+    # _search in layout order over the system's conditions, as the oracles search
+    relaxation = solver._prepared(system)
+    if not relaxation.consistent:
+        return [], 0
+    return solver._search(relaxation.rows, relaxation.levels, system.n, box, budget)
+
+
 ORACLE_GRID = [
     ("paper", 13, 6),
     ("paper", 19, 10),
@@ -635,7 +670,7 @@ def test_search_matches_naive_oracle(spec, q, n):
     system = family_system(q, n, spec)
     box = derive_bounds(system)
     budget = solver.DEFAULT_NODE_BUDGET
-    vectors, nodes = solver._search(system, box, budget)
+    vectors, nodes = search(system, box, budget)
     oracle_vectors, oracle_nodes = naive_search(system, box, budget)
     assert vectors == oracle_vectors
     assert nodes <= oracle_nodes
@@ -688,13 +723,13 @@ def test_search_matches_naive_oracle_on_random_boxes(instance):
     # constant after substitution
     system, box = instance
     budget = solver.DEFAULT_NODE_BUDGET
-    vectors = solver._search(system, box, budget)[0]
+    vectors = search(system, box, budget)[0]
     assert vectors == naive_search(system, box, budget)[0]
 
 
 def _index_order_keys(system, box):
     # the sorted solution keys of the search in layout order
-    vectors = solver._search(system, box, solver.DEFAULT_NODE_BUDGET)[0]
+    vectors = search(system, box, solver.DEFAULT_NODE_BUDGET)[0]
     dists = (distribution_from_vector(system.layout, v) for v in vectors)
     return [pa.sort_key() for pa in SolutionSet.build(dists)]
 
@@ -751,12 +786,12 @@ def test_search_matches_interval_oracle_on_random_boxes(instance, data):
     # fails at the same count, also where it is crossed at a skipped child
     system, box = instance
     budget = solver.DEFAULT_NODE_BUDGET
-    result = solver._search(system, box, budget)
+    result = search(system, box, budget)
     assert result == interval_search(system, box, budget)
     total = result[1]
     if total:
         low = data.draw(st.integers(0, total - 1), label="budget")
-        assert _budget_error(solver._search, system, box, low) == _budget_error(
+        assert _budget_error(search, system, box, low) == _budget_error(
             interval_search, system, box, low
         )
 
@@ -765,12 +800,12 @@ def test_every_budget_fails_where_the_interval_oracle_fails():
     # the parent skips two children here, so two budgets are crossed there
     system = paper_system(19, 10)
     box = derive_bounds(system)
-    total = solver._search(system, box, solver.DEFAULT_NODE_BUDGET)[1]
+    total = search(system, box, solver.DEFAULT_NODE_BUDGET)[1]
     for budget in range(total):
-        assert _budget_error(solver._search, system, box, budget) == _budget_error(
+        assert _budget_error(search, system, box, budget) == _budget_error(
             interval_search, system, box, budget
         )
-    assert solver._search(system, box, total)[1] == total
+    assert search(system, box, total)[1] == total
 
 
 def test_search_repeats_identically():
@@ -779,7 +814,7 @@ def test_search_repeats_identically():
     system = paper_system(31, 15)
     box = derive_bounds(system)
     budget = solver.DEFAULT_NODE_BUDGET
-    assert solver._search(system, box, budget) == solver._search(system, box, budget)
+    assert search(system, box, budget) == search(system, box, budget)
 
 
 def test_row_constant_after_substitution_and_violated_enumerates_nothing():
@@ -790,7 +825,7 @@ def test_row_constant_after_substitution_and_violated_enumerates_nothing():
     coeffs = tuple(int(i in idxs) for i in range(len(system.layout)))
     bad = replace(system, rows=system.rows + (ConstraintRow("level", 0, coeffs, 0, 10),))
     budget = solver.DEFAULT_NODE_BUDGET
-    assert solver._search(bad, box, budget) == ([], 0)
+    assert search(bad, box, budget) == ([], 0)
     assert naive_search(bad, box, budget)[0] == []
 
 
@@ -846,10 +881,47 @@ def test_search_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        solver._search(system, box, solver.DEFAULT_NODE_BUDGET)
+        search(system, box, solver.DEFAULT_NODE_BUDGET)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_one_relaxation_per_solve(monkeypatch):
+    # the rank gate, the bounds, the search and the report's rank all read
+    # one relaxation and one elimination of the system
+    counts = Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("_relaxation", "_eliminate", "rank_check", "derive_bounds"):
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    rep = solve_vpa(frame_for(19, 10), "paper")
+    assert len(rep.solutions) == 4 and rep.complete
+    assert counts == {"_relaxation": 1, "_eliminate": 1, "rank_check": 2, "derive_bounds": 1}
+
+
+def test_relaxation_goes_with_its_system():
+    # nothing but the system holds its relaxation, and the relaxation
+    # refers to nothing that holds the system, so reference counting frees
+    # the system without the cycle collector and drops the relaxation
+    system = paper_system(19, 10)
+    enumerate_solutions(system, derive_bounds(system))
+    relaxation = solver._prepared(system)
+    gone = weakref.ref(system)
+    gc.disable()
+    try:
+        del system
+        holders = sys.getrefcount(relaxation)
+    finally:
+        gc.enable()
+    assert gone() is None
+    assert holders == 2  # the name relaxation and getrefcount's argument
 
 
 def test_node_budget_is_loud():
