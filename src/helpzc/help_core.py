@@ -25,22 +25,32 @@ Ramanujan sum c_m(k) = Tr(zeta_m^k), the integer table
     K[h][l] = sum over entries (d, x, v) of v * c_{n/d}(exp_x h / d - l)
 
 holds n * mu(zeta_n^l) of each lambda_h, so chi's is sum_h H[h] K[h][l].
-A constraint row takes the table of one unit entry per variable, so the
-coefficient of (d, x) in row (chi, l) is sum_h H[h] K_x[h][l]; the (V4)
-check of one distribution takes the table of its entries once for all
-characters.  multiplicity() keeps the direct single-l formula as the
-reference.
+_mu_sums evaluates that sum at the cost of chi's residual: with c the
+most common count, H = c 1 + R, so
+
+    sum_h H[h] K[h] = c (sum_h K[h]) + sum over h with H[h] != c of (H[h] - c) K[h].
+
+The column sums sum_h K[h] are taken once per table, and each character
+then costs one pass for c and one per count that differs from c (for the
+phi_h, two).  The identity holds for every integer c, so the sums are
+exact whichever count is chosen.  A constraint row takes the table of one
+unit entry per variable, so the coefficient of (d, x) in row (chi, l) is
+sum_h H[h] K_x[h][l]; build_constraints lays those tables side by side,
+one flat row per h over (l, variable), and takes all of chi's rows in
+one _mu_sums.  The (V4) check of one distribution takes the table of its
+entries once for all characters.  multiplicity() keeps the direct
+single-l formula as the reference.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import mul
 from typing import Iterable, Iterator, Mapping
 
 from .cyclotomic import divisors, is_prime, trace_root
@@ -104,6 +114,12 @@ def _json_text(v, nl: str) -> str:
     return json.dumps(v)
 
 
+@cache
+def _class_set(frame: CyclicFrame) -> frozenset[ClassLabel]:
+    """The frame's class labels, built once per frame for PADistribution's check."""
+    return frozenset(frame.classes())
+
+
 class PADistribution:
     """An integer class-function family (eps_d)_{d | n} on the classes of a frame.
 
@@ -118,7 +134,7 @@ class PADistribution:
     def __init__(self, frame: CyclicFrame, levels: Mapping[int, Mapping[ClassLabel, int]]):
         n = frame.m
         entries = []
-        valid = set(frame.classes())
+        valid = _class_set(frame)
         for d, row in levels.items():
             if exact_int(d) < 1 or n % d:
                 raise ValueError(f"level {d} does not divide the order {n}")
@@ -334,23 +350,48 @@ def _eigen_table(n: int, entries: Iterable[tuple[int, ClassLabel, int]]) -> list
     return table
 
 
+def _mu_sums(counts: list[int], table: list[list[int]], colsum: list[int]) -> list[int]:
+    """sum_h counts[h] * table[h], entrywise, with colsum = sum_h table[h].
+
+    Taken as c * colsum plus (counts[h] - c) * table[h] for each h where
+    counts[h] differs from c, the most common count (module docstring).
+    """
+    c = Counter(counts).most_common(1)[0][0]
+    out = [c * b for b in colsum]
+    for row, w in zip(table, counts):
+        if w != c:
+            w -= c
+            out = [a + w * b for a, b in zip(out, row)]
+    return out
+
+
 def build_constraints(
     frame: CyclicFrame,
     characters: Iterable[CharRestriction],
     family: str = "custom",
 ) -> ConstraintSystem:
     """Row (chi, l) has coefficient sum_h H[h] K_x[h][l] at x = (d, cls) of
-    variable_layout(frame), H = eigen_counts(chi), K_x the table of entry (d, cls, 1)."""
+    variable_layout(frame), H = eigen_counts(chi), K_x the table of entry (d, cls, 1).
+
+    Row h of the joint table holds K_x[h][l] at l * len(layout) + index of x,
+    so one _mu_sums over it gives every row of chi, l after l.
+    """
     layout = variable_layout(frame)
     n = frame.m
-    # per variable x, the columns K_x[.][l] of its unit-entry table
-    unit_columns = [list(zip(*_eigen_table(n, [(d, cls, 1)]))) for d, cls in layout.variables]
+    nvars = len(layout)
+    # K_x[h] is row exp_x h / d (mod n / d) of the Ramanujan shifts of order n / d
+    units = [(_ramanujan_shifts(n // d, n), cls.exp // d, n // d) for d, cls in layout.variables]
+    table = [
+        [a for column in zip(*[s[k * h % m] for s, k, m in units]) for a in column]
+        for h in range(n)
+    ]
+    colsum = [sum(column) for column in zip(*table)]
     rows = []
     for chi in characters:
-        counts = eigen_counts(frame, chi)
+        sums = _mu_sums(eigen_counts(frame, chi), table, colsum)
         deg = chi.degree(frame)
         for l in range(n):
-            coeffs = tuple(sum(map(mul, counts, columns[l])) for columns in unit_columns)
+            coeffs = tuple(sums[l * nvars : (l + 1) * nvars])
             rows.append(
                 ConstraintRow(character=chi.label, l=l, coeffs=coeffs, const=deg, upper=n * deg)
             )
@@ -522,19 +563,19 @@ def verify_v4(pa: PADistribution, characters: Iterable[CharRestriction]) -> V4Re
     """Evaluate every multiplicity and report whether each is a nonnegative integer.
 
     n * mu of chi is sum_h H[h] K[h][l] with H = eigen_counts(chi) and K the
-    table of the linear characters (module docstring); (V3) must hold.
+    table of the distribution's entries, taken by _mu_sums (module
+    docstring); (V3) must hold.
     """
     n = pa.n
     entries = list(pa.entries())
     _check_v3(entries)
-    columns = list(zip(*_eigen_table(n, entries)))
+    table = _eigen_table(n, entries)
+    colsum = [sum(column) for column in zip(*table)]
     mus: dict[int, Fraction] = {}
     checks = []
     for chi in characters:
         label = chi.label
-        counts = eigen_counts(pa.frame, chi)
-        for l, column in enumerate(columns):
-            s = sum(map(mul, counts, column))
+        for l, s in enumerate(_mu_sums(eigen_counts(pa.frame, chi), table, colsum)):
             mu = mus.get(s)
             if mu is None:
                 mu = mus[s] = Fraction(s, n)

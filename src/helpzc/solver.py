@@ -145,9 +145,12 @@ def compare_sets(found: SolutionSet, expected: SolutionSet) -> SetDiff:
 # ------------------------------------------------------------------ relaxation
 
 
-@dataclass(frozen=True)
-class _Condition:
-    """lo <= const + coeffs.x <= hi, optionally const + coeffs.x = 0 mod n."""
+class _Condition(NamedTuple):
+    """lo <= const + coeffs.x <= hi, optionally const + coeffs.x = 0 mod n.
+
+    A NamedTuple for the reason _Relaxation is one; it equals and hashes as
+    the plain tuple (coeffs, const, lo, hi, modn).
+    """
 
     coeffs: tuple[int, ...]
     const: int
@@ -179,13 +182,19 @@ class _Relaxation(NamedTuple):
 
 
 def _relaxation(system: ConstraintSystem) -> _Relaxation:
-    """Build the system's relaxation and eliminate it; _prepared calls it once per system."""
+    """Build the system's relaxation and eliminate it; _prepared calls it once per system.
+
+    The non-constant rows are deduplicated as plain (coeffs, const, upper)
+    tuples, in first-occurrence order, before any _Condition is built.  Most
+    rows repeat: rows l and -l of a character agree, as its values on <g0>
+    are real, and characters share rows.  The 616 rows of verify-main's four
+    systems make 152 conditions.
+    """
     nvars = len(system.layout)
     rows = tuple(
-        dict.fromkeys(
-            _Condition(r.coeffs, r.const, 0, r.upper, True)
-            for r in system.rows
-            if any(r.coeffs)
+        _Condition(coeffs, const, 0, upper, True)
+        for coeffs, const, upper in dict.fromkeys(
+            (r.coeffs, r.const, r.upper) for r in system.rows if any(r.coeffs)
         )
     )
     levels = tuple(
@@ -371,7 +380,7 @@ def _orbit_roots(layout: VariableLayout, conds: list[_Condition]) -> list[int]:
     form a group and those that keep conds a subgroup, so the orbit of i
     is i with its images.  Without such an s every variable is its own root.
     """
-    keep = {(c.coeffs, c.const, c.lo, c.hi, c.modn) for c in conds}
+    keep = set(conds)
     kept = [
         perm
         for perm in layout.unit_permutations()

@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from math import floor, gcd
+from operator import mul
 
-from helpzc.cyclotomic import CycSum, divisors
-from helpzc.help_core import ConstraintSystem, MultiplicityCheck, PADistribution, V4Report
-from helpzc.psl2 import char_value, make_frame
+from helpzc.cyclotomic import CycSum, divisors, trace_root
+from helpzc.help_core import (
+    ConstraintSystem,
+    MultiplicityCheck,
+    PADistribution,
+    V4Report,
+    variable_layout,
+)
+from helpzc.psl2 import char_value, eigen_counts, make_frame
 from helpzc.solver import (
     BoundsBox,
     RankDeficientError,
@@ -152,6 +158,31 @@ def trace_row_v4(pa, characters) -> V4Report:
             ok = mu >= 0 and mu.denominator == 1
             checks.append(MultiplicityCheck(character=label, l=l, value=mu, ok=ok))
     return V4Report(tuple(checks))
+
+
+def dense_mu_sums(counts, table) -> list[int]:
+    """sum_h counts[h] * table[h], entrywise, as one dot product over h per
+    column: the kernel help_core used before it split the counts into their
+    most common value and a residual."""
+    return [sum(map(mul, counts, column)) for column in zip(*table)]
+
+
+def dense_constraint_rows(frame, characters) -> list[tuple]:
+    """(label, l, coeffs, const, upper) of every constraint row, the coefficient
+    of x = (d, cls) being dense_mu_sums of H = eigen_counts(chi) over x's unit
+    table K_x[h][l] = c_{n/d}(exp_x h / d - l), c_m(k) = Tr(zeta_m^k)."""
+    n = frame.m
+    tables = [
+        [[trace_root(n // d, cls.exp // d * h - l) for l in range(n)] for h in range(n)]
+        for d, cls in variable_layout(frame).variables
+    ]
+    out = []
+    for chi in characters:
+        counts = eigen_counts(frame, chi)
+        sums = [dense_mu_sums(counts, table) for table in tables]
+        deg = chi.degree(frame)
+        out.extend((chi.label, l, tuple(s[l] for s in sums), deg, n * deg) for l in range(n))
+    return out
 
 
 class ProbedDistribution:
@@ -483,7 +514,7 @@ def _substitute_levels(
                 coeffs[j] = 0
                 const += a
         if any(coeffs):
-            out.append(replace(row, coeffs=tuple(coeffs), const=const))
+            out.append(row._replace(coeffs=tuple(coeffs), const=const))
         elif not row.lo <= const <= row.hi or const % system.n:
             consistent = False
     out = list(dict.fromkeys(out))

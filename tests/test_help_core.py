@@ -35,11 +35,19 @@ from helpzc.help_core import (
     variable_layout,
     verify_v4,
 )
-from helpzc.psl2 import CharRestriction, brauer_irreducibles, make_context, make_frame
+from helpzc.psl2 import (
+    CharRestriction,
+    ClassLabel,
+    brauer_irreducibles,
+    make_context,
+    make_frame,
+)
 from helpzc.solver import character_family
 
 from helpers import (
     ProbedDistribution,
+    dense_constraint_rows,
+    dense_mu_sums,
     float_multiplicity,
     probed_power_distribution,
     probed_relabel,
@@ -390,8 +398,11 @@ def test_build_constraints_takes_eigen_counts_once_per_character(monkeypatch, q,
     assert count_calls == list(chars)
 
 
+# (49, 25): q = 7^2 and a frame of prime-power order, two levels below n
 @pytest.mark.parametrize("family", ["paper", "brauer-p"])
-@pytest.mark.parametrize("fr", ORACLE_FRAMES, ids=lambda fr: f"{fr.ctx.q}-{fr.m}")
+@pytest.mark.parametrize(
+    "fr", [*ORACLE_FRAMES, frame_for(49, 25)], ids=lambda fr: f"{fr.ctx.q}-{fr.m}"
+)
 def test_build_constraints_matches_trace_row_oracle(fr, family):
     chars, _ = character_family(fr, family)
     layout = variable_layout(fr)
@@ -401,7 +412,64 @@ def test_build_constraints_matches_trace_row_oracle(fr, family):
         for chi in chars
         for l, row in enumerate(trace_rows(fr, chi, layout.variables))
     ]
-    assert [(r.character, r.l, r.coeffs, r.const, r.upper) for r in system.rows] == expected
+    rows = [(r.character, r.l, r.coeffs, r.const, r.upper) for r in system.rows]
+    assert rows == expected
+    assert rows == dense_constraint_rows(fr, chars)
+
+
+@st.composite
+def counts_and_table(draw, kind):
+    """A count vector of the given kind and an integer table with one row per count.
+
+    ties: two or three values, each equally often; constant: one value;
+    distinct: no value twice; any: small values, repeats allowed.  Every
+    kind may hold negative entries.
+    """
+    if kind == "ties":
+        values = draw(st.lists(st.integers(-6, 6), min_size=2, max_size=3, unique=True))
+        counts = draw(st.permutations(values * draw(st.integers(1, 4))))
+    elif kind == "constant":
+        counts = [draw(st.integers(-6, 6))] * draw(st.integers(1, 10))
+    elif kind == "distinct":
+        counts = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=10, unique=True))
+    else:
+        counts = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=10))
+    width = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-30, 30), min_size=width, max_size=width)
+    table = draw(st.lists(row, min_size=len(counts), max_size=len(counts)))
+    return counts, table
+
+
+@pytest.mark.parametrize("kind", ["ties", "constant", "distinct", "any"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mu_sums_match_dense_oracle(kind, data):
+    # any split count gives the same integers, so the choice among tied
+    # most common values does not show
+    counts, table = data.draw(counts_and_table(kind))
+    colsum = [sum(column) for column in zip(*table)]
+    before = (list(counts), [list(row) for row in table], list(colsum))
+    assert help_core._mu_sums(counts, table, colsum) == dense_mu_sums(counts, table)
+    assert (counts, table, colsum) == before  # the kernel writes none of its inputs
+
+
+def test_distribution_accepts_exactly_the_frame_classes():
+    # the class set is kept per frame; a second frame of the same order
+    # (another q) has equal labels, a frame of another order does not
+    fr, twin, other = frame_for(19, 10), frame_for(41, 10), frame_for(23, 12)
+    for frame in (fr, twin, fr):
+        for cls in (*fr.classes(), *twin.classes()):
+            assert PADistribution(frame, {1: {cls: 1}}).value(1, cls) == 1
+        bad = [
+            ClassLabel(order=10, exp=9),  # exponent not canonical: 9 = -1 mod 10
+            ClassLabel(order=5, exp=1),  # wrong order for exp 1
+            ClassLabel(order=1, exp=10),  # exponent not reduced mod 10
+            other.class_of(5),  # order 12 at exp 5
+            other.class_of(6),  # exp 6 beyond 10 / 2
+        ]
+        for cls in bad:
+            with pytest.raises(ValueError, match="is not a class of the order-10 frame"):
+                PADistribution(frame, {1: {cls: 1}})
 
 
 def test_v3_violation_raises_for_every_character():
