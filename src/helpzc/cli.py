@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from functools import cache
 
 from .cyclotomic import is_prime, trace_root
@@ -305,12 +306,15 @@ def cmd_check(args) -> tuple[int, str]:
     if v_ok["V3"]:
         chars, family = _resolve_characters(pa.frame, args.chars)
         v4 = verify_v4(pa, chars)
+        checks, n = v4.checks, pa.n
+        # mu = s / n as text, once per distinct sum s
+        mus = {s: str(Fraction(s, n)) for s in {s for _label, _l, s in checks}}
         payload["v4"] = {
             "family": family,
             "ok": v4.ok,
             "multiplicities": [
-                {"character": c.character, "l": c.l, "mu": str(c.value), "ok": c.ok}
-                for c in v4.checks
+                {"character": label, "l": l, "mu": mus[s], "ok": s >= 0 and s % n == 0}
+                for label, l, s in checks
             ],
         }
         all_ok = not violations and v4.ok
@@ -327,7 +331,7 @@ def cmd_check(args) -> tuple[int, str]:
     lines += [f"  {v}" for v in violations]
     if v_ok["V3"]:
         lines.append(f"V4 ({family}): {'ok' if v4.ok else 'FAIL'}")
-        lines += [f"  mu({c.character}, l={c.l}) = {c.value!s}" for c in v4.checks if not c.ok]
+        lines += [f"  mu({label}, l={l}) = {mus[s]}" for label, l, s in checks if s < 0 or s % n]
     else:
         lines.append("V4: skipped (V3 fails)")
     lines.append(f"verdict: {'ok' if all_ok else 'FAIL'}")

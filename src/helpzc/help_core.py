@@ -541,26 +541,29 @@ def relabel(pa: PADistribution, c: int) -> PADistribution:
 
 
 @dataclass(frozen=True)
-class MultiplicityCheck:
-    character: str
-    l: int
-    value: Fraction
-    ok: bool
-
-
-@dataclass(frozen=True)
 class V4Report:
-    """Every multiplicity check of one distribution; ok when all of them pass."""
+    """n * mu(zeta_n^l) of one distribution: one (label, sums over l) per character.
 
-    checks: tuple[MultiplicityCheck, ...]
+    ok when every sum is a nonnegative multiple of n, that is, when every
+    multiplicity is a nonnegative integer.
+    """
+
+    n: int
+    sums: tuple[tuple[str, tuple[int, ...]], ...]
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        n = self.n
+        return all(s >= 0 and s % n == 0 for _label, row in self.sums for s in row)
+
+    @property
+    def checks(self) -> tuple[tuple[str, int, int], ...]:
+        """One (label, l, n * mu) per multiplicity, character by character."""
+        return tuple((label, l, s) for label, row in self.sums for l, s in enumerate(row))
 
 
 def verify_v4(pa: PADistribution, characters: Iterable[CharRestriction]) -> V4Report:
-    """Evaluate every multiplicity and report whether each is a nonnegative integer.
+    """The integers n * mu of every character and l, for the (V4) check.
 
     n * mu of chi is sum_h H[h] K[h][l] with H = eigen_counts(chi) and K the
     table of the distribution's entries, taken by _mu_sums (module
@@ -571,18 +574,14 @@ def verify_v4(pa: PADistribution, characters: Iterable[CharRestriction]) -> V4Re
     _check_v3(entries)
     table = _eigen_table(n, entries)
     colsum = [sum(column) for column in zip(*table)]
-    mus: dict[int, Fraction] = {}
-    checks = []
-    for chi in characters:
-        label = chi.label
-        for l, s in enumerate(_mu_sums(eigen_counts(pa.frame, chi), table, colsum)):
-            mu = mus.get(s)
-            if mu is None:
-                mu = mus[s] = Fraction(s, n)
-            checks.append(
-                MultiplicityCheck(character=label, l=l, value=mu, ok=s >= 0 and s % n == 0)
-            )
-    return V4Report(tuple(checks))
+    frame = pa.frame
+    return V4Report(
+        n,
+        tuple(
+            (chi.label, tuple(_mu_sums(eigen_counts(frame, chi), table, colsum)))
+            for chi in characters
+        ),
+    )
 
 
 def check_wagner(pa: PADistribution, r: int, t: int) -> bool:

@@ -35,7 +35,13 @@ after each optimum the omitted conditions are priced against it, and
 the most violated one is appended and the primal simplex resumed, until
 none prices in.  Most conditions never enter.  All of it is
 integer-preserving: an int tableau over one common denominator whose
-every pivot divides exactly (Bareiss).
+every pivot divides exactly (Bareiss).  The tableau is condensed: a basic
+column is den times a unit vector, so only the nonbasic columns are
+stored, and a pivot is an exchange, in which the entering column's place
+takes the leaving variable.  The elimination starts from the I block
+alone and builds a condition's column, as the I block times its a, only
+to pivot on it.  Bland's rule reads each variable's number, fixed when
+it joins the tableau, never where its column is stored.
 
 The frame automorphisms g0^i -> g0^(u i) permute the variables.  Those
 that map the set of conditions onto itself map the relaxation onto
@@ -165,10 +171,12 @@ class _Relaxation(NamedTuple):
     rows are the distinct non-constant character rows
     0 <= const + coeffs.x <= upper, = 0 mod n; levels are the (V1)
     equations sum = 1, one per level; consistent says whether every
-    constant row already holds.  T / den is [A^T | I | 0], A the matrix of
-    the rows followed by the levels, after Gauss-Jordan elimination
-    (_eliminate); basis holds each T row's pivot column, None where the
-    row is zero on every condition.  Readers copy T and never write it.
+    constant row already holds.  A is the matrix of the rows followed by
+    the levels.  T / den is the I block of [A^T | I] after Gauss-Jordan
+    elimination (_eliminate), den * B^-1 for the basis B it found; the
+    condition columns are not stored, as each is T times its a.  basis
+    holds each T row's pivot condition, None where the row is zero on
+    every condition.  Readers copy T and never write it.
     A NamedTuple, not a dataclass: it is cheaper to define, and every fresh
     import of the package pays for that.
     """
@@ -206,12 +214,8 @@ def _relaxation(system: ConstraintSystem) -> _Relaxation:
         for r in system.rows
         if not any(r.coeffs)
     )
-    conds = rows + levels
-    T = [
-        [c.coeffs[i] for c in conds] + [int(j == i) for j in range(nvars)] + [0]
-        for i in range(nvars)
-    ]
-    basis, den = _eliminate(T, len(conds))
+    T = [[int(j == i) for j in range(nvars)] for i in range(nvars)]
+    basis, den = _eliminate(T, rows + levels)
     return _Relaxation(rows, levels, consistent, T, tuple(basis), den)
 
 
@@ -234,13 +238,18 @@ def _prepared(system: ConstraintSystem) -> _Relaxation:
 # ------------------------------------------------------------------ rank and exact LP
 
 
-def _pivot(T: list[list[int]], r: int, col: int, den: int) -> int:
-    """Pivot the tableau T / den on (r, col) and return the new denominator.
+def _pivot(T: list[list[int]], r: int, column: list[int], den: int) -> int:
+    """Pivot T / den on row r and return the new denominator.
 
+    The tableau is condensed: it stores no basic column, so the caller
+    passes the entering column, column[i] being its entry in row i of T.
+    It is a stored column of T in an exchange (_exchange), the column the
+    elimination builds as (I block) . a, or the leaving variable's own
+    column flipped.
     Every entry of T stays, up to sign, a minor of the starting matrix
     (Bareiss), so each // is exact; row r is negated to keep den positive.
     """
-    p = T[r][col]
+    p = column[r]
     if p < 0:
         T[r] = [-x for x in T[r]]
         p = -p
@@ -248,7 +257,7 @@ def _pivot(T: list[list[int]], r: int, col: int, den: int) -> int:
     for i, row in enumerate(T):
         if i == r:
             continue
-        f = row[col]
+        f = column[i]
         if f:
             T[i] = [(p * x - f * y) // den for x, y in zip(row, prow)]
         elif p != den:
@@ -256,13 +265,40 @@ def _pivot(T: list[list[int]], r: int, col: int, den: int) -> int:
     return p
 
 
-def _eliminate(T: list[list[int]], ncols: int) -> tuple[list[int | None], int]:
-    """Gauss-Jordan on T row by row: each row's pivot column below ncols (or None), and den."""
+def _exchange(
+    T: list[list[int]], r: int, j: int, den: int, slots: list[int], basis: list[int]
+) -> int:
+    """Pivot T / den on stored column j and row r; return the new den.
+
+    slots[j] enters the basis in row r, and column j takes the leaving
+    variable basis[r].  Its column was den * e_r, so with s = -1 where
+    row r is negated (s = 1 else) it becomes s * den in row r and -s times
+    the entering column's old entry in every other row, the cost row too.
+    """
+    column = [row[j] for row in T]
+    s = 1 if column[r] > 0 else -1
+    new = _pivot(T, r, column, den)
+    for row, f in zip(T, column):
+        row[j] = -s * f
+    T[r][j] = s * den
+    slots[j], basis[r] = basis[r], slots[j]
+    return new
+
+
+def _eliminate(T: list[list[int]], conds: tuple[_Condition, ...]) -> tuple[list[int | None], int]:
+    """Gauss-Jordan on T = I, row by row: each row's pivot condition (or None), and den.
+
+    T is the I block of [A^T | I], A the matrix of conds, and the condition
+    columns are never stored: condition j's entry in a row is that row
+    times its a.  A row pivots on the first condition with a nonzero
+    entry, and only that condition's column is built.
+    """
     pivots, den = [], 1
-    for r in range(len(T)):
-        col = next((j for j in range(ncols) if T[r][j]), None)
+    for r, trow in enumerate(T):
+        col = next((j for j, c in enumerate(conds) if sum(map(mul, trow, c.coeffs))), None)
         if col is not None:
-            den = _pivot(T, r, col, den)
+            a = conds[col].coeffs
+            den = _pivot(T, r, [sum(map(mul, row, a)) for row in T], den)
         pivots.append(col)
     return pivots, den
 
@@ -272,9 +308,9 @@ def rank_check(system: ConstraintSystem) -> int:
 
     Read from the system's one elimination (_prepared), which ranks the
     rows and then the level equations.  A T row takes its pivot in the
-    first column where it is nonzero, and the rows' columns come first, so
-    a row whose pivot lands in a level column is zero on every row column,
-    and a later pivot only rescales it there.  So the pivots in row columns
+    first condition where it is nonzero, and the rows come first, so
+    a row whose pivot lands in a level equation is zero on every row,
+    and a later pivot only rescales it there.  So the pivots in rows
     count the rank of the rows alone; the level equations do not raise it.
     """
     relaxation = _prepared(system)
@@ -289,33 +325,39 @@ def _flip(T: list[list[int]], col: int, width: int, den: int) -> None:
     T[-1][col] = den * width - T[-1][col]
 
 
-def _phase2(T: list[list[int]], basis: list[int], den: int, widths: list[int]) -> int | None:
+def _phase2(
+    T: list[list[int]], basis: list[int], slots: list[int], den: int, widths: list[int]
+) -> int | None:
     """Solve min c.y from a basis made feasible by flips; return den, None if unbounded.
 
-    T / den is the tableau: one row per basic variable, right-hand side
-    last, then the cost row den * c.  Column j stands for a or -a of
-    condition j.  A row with a negative right-hand side is negated and its
-    basic column flipped, which makes the basis feasible.  The other
-    direction of column j prices in where its reduced cost exceeds
-    den * widths[j], and at most one of the two does, so this is Bland's
-    rule over both and cycling cannot occur.  The optimum is
-    -T[-1][-1] / den.
+    T / den is the condensed tableau: one row per basic variable, the
+    stored (nonbasic) columns, the I block and the right-hand side, then
+    the cost row den * c with the basis priced out.  Variable v stands for
+    a or -a of its condition and has width widths[v]; stored column j holds
+    variable slots[j], row r variable basis[r].  A row with a negative
+    right-hand side is negated, which flips its basic variable, and
+    widths[v] times it leaves the cost row: that makes the basis feasible.
+    The other direction of a stored column prices in where its reduced cost
+    exceeds den * its width, and at most one of the two does, so this is
+    Bland's rule over both, by variable, and cycling cannot occur.  The
+    optimum is -T[-1][-1] / den.
     """
     for r, bv in enumerate(basis):
         if T[r][-1] < 0:
             T[r] = [-x for x in T[r]]
-            _flip(T, bv, widths[bv], den)
-    for r, bv in enumerate(basis):
-        if T[-1][bv]:
-            f = T[-1][bv] // den
-            T[-1] = [x - f * y for x, y in zip(T[-1], T[r])]
+            w = widths[bv]
+            T[-1] = [x - w * y for x, y in zip(T[-1], T[r])]
     while True:
         cost = T[-1]
-        col = next((j for j, w in enumerate(widths) if cost[j] < 0 or cost[j] > den * w), None)
-        if col is None:
+        enter = min(
+            ((v, j) for j, v in enumerate(slots) if cost[j] < 0 or cost[j] > den * widths[v]),
+            default=None,
+        )
+        if enter is None:
             return den
+        col = enter[1]
         if cost[col] > 0:
-            _flip(T, col, widths[col], den)
+            _flip(T, col, widths[enter[0]], den)
         best = None
         for i, bv in enumerate(basis):
             a = T[i][col]
@@ -324,50 +366,55 @@ def _phase2(T: list[list[int]], basis: list[int], den: int, widths: list[int]) -
                 best = (T[i][-1], a, bv, i)
         if best is None:
             return None
-        den = _pivot(T, best[3], col, den)
-        basis[best[3]] = col
+        den = _exchange(T, best[3], col, den, slots, basis)
 
 
-def _dual_phase(T: list[list[int]], basis: list[int], den: int, widths: list[int]) -> int:
+def _dual_phase(
+    T: list[list[int]], basis: list[int], slots: list[int], den: int, widths: list[int]
+) -> int:
     """Re-optimise T / den after its right-hand side changed; return the new den.
 
-    Every reduced cost of an optimal tableau lies in [0, den * widths[j]],
+    Every reduced cost of an optimal tableau lies in [0, den * widths[v]],
     whatever the right-hand side, so the basis stays dual feasible and the
     dual simplex restores primal feasibility.  The leaving row is the one
-    with a negative right-hand side and the least basic column.  Column j
-    enters as it is where its entry a in that row is negative, at ratio
-    cost[j] / -a, or flipped where a is positive, at ratio
-    (den * widths[j] - cost[j]) / a; the least ratio enters, ties to the
-    least column (Bland), so cycling cannot occur.  A row with no entering
-    column would be a row of den * B^-1 that is zero on every column of T;
-    derive_bounds's start columns never leave T and have full rank, so no
-    such row exists there.
+    with a negative right-hand side and the least basic variable.  A stored
+    column enters as it is where its entry a in that row is negative, at
+    ratio cost / -a, or flipped where a is positive, at ratio
+    (den * width - cost) / a.  The leaving variable's own bound flip is a
+    candidate too, at ratio its width: as a pivot it negates the row and
+    takes the width times the row from the cost row, and den and the basis
+    stay.  The least ratio enters, ties to the least variable (Bland), so
+    cycling cannot occur, and the flip makes every row have a candidate.
     """
     while True:
         leave = min(((bv, r) for r, bv in enumerate(basis) if T[r][-1] < 0), default=None)
         if leave is None:
             return den
-        r = leave[1]
+        bv, r = leave
         row, cost = T[r], T[-1]
-        best = None
-        for j, w in enumerate(widths):
+        best = (widths[bv], 1, bv, None)
+        for j, v in enumerate(slots):
             a = row[j]
             if a < 0:
                 num, a = cost[j], -a
             elif a > 0:
-                num = den * w - cost[j]
+                num = den * widths[v] - cost[j]
             else:
                 continue
-            # least ratio num / a, cross-multiplied; ties to the least j
-            if best is None or num * best[1] < best[0] * a:
-                best = (num, a, j)
-        if best is None:
-            raise ArithmeticError("dual simplex: a basis row is zero on every condition")
-        col = best[2]
+            # least ratio num / a, cross-multiplied; ties to the least variable
+            left, right = num * best[1], best[0] * a
+            if left < right or (left == right and v < best[2]):
+                best = (num, a, v, j)
+        col = best[3]
+        if col is None:
+            # the leaving variable's column flipped: -den e_r, cost den * width
+            column = [0] * len(T)
+            column[r], column[-1] = -den, den * widths[bv]
+            den = _pivot(T, r, column, den)
+            continue
         if row[col] > 0:
-            _flip(T, col, widths[col], den)
-        den = _pivot(T, r, col, den)
-        basis[r] = col
+            _flip(T, col, widths[best[2]], den)
+        den = _exchange(T, r, col, den, slots, basis)
 
 
 def _orbit_roots(layout: VariableLayout, conds: list[_Condition]) -> list[int]:
@@ -412,19 +459,22 @@ def _price(cost: list[int], waiting: list[_Condition], den: int, ncols: int) -> 
     return best
 
 
-def _add_column(T: list[list[int]], cond: _Condition, den: int, widths: list[int]) -> None:
-    """Append cond to the live tableau T / den as its last condition column, direction a.
+def _add_column(
+    T: list[list[int]], cond: _Condition, den: int, widths: list[int], slots: list[int]
+) -> None:
+    """Store cond in T / den as its last stored column, direction a, and number it.
 
     The I block holds den * B^-1, so the new column den * B^-1 a is that
     block times a in every row; in the cost row the same product adds
-    -den * c_B B^-1 a to the cost den * (hi - const).  The basic solution
-    does not move, so a feasible basis stays feasible and _phase2 resumes
-    from it.
+    -den * c_B B^-1 a to the cost den * (hi - const).  The variable takes
+    the next number, len(widths).  The basic solution does not move, so a
+    feasible basis stays feasible and _phase2 resumes from it.
     """
-    ncols = len(widths)
+    ncols = len(slots)
     for row in T:
         row.insert(ncols, sum(map(mul, row[ncols:], cond.coeffs)))
     T[-1][ncols] += den * (cond.hi - cond.const)
+    slots.append(len(widths))
     widths.append(cond.hi - cond.lo)
 
 
@@ -433,48 +483,64 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
 
     Each bound max/min x_i over G x <= h is solved as its dual
     min h.y, G^T y = +-e_i, y >= 0.  G holds each condition's a as -a and
-    +a; the full dual has one column per condition for the direction in use.
-    The system's one Gauss-Jordan elimination of [A^T | I] (_prepared), A
-    the matrix of all rows a and level equations, gives a start basis; a
-    row without a pivot means A is rank deficient and the relaxation
-    unbounded.  rank_check reads the same elimination, so a system whose
-    rank was checked is not eliminated again.  The tableau carries
-    the I block, which holds den * B^-1 for the current basis B, so the
-    right-hand side of the LP for +-e_i is +- its column i, and the cost
-    row's entry there gives the objective.
+    +a; the full dual has one variable per condition for the direction in
+    use.  The system's one Gauss-Jordan elimination of [A^T | I]
+    (_prepared), A the matrix of all rows a and level equations, gives a
+    start basis; a row without a pivot means A is rank deficient and the
+    relaxation unbounded.  rank_check reads the same elimination, so a
+    system whose rank was checked is not eliminated again.  The tableau
+    carries the I block, which holds den * B^-1 for the current basis B, so
+    the right-hand side of the LP for +-e_i is +- its column i, and the
+    cost row's entry there gives the objective.
 
-    The tableau keeps only the basis columns and the level equations of
-    the elimination; the other conditions wait.  The LPs form one chain.
+    The tableau is condensed: it stores only the nonbasic columns, as a
+    basic column is den times a unit vector.  A variable's number is its
+    position among the start conditions (the basis and the level
+    equations, in condition order), then the order it was priced in; the
+    pivot rules read these numbers, never a column's position.  A pivot is
+    an exchange: the entering column's place takes the leaving variable.
+    The cost row starts as the reduced cost of the start basis, and the
+    level equations outside that basis are the first stored columns.
+
+    The tableau holds only the start conditions at first; the other
+    conditions wait.  The LPs form one chain.
     The first starts from the Gauss-Jordan basis (_phase2); every later LP
     changes only the right-hand side and re-optimises from the previous
     optimal basis (_dual_phase).  After each optimum the waiting
     conditions are priced (_price); the most violated one joins the
     tableau (_add_column) and _phase2 resumes, until none prices in.
-    Then the bound is exact over every condition.  Two consequences:
+    Then the bound is exact over every condition.
 
-    - An empty relaxation shows as an unbounded dual, _phase2 returning
-      None, and only the first LP can find it: once nothing prices in
-      there, the full relaxation has a point.  It may surface in a
-      resumption after pricing rather than in the first _phase2 call.
-    - The start basis columns never leave the tableau and have full rank,
-      so every restricted relaxation is bounded, and _dual_phase's
-      zero-row ArithmeticError stays unreachable.
+    An empty relaxation shows as an unbounded dual, _phase2 returning
+    None, and only the first LP can find it: once nothing prices in
+    there, the full relaxation has a point.  It may surface in a
+    resumption after pricing rather than in the first _phase2 call.
+    The start conditions never leave the tableau and have full rank, so
+    every restricted relaxation is bounded.
 
     The LP pair is solved for the least variable of each orbit
     (_orbit_roots) and copied to the others.
     """
     nvars = len(system.layout)
     relaxation = _prepared(system)
-    rows, basis, den = relaxation.rows, relaxation.basis, relaxation.den
+    rows, pivots, den = relaxation.rows, relaxation.basis, relaxation.den
     conds = rows + relaxation.levels
-    if None in basis:
+    if None in pivots:
         raise RankDeficientError("unbounded relaxation: augment the character family")
-    start = sorted({*basis, *range(len(rows), len(conds))})
-    waiting = [c for j, c in enumerate(rows) if j not in basis]
-    T = [[row[j] for j in start] + row[len(conds):] for row in relaxation.T]
-    T.append([den * (conds[j].hi - conds[j].const) for j in start] + [0] * (nvars + 1))
-    basis = [start.index(bv) for bv in basis]
-    widths = [conds[j].hi - conds[j].lo for j in start]
+    start = sorted({*pivots, *range(len(rows), len(conds))})
+    waiting = [c for j, c in enumerate(rows) if j not in pivots]
+    basis = [start.index(c) for c in pivots]
+    # rows den * B^-1 and a zero right-hand side; the cost row den * c less
+    # (hi - const) of each basic condition times its row
+    T = [row + [0] for row in relaxation.T]
+    h = [conds[c].hi - conds[c].const for c in pivots]
+    T.append([-sum(map(mul, h, column)) for column in zip(*T)])
+    widths, slots = [], []
+    for c in start:
+        if c in pivots:
+            widths.append(conds[c].hi - conds[c].lo)
+        else:
+            _add_column(T, conds[c], den, widths, slots)
     empty = BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
     solve = _phase2
     lo, hi = [], []
@@ -486,14 +552,14 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
         for sense, bounds in ((1, hi), (-1, lo)):
             # right-hand side +-B^-1 e_i, and in the cost row its objective
             for row in T:
-                row[-1] = sense * row[len(widths) + i]
-            den = solve(T, basis, den, widths)
+                row[-1] = sense * row[len(slots) + i]
+            den = solve(T, basis, slots, den, widths)
             while den is not None:
-                j = _price(T[-1], waiting, den, len(widths))
+                j = _price(T[-1], waiting, den, len(slots))
                 if j is None:
                     break
-                _add_column(T, waiting.pop(j), den, widths)
-                den = _phase2(T, basis, den, widths)
+                _add_column(T, waiting.pop(j), den, widths, slots)
+                den = _phase2(T, basis, slots, den, widths)
             if den is None:
                 return empty
             # every later LP starts from this optimum

@@ -11,7 +11,6 @@ from operator import mul
 from helpzc.cyclotomic import CycSum, divisors, trace_root
 from helpzc.help_core import (
     ConstraintSystem,
-    MultiplicityCheck,
     PADistribution,
     V4Report,
     variable_layout,
@@ -145,19 +144,16 @@ def trace_rows(frame, chi, pairs) -> list[tuple[int, ...]]:
 
 
 def trace_row_v4(pa, characters) -> V4Report:
-    """The (V4) check through per-character trace rows: one char_value per class,
-    one trace per entry and rotation, for every character."""
+    """The (V4) sums n * mu through per-character trace rows: one char_value
+    per class, one trace per entry and rotation, for every character."""
     entries = list(pa.entries())
     pairs = [(d, cls) for d, cls, _v in entries]
     values = [v for _d, _cls, v in entries]
-    checks = []
-    for chi in characters:
-        label = chi.label
-        for l, row in enumerate(trace_rows(pa.frame, chi, pairs)):
-            mu = Fraction(sum(v * a for v, a in zip(values, row)), pa.n)
-            ok = mu >= 0 and mu.denominator == 1
-            checks.append(MultiplicityCheck(character=label, l=l, value=mu, ok=ok))
-    return V4Report(tuple(checks))
+    sums = tuple(
+        (chi.label, tuple(sum(map(mul, values, row)) for row in trace_rows(pa.frame, chi, pairs)))
+        for chi in characters
+    )
+    return V4Report(pa.n, sums)
 
 
 def dense_mu_sums(counts, table) -> list[int]:

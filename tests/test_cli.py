@@ -360,7 +360,19 @@ RENDERER_PINS = [
      "82e8fc9df1bba83c6b49cf1ea0414876e8578e39126a292a12a6d8afcc4b2056"),
     ("check V1", 1,
      "218a3f6d85a4b15822419c4eedf4ab99a596de0e02efc9e0ef159db853194c6d"),
+    # keeps (V1)-(V3) and fails (V4): mu(chi_2, l=2) = -1/10
+    ("check V4 --chars brauer-p --format json", 1,
+     "d7e82d956b77cc6272e689275ff093354ff2d0cea036e972bd3ecfbb8f902fc8"),
+    ("check V4 --chars brauer-p", 1,
+     "08ee91ed0e54e9f3ce80e247ea4e372fd8c1434686117de741de7fb34030790d"),
 ]
+
+# the (19,10) TPA distribution of g0 with +1 on g0^3 and -1 on g0^4 at level 1
+V4_FAILURE = (
+    '{"q":19,"n":10,"entries":[{"d":1,"exp":1,"value":1},{"d":1,"exp":3,"value":1},'
+    '{"d":1,"exp":4,"value":-1},{"d":2,"exp":2,"value":1},{"d":5,"exp":5,"value":1},'
+    '{"d":10,"exp":0,"value":1}]}'
+)
 
 
 @pytest.mark.parametrize("line, expected_code, digest", RENDERER_PINS, ids=lambda v: str(v)[:50])
@@ -369,7 +381,9 @@ def test_renderer_bytes_are_pinned(line, expected_code, digest, tmp_path, capsys
     broken = tpa_distribution(fr, 1).to_json_dict()
     broken["entries"][0]["value"] = 2  # level 1 now sums to 2: (V1) fails
     (tmp_path / "v1.json").write_text(json.dumps(broken))
-    files = {"EXC": write_dist(tmp_path, exceptional(fr, 5)), "V1": str(tmp_path / "v1.json")}
+    (tmp_path / "v4.json").write_text(V4_FAILURE)
+    files = {"EXC": write_dist(tmp_path, exceptional(fr, 5)), "V1": str(tmp_path / "v1.json"),
+             "V4": str(tmp_path / "v4.json")}
     code, out, _ = run_cli(capsys, *(files.get(a, a) for a in line.split()))
     assert code == expected_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from helpzc import help_core
 from helpzc.cyclotomic import divisors
 from helpzc.help_core import (
-    MultiplicityCheck,
     PADistribution,
     SolutionSet,
     V4Report,
@@ -253,11 +252,10 @@ def perturb_level_1(pa, rng):
 def assert_v4_matches_multiplicity(pa, chars):
     report = verify_v4(pa, chars)
     expected = [(chi.label, l, multiplicity(pa, chi, l)) for chi in chars for l in range(pa.n)]
-    assert [(c.character, c.l, c.value) for c in report.checks] == expected
-    assert all(type(c.value) is Fraction for c in report.checks)
-    assert [c.ok for c in report.checks] == [
-        mu >= 0 and mu.denominator == 1 for _label, _l, mu in expected
-    ]
+    assert report.n == pa.n
+    assert [(label, l, Fraction(s, pa.n)) for label, l, s in report.checks] == expected
+    assert all(type(s) is int for _label, _l, s in report.checks)
+    assert report.ok == all(mu >= 0 and mu.denominator == 1 for _label, _l, mu in expected)
     return report
 
 
@@ -287,8 +285,8 @@ def test_verify_v4_on_v3_valid_distributions(values):
     pa = PADistribution(FRAME_19_10, levels)
     chars = brauer_and_paper(FRAME_19_10)
     report = assert_v4_matches_multiplicity(pa, chars)
-    for chi, check in zip([chi for chi in chars for _l in range(10)], report.checks):
-        assert abs(float_multiplicity(pa, chi, check.l) - float(check.value)) < 1e-8
+    for chi, (_label, l, s) in zip([chi for chi in chars for _l in range(10)], report.checks):
+        assert abs(float_multiplicity(pa, chi, l) - s / pa.n) < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -372,7 +370,7 @@ def test_verify_v4_matches_trace_row_oracle(pa, family):
     chars, _ = character_family(pa.frame, family)
     report = verify_v4(pa, chars)
     assert report == trace_row_v4(pa, chars)
-    assert all(type(c.value) is Fraction for c in report.checks)
+    assert all(type(s) is int for _label, _l, s in report.checks)
 
 
 @pytest.mark.parametrize("q,n", [(19, 10), (53, 26)])
@@ -513,12 +511,14 @@ def test_verify_v4_rejects_bad_distribution():
     assert not report.ok
 
 
-def test_v4_report_ok_is_derived_from_its_checks():
-    passing = MultiplicityCheck(character="chi", l=0, value=Fraction(1), ok=True)
-    failing = MultiplicityCheck(character="chi", l=1, value=Fraction(-1), ok=False)
-    assert V4Report(()).ok is True
-    assert V4Report((passing,)).ok
-    assert not V4Report((passing, failing)).ok
+def test_v4_report_ok_is_derived_from_its_sums():
+    # ok when every n * mu is a nonnegative multiple of n
+    assert V4Report(10, ()).ok is True
+    assert V4Report(10, (("chi", (10, 0, 20)),)).ok
+    assert not V4Report(10, (("chi", (10, 0)), ("psi", (-10,)))).ok
+    assert not V4Report(10, (("chi", (5,)),)).ok
+    assert V4Report(10, (("chi", (10, 0)), ("psi", (5,)))).checks == (
+        ("chi", 0, 10), ("chi", 1, 0), ("psi", 0, 5))
 
 
 # ---------------------------------------------------------------- mu_minus

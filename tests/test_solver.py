@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpzc import solver
+from helpzc.cyclotomic import prime_factorization
 from helpzc.help_core import (
     ConstraintRow,
     SolutionSet,
@@ -260,6 +261,90 @@ def test_bounds_pivot_counts_pinned(make, pivots, monkeypatch):
     assert len(calls) == pivots
 
 
+# (row, returned den) of every _pivot call of derive_bounds on a fresh
+# system, elimination first, recorded on the tableau that stored every
+# column; the 13th pivot of (13,6), (3, 24), is the dual phase taking the
+# leaving variable's own bound flip
+PIVOT_SEQUENCES = {
+    "paper-13-6": [
+        (0, 2), (1, 8), (2, 48), (3, 96), (4, 144), (3, 72), (4, 24), (2, 48), (1, 48),
+        (0, 192), (2, 24), (4, 24), (3, 24), (2, 72), (1, 72), (0, 72), (2, 24), (4, 24),
+        (4, 24), (0, 24), (4, 24), (1, 24), (0, 24), (2, 72), (4, 24), (2, 24), (2, 24),
+    ],
+    "brauer-p-19-10": [
+        (0, 4), (1, 16), (2, 80), (3, 800), (4, 8000), (5, 16000), (6, 160000),
+        (7, 200000), (0, 40000), (5, 100000), (7, 60000), (5, 20000), (4, 40000),
+        (6, 40000), (7, 100000), (0, 100000), (1, 100000), (1, 20000), (3, 20000),
+        (2, 20000), (0, 20000), (7, 40000), (4, 20000), (3, 20000), (0, 20000),
+        (7, 20000), (4, 40000), (1, 200000), (1, 40000), (0, 40000), (3, 40000),
+        (0, 40000), (5, 200000), (6, 200000), (5, 40000), (2, 40000), (5, 200000),
+        (4, 100000), (7, 200000), (5, 40000), (1, 200000), (1, 40000), (0, 40000),
+        (4, 20000), (0, 20000), (7, 20000), (2, 20000), (5, 100000), (5, 20000),
+        (6, 40000), (2, 40000), (0, 40000), (0, 40000),
+    ],
+}
+
+
+def recorded_pivots(monkeypatch):
+    calls = []
+    real = solver._pivot
+
+    def recorded(*args):
+        out = real(*args)
+        calls.append((args[1], out))
+        return out
+
+    monkeypatch.setattr(solver, "_pivot", recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: paper_system(13, 6), "paper-13-6"),
+        (lambda: family_system(19, 10, "brauer-p"), "brauer-p-19-10"),
+    ],
+    ids=["paper-13-6", "brauer-p-19-10"],
+)
+def test_bounds_pivot_sequence_pinned(make, name, monkeypatch):
+    system = make()
+    calls = recorded_pivots(monkeypatch)
+    derive_bounds(system)
+    assert calls == PIVOT_SEQUENCES[name]
+
+
+def sweep_frames():
+    # every frame of PSL(2,q) of order m >= 2, q an odd prime power in [5, 53]
+    for q in range(5, 54, 2):
+        if len(prime_factorization(q)) > 1:
+            continue
+        for m in range(2, q):
+            if (q - 1) % (2 * m) == 0 or (q + 1) % (2 * m) == 0:
+                yield q, m
+
+
+def test_bounds_sweep_pinned(monkeypatch):
+    # sha256 of (q, m, family, rank, box, pivots) over the 98 frames and both
+    # presets, recorded on the tableau that stored every column: every box,
+    # rank and pivot count of the sweep is as it was
+    calls = recorded_pivots(monkeypatch)
+    cases = []
+    for q, m in sweep_frames():
+        for spec in ("paper", "brauer-p"):
+            system = family_system(q, m, spec)
+            calls.clear()
+            rank = rank_check(system)
+            try:
+                box = derive_bounds(system)
+                box = (box.lo, box.hi)
+            except RankDeficientError:
+                box = None
+            cases.append((q, m, spec, rank, box, len(calls)))
+    assert len(cases) == 196
+    digest = hashlib.sha256(repr(cases).encode()).hexdigest()
+    assert digest == "650f65ece26f542e9d277b9a4621ea7e96cf34e86cc9ae535454f5e0dac8f3f7"
+
+
 def orbit_count(system):
     relaxation = solver._relaxation(system)
     return len(set(solver._orbit_roots(system.layout, relaxation.rows + relaxation.levels)))
@@ -364,12 +449,33 @@ def test_bounds_chain_matches_oracle_on_random_rows(extra):
     assert box == two_phase_bounds(system)
 
 
-def test_dual_phase_raises_on_a_zero_row():
-    # a negative right-hand side on a row that is zero on every column:
-    # derive_bounds's full-rank start columns exclude it, never a box
-    T = [[0, 0, 1, -1], [3, 2, 0, 0]]
-    with pytest.raises(ArithmeticError):
-        solver._dual_phase(T, [0], 1, [4, 5])
+def one_row_dual_phase(basic, stored, widths):
+    # one basic row with a negative right-hand side; the stored column's
+    # entry -1 and reduced cost 5 give it ratio 5, the flip its width
+    T = [[-1, 1, -1], [5, 0, 0]]
+    basis, slots = [basic], [stored]
+    den = solver._dual_phase(T, basis, slots, 1, widths)
+    return T, basis, slots, den
+
+
+def test_dual_phase_takes_the_leaving_variables_flip_at_the_least_ratio():
+    # width 2 < 5: the row is negated, twice the row leaves the cost row,
+    # and den and the basis stay
+    assert one_row_dual_phase(0, 1, [2, 9]) == ([[1, -1, 1], [3, 2, -2]], [0], [1], 1)
+
+
+@pytest.mark.parametrize(
+    "basic, stored, after",
+    [
+        (0, 1, ([[1, -1, 1], [0, 5, -5]], [0], [1], 1)),
+        (1, 0, ([[-1, -1, 1], [5, 5, -5]], [0], [1], 1)),
+    ],
+    ids=["flip-is-lesser", "column-is-lesser"],
+)
+def test_dual_phase_ratio_tie_goes_to_the_lesser_variable(basic, stored, after):
+    # both ratios are 5: the flip keeps the basis, the exchange swaps the
+    # two variables; the objective is -5 either way
+    assert one_row_dual_phase(basic, stored, [5, 5]) == after
 
 
 @settings(max_examples=30, deadline=None)
@@ -405,9 +511,9 @@ def test_emptiness_from_a_priced_in_condition(monkeypatch):
     added, results = [], []
     real_add, real_phase2 = solver._add_column, solver._phase2
 
-    def add(T, cond, den, widths):
+    def add(T, cond, *rest):
         added.append(cond)
-        return real_add(T, cond, den, widths)
+        return real_add(T, cond, *rest)
 
     def phase2(*args):
         results.append(real_phase2(*args))
@@ -427,18 +533,28 @@ def test_tableau_ends_narrower_than_the_conditions(monkeypatch):
     relaxation = solver._relaxation(system)
     ncond = len(relaxation.rows) + len(relaxation.levels)
     nvars = len(system.layout)
-    widths = []
-    real = solver._pivot
+    widths, numbered = [], []
+    real_pivot, real_add = solver._pivot, solver._add_column
 
-    def seen(T, r, col, den):
+    def seen(T, r, column, den):
         widths.append(len(T[r]))
-        return real(T, r, col, den)
+        return real_pivot(T, r, column, den)
+
+    def add(T, cond, den, lp_widths, slots):
+        numbered[:] = [lp_widths]
+        return real_add(T, cond, den, lp_widths, slots)
 
     monkeypatch.setattr(solver, "_pivot", seen)
+    monkeypatch.setattr(solver, "_add_column", add)
     derive_bounds(system)
-    # a row is the condition columns, the I block and the right-hand side
-    assert widths[0] == ncond + nvars + 1
-    assert widths[-1] - nvars - 1 < ncond
+    # the elimination's rows are the I block alone
+    assert widths[:nvars] == [nvars] * nvars
+    # an LP row is its variables but the nvars basic ones, the nvars columns
+    # of the I block and the right-hand side; the LP numbers fewer variables
+    # than there are conditions
+    variables = len(numbered[0])
+    assert widths[-1] == variables + 1
+    assert variables < ncond
 
 
 def test_infeasible_relaxation_enumerates_nothing():
