@@ -1,10 +1,11 @@
 """Complete enumeration of the integer solutions of a HeLP constraint system.
 
-The pipeline is: check that the distinct character rows have full
-column rank, bound every variable by exact linear programming, then run
-a depth-first search over the integer box.  The search takes the levels
-from the highest divisor d down, and within a level the variables from
-the narrowest box to the widest, ties by layout index.  Before the
+The pipeline is: check that the distinct character rows and the (V1)
+level equations have full column rank, bound every variable by exact
+linear programming, then run a depth-first search over the integer box.
+The search takes the levels from the highest divisor d down, and within
+a level the variables from the narrowest box to the widest, ties by
+layout index.  Before the
 search, each level's (V1) equation sum = 1 substitutes the level's last,
 widest, variable out of every row, so a row bounds the level's earlier
 variables without the box reach of the last one, and the search never
@@ -24,13 +25,13 @@ The per-variable LPs are solved through the dual: the primal has few
 variables and hundreds of rows, so the dual tableau has one row per
 primal variable and stays tiny.  A condition lo <= const + a.x <= hi
 is one dual column, a or -a as needed.  The system's Gauss-Jordan
-elimination of [A^T | I], over the distinct rows and the level
-equations, gives a basis from which the first dual starts feasible
+elimination of [A^T | I], over the level equations and then the
+distinct rows, gives a basis from which the first dual starts feasible
 after column flips, for one phase of Bland-rule simplex.  The
 LPs share their cost and differ only in the right-hand side, so each
 later one starts from the previous optimum, which stays dual feasible,
 and re-optimises by dual simplex under Bland's rule.  The tableau holds
-only the elimination's basis columns and the level equations at first;
+only the elimination's basis at first, and so stores no column;
 after each optimum the omitted conditions are priced against it, and
 the most violated one is appended and the primal simplex resumed, until
 none prices in.  Most conditions never enter.  All of it is
@@ -49,15 +50,13 @@ itself, so the LP bounds are equal on each of their orbits: one LP pair
 (max and min) is solved per orbit, not per variable.  The check is
 mechanical; a system without the symmetry solves one pair per variable.
 
-Two gates stop an unbounded relaxation, and both read one elimination.
-Each system's relaxation (its distinct rows, level equations and that
-elimination) is built once, on first use, and kept on the system object
-(_prepared); rank_check, derive_bounds and the search all read it.
-solve_vpa rejects a family whose distinct rows have rank below the
-variable count (rank_check counts the pivots in row columns, which rank
-those rows alone), and derive_bounds raises for a direct caller when the
-rows plus the level equations leave a variable without a pivot.  Both
-raise RankDeficientError; neither extends the family.
+The relaxation is bounded exactly when the rows and the level equations
+together have full column rank, and one gate checks it: derive_bounds
+raises RankDeficientError when rank_check reads a lower rank.  It never
+extends the family.  Each system's relaxation (its distinct rows, level
+equations and their one elimination) is built once, on first use, and
+kept on the system object (_prepared); rank_check, derive_bounds and the
+search all read it.
 """
 
 from __future__ import annotations
@@ -111,10 +110,12 @@ class BoundsBox:
 
 @dataclass(frozen=True)
 class EnumerationReport:
-    """The solutions in the box bounds, the search's node count and the rows' rank.
+    """The solutions in the box bounds, the search's node count and the rank.
 
-    The family is solutions.family; complete is False only for a direct
-    enumerate_solutions call on rows of deficient rank (solve_vpa rejects them).
+    rank is that of the rows and level equations together (rank_check).  The
+    family is solutions.family; complete is False only for a direct
+    enumerate_solutions call on a system of deficient rank, whose relaxation
+    is unbounded (derive_bounds rejects it).
     """
 
     solutions: SolutionSet
@@ -166,17 +167,19 @@ class _Condition(NamedTuple):
 
 
 class _Relaxation(NamedTuple):
-    """The relaxation of a system and the one elimination both gates read.
+    """The relaxation of a system and its one elimination.
 
     rows are the distinct non-constant character rows
     0 <= const + coeffs.x <= upper, = 0 mod n; levels are the (V1)
     equations sum = 1, one per level; consistent says whether every
-    constant row already holds.  A is the matrix of the rows followed by
-    the levels.  T / den is the I block of [A^T | I] after Gauss-Jordan
+    constant row already holds.  A is the matrix of the levels followed by
+    the rows.  T / den is the I block of [A^T | I] after Gauss-Jordan
     elimination (_eliminate), den * B^-1 for the basis B it found; the
     condition columns are not stored, as each is T times its a.  basis
-    holds each T row's pivot condition, None where the row is zero on
-    every condition.  Readers copy T and never write it.
+    holds each T row's pivot, an index into levels + rows, None where the
+    row is zero on every condition.  The levels have disjoint supports, so
+    each takes a pivot, in the row of its first variable: no earlier row
+    touches that variable.  Readers copy T and never write it.
     A NamedTuple, not a dataclass: it is cheaper to define, and every fresh
     import of the package pays for that.
     """
@@ -215,7 +218,7 @@ def _relaxation(system: ConstraintSystem) -> _Relaxation:
         if not any(r.coeffs)
     )
     T = [[int(j == i) for j in range(nvars)] for i in range(nvars)]
-    basis, den = _eliminate(T, rows + levels)
+    basis, den = _eliminate(T, levels + rows)
     return _Relaxation(rows, levels, consistent, T, tuple(basis), den)
 
 
@@ -304,18 +307,12 @@ def _eliminate(T: list[list[int]], conds: tuple[_Condition, ...]) -> tuple[list[
 
 
 def rank_check(system: ConstraintSystem) -> int:
-    """Exact rank over Q of the coefficient matrix of the distinct rows.
+    """Exact rank over Q of the distinct rows and the level equations together.
 
-    Read from the system's one elimination (_prepared), which ranks the
-    rows and then the level equations.  A T row takes its pivot in the
-    first condition where it is nonzero, and the rows come first, so
-    a row whose pivot lands in a level equation is zero on every row,
-    and a later pivot only rescales it there.  So the pivots in rows
-    count the rank of the rows alone; the level equations do not raise it.
+    The relaxation is bounded exactly when this is the variable count.  It
+    is the number of pivots of the system's one elimination (_prepared).
     """
-    relaxation = _prepared(system)
-    nrows = len(relaxation.rows)
-    return sum(col is not None and col < nrows for col in relaxation.basis)
+    return sum(col is not None for col in _prepared(system).basis)
 
 
 def _flip(T: list[list[int]], col: int, width: int, den: int) -> None:
@@ -485,25 +482,23 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     min h.y, G^T y = +-e_i, y >= 0.  G holds each condition's a as -a and
     +a; the full dual has one variable per condition for the direction in
     use.  The system's one Gauss-Jordan elimination of [A^T | I]
-    (_prepared), A the matrix of all rows a and level equations, gives a
-    start basis; a row without a pivot means A is rank deficient and the
-    relaxation unbounded.  rank_check reads the same elimination, so a
-    system whose rank was checked is not eliminated again.  The tableau
-    carries the I block, which holds den * B^-1 for the current basis B, so
-    the right-hand side of the LP for +-e_i is +- its column i, and the
-    cost row's entry there gives the objective.
+    (_prepared), A the matrix of the level equations and all rows a,
+    gives a start basis.  This is the one rank gate: where rank_check,
+    which reads the same elimination, is below the variable count, A is
+    rank deficient, the relaxation unbounded, and RankDeficientError is
+    raised.  The tableau carries the I block, which holds den * B^-1 for
+    the current basis B, so the right-hand side of the LP for +-e_i is +-
+    its column i, and the cost row's entry there gives the objective.
 
     The tableau is condensed: it stores only the nonbasic columns, as a
     basic column is den times a unit vector.  A variable's number is its
-    position among the start conditions (the basis and the level
-    equations, in condition order), then the order it was priced in; the
-    pivot rules read these numbers, never a column's position.  A pivot is
-    an exchange: the entering column's place takes the leaving variable.
-    The cost row starts as the reduced cost of the start basis, and the
-    level equations outside that basis are the first stored columns.
+    position among the start basis's conditions, in condition order, then
+    the order it was priced in; the pivot rules read these numbers, never a
+    column's position.  A pivot is an exchange: the entering column's place
+    takes the leaving variable.  The start tableau is den * B^-1 and the
+    cost row, the reduced cost of the start basis; it stores no column.
 
-    The tableau holds only the start conditions at first; the other
-    conditions wait.  The LPs form one chain.
+    Every condition outside the basis waits.  The LPs form one chain.
     The first starts from the Gauss-Jordan basis (_phase2); every later LP
     changes only the right-hand side and re-optimises from the previous
     optimal basis (_dual_phase).  After each optimum the waiting
@@ -515,32 +510,31 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     None, and only the first LP can find it: once nothing prices in
     there, the full relaxation has a point.  It may surface in a
     resumption after pricing rather than in the first _phase2 call.
-    The start conditions never leave the tableau and have full rank, so
-    every restricted relaxation is bounded.
+    The start basis's conditions never leave the tableau and have full
+    rank, so every restricted relaxation is bounded.
 
     The LP pair is solved for the least variable of each orbit
     (_orbit_roots) and copied to the others.
     """
     nvars = len(system.layout)
+    rank = rank_check(system)
+    if rank < nvars:
+        raise RankDeficientError(
+            f"rank-deficient family {system.family}: its distinct rows and level "
+            f"equations have rank {rank} for {nvars} variables; augment the character family"
+        )
     relaxation = _prepared(system)
-    rows, pivots, den = relaxation.rows, relaxation.basis, relaxation.den
-    conds = rows + relaxation.levels
-    if None in pivots:
-        raise RankDeficientError("unbounded relaxation: augment the character family")
-    start = sorted({*pivots, *range(len(rows), len(conds))})
-    waiting = [c for j, c in enumerate(rows) if j not in pivots]
+    pivots, den = relaxation.basis, relaxation.den
+    conds = relaxation.levels + relaxation.rows
+    start = sorted(pivots)
+    waiting = [c for j, c in enumerate(conds) if j not in pivots]
     basis = [start.index(c) for c in pivots]
     # rows den * B^-1 and a zero right-hand side; the cost row den * c less
     # (hi - const) of each basic condition times its row
     T = [row + [0] for row in relaxation.T]
     h = [conds[c].hi - conds[c].const for c in pivots]
     T.append([-sum(map(mul, h, column)) for column in zip(*T)])
-    widths, slots = [], []
-    for c in start:
-        if c in pivots:
-            widths.append(conds[c].hi - conds[c].lo)
-        else:
-            _add_column(T, conds[c], den, widths, slots)
+    widths, slots = [conds[c].hi - conds[c].lo for c in start], []
     empty = BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
     solve = _phase2
     lo, hi = [], []
@@ -843,22 +837,16 @@ def solve_vpa(
     node_budget: int = DEFAULT_NODE_BUDGET,
     family: str | None = None,
 ) -> EnumerationReport:
-    """Full pipeline: build rows, check their rank, bound, enumerate.
+    """Full pipeline: build rows, bound, enumerate.
 
-    Raises RankDeficientError when the distinct rows of the family have
-    rank below the variable count: the system solved is always the one of
-    the family given.
+    derive_bounds raises RankDeficientError when the family's distinct rows
+    and the level equations have rank below the variable count: the system
+    solved is always the one of the family given.
     """
     if isinstance(chars, str):
         characters, family = character_family(frame, chars)
     else:
         characters, family = tuple(chars), (family or "custom")
     system = build_constraints(frame, characters, family)
-    rank = rank_check(system)
-    if rank < len(system.layout):
-        raise RankDeficientError(
-            f"rank-deficient family {family}: its distinct rows have rank {rank} "
-            f"for {len(system.layout)} variables; augment the character family"
-        )
     box = derive_bounds(system)
     return enumerate_solutions(system, box, node_budget=node_budget)

@@ -480,6 +480,19 @@ def test_custom_character_file(tmp_path, capsys):
         assert "integer" in err
 
 
+def test_rows_completed_by_the_level_equations_exit_0(tmp_path, capsys):
+    # the chi_2 and chi_4 rows have rank 7 for the 8 variables of (19,10), and
+    # 8 with the level equations: the relaxation is bounded, and the family
+    # gives the paper's 4
+    path = tmp_path / "chi2-chi4.json"
+    path.write_text(json.dumps([{"kind": "brauer", "weights": [w]} for w in (2, 4)]))
+    code, out, _ = run_cli(capsys, "vpa", "--q", "19", "--n", "10", "--chars", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["solution_count"] == 4
+    assert payload["rank"] == 8 and payload["complete"] is True
+
+
 def test_chars_table_from_character_file(tmp_path, capsys):
     path = tmp_path / "family.json"
     path.write_text(json.dumps([{"kind": "brauer", "weights": [4]}, {"kind": "phi", "h": 1}]))
@@ -627,4 +640,7 @@ def test_rank_deficient_family_exits_2(capsys):
     code, out, err = run_cli(capsys, "vpa", "--q", "19", "--n", "10", "--chars", "brauer-p:1")
     assert code == 2
     assert "augment" in err
+    # brauer-p:1 is the trivial character, whose rows are sums over the levels:
+    # the rank is that of the 3 level equations
+    assert "rank 3 for 8 variables" in err
     assert out == ""

@@ -117,9 +117,10 @@ def test_rank_single_trivial_character():
 
 
 def test_rank_empty_system():
+    # no row: the rank is that of the level equations, one per d in 1, 2, 5
     fr = frame_for(19, 10)
     system = build_constraints(fr, [])
-    assert rank_check(system) == 0
+    assert rank_check(system) == 3
 
 
 @st.composite
@@ -135,20 +136,26 @@ def _row_span(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(coeffs=_row_span())
-# rows of rank below 5, so level columns take pivots in the shared elimination
+# rows of rank below 5 that the level equations do and do not complete
 @example(coeffs=[])
 @example(coeffs=[(1, 1, 0, 0, 0), (0, 0, 1, 0, 0)])
+@example(coeffs=[(1, -1, 0, 0, 0), (0, 0, 1, 0, 0)])
 def test_rank_matches_fraction_oracle(coeffs):
     system = paper_system(13, 6)
     rows = tuple(
         ConstraintRow(character="random", l=0, coeffs=c, const=0, upper=6) for c in coeffs
     )
     system = replace(system, rows=rows)
-    assert rank_check(system) == fraction_rank(coeffs)
-    # the same elimination ranks the rows and the level equations together
-    relaxation = solver._prepared(system)
-    levels = [c.coeffs for c in relaxation.levels]
-    assert sum(col is not None for col in relaxation.basis) == fraction_rank(coeffs + levels)
+    levels = [c.coeffs for c in solver._prepared(system).levels]
+    rank = fraction_rank(coeffs + levels)
+    assert rank_check(system) == rank
+    # the one gate: derive_bounds raises exactly where that rank is deficient
+    try:
+        derive_bounds(system)
+    except RankDeficientError as exc:
+        assert rank < 5 and f"rank {rank} for 5 variables" in str(exc)
+    else:
+        assert rank == 5
 
 
 # ---------------------------------------------------------------- bounds
@@ -234,8 +241,8 @@ def test_bounds_match_two_phase_oracle(make):
 @pytest.mark.parametrize(
     "make, pivots",
     [
-        (lambda: paper_system(13, 6), 27),
-        (lambda: paper_system(19, 10), 51),
+        (lambda: paper_system(13, 6), 32),
+        (lambda: paper_system(19, 10), 49),
         (lambda: paper_system(31, 15), 63),
         (lambda: family_system(19, 10, "brauer-p"), 53),
     ],
@@ -262,25 +269,25 @@ def test_bounds_pivot_counts_pinned(make, pivots, monkeypatch):
 
 
 # (row, returned den) of every _pivot call of derive_bounds on a fresh
-# system, elimination first, recorded on the tableau that stored every
-# column; the 13th pivot of (13,6), (3, 24), is the dual phase taking the
-# leaving variable's own bound flip
+# system: the elimination, in which each level equation takes the row of
+# its first variable, where its entry is den, so den stays (rows 0, 3, 4 of
+# (13,6); rows 0, 5, 7 of (19,10)), then the chain
 PIVOT_SEQUENCES = {
     "paper-13-6": [
-        (0, 2), (1, 8), (2, 48), (3, 96), (4, 144), (3, 72), (4, 24), (2, 48), (1, 48),
-        (0, 192), (2, 24), (4, 24), (3, 24), (2, 72), (1, 72), (0, 72), (2, 24), (4, 24),
-        (4, 24), (0, 24), (4, 24), (1, 24), (0, 24), (2, 72), (4, 24), (2, 24), (2, 24),
+        (0, 1), (1, 4), (2, 24), (3, 24), (4, 24), (2, 48), (1, 48), (3, 192), (2, 24),
+        (0, 24), (2, 24), (4, 24), (1, 24), (3, 24), (2, 24), (0, 24), (4, 24), (0, 24),
+        (2, 24), (4, 24), (3, 24), (2, 24), (0, 24), (0, 24), (2, 24), (4, 24), (1, 24),
+        (3, 24), (2, 24), (2, 24), (2, 24), (4, 24),
     ],
     "brauer-p-19-10": [
-        (0, 4), (1, 16), (2, 80), (3, 800), (4, 8000), (5, 16000), (6, 160000),
-        (7, 200000), (0, 40000), (5, 100000), (7, 60000), (5, 20000), (4, 40000),
-        (6, 40000), (7, 100000), (0, 100000), (1, 100000), (1, 20000), (3, 20000),
-        (2, 20000), (0, 20000), (7, 40000), (4, 20000), (3, 20000), (0, 20000),
-        (7, 20000), (4, 40000), (1, 200000), (1, 40000), (0, 40000), (3, 40000),
-        (0, 40000), (5, 200000), (6, 200000), (5, 40000), (2, 40000), (5, 200000),
-        (4, 100000), (7, 200000), (5, 40000), (1, 200000), (1, 40000), (0, 40000),
-        (4, 20000), (0, 20000), (7, 20000), (2, 20000), (5, 100000), (5, 20000),
-        (6, 40000), (2, 40000), (0, 40000), (0, 40000),
+        (0, 1), (1, 4), (2, 20), (3, 200), (4, 2000), (5, 2000), (6, 20000), (7, 20000),
+        (0, 80000), (4, 40000), (6, 40000), (7, 100000), (1, 20000), (3, 20000), (2, 20000),
+        (4, 20000), (5, 20000), (1, 20000), (7, 40000), (0, 20000), (4, 20000), (3, 20000),
+        (1, 20000), (4, 80000), (5, 80000), (7, 20000), (0, 40000), (5, 40000), (5, 40000),
+        (7, 40000), (1, 40000), (3, 40000), (1, 40000), (6, 40000), (2, 40000), (0, 20000),
+        (5, 20000), (4, 40000), (5, 40000), (7, 40000), (5, 40000), (5, 40000), (1, 40000),
+        (0, 20000), (1, 20000), (4, 20000), (7, 20000), (2, 20000), (7, 20000), (6, 40000),
+        (2, 40000), (1, 40000), (1, 40000),
     ],
 }
 
@@ -323,26 +330,51 @@ def sweep_frames():
                 yield q, m
 
 
-def test_bounds_sweep_pinned(monkeypatch):
-    # sha256 of (q, m, family, rank, box, pivots) over the 98 frames and both
-    # presets, recorded on the tableau that stored every column: every box,
-    # rank and pivot count of the sweep is as it was
-    calls = recorded_pivots(monkeypatch)
-    cases = []
-    for q, m in sweep_frames():
-        for spec in ("paper", "brauer-p"):
-            system = family_system(q, m, spec)
-            calls.clear()
-            rank = rank_check(system)
-            try:
-                box = derive_bounds(system)
-                box = (box.lo, box.hi)
-            except RankDeficientError:
-                box = None
-            cases.append((q, m, spec, rank, box, len(calls)))
+@pytest.fixture(scope="module")
+def sweep():
+    # over the 98 frames and both presets, fresh systems: (q, m, family,
+    # rank, box), and (q, m, family, _pivot calls of rank_check and
+    # derive_bounds)
+    cases, counts, calls = [], [], []
+    real = solver._pivot
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    with mock.patch.object(solver, "_pivot", counted):
+        for q, m in sweep_frames():
+            for spec in ("paper", "brauer-p"):
+                system = family_system(q, m, spec)
+                calls.clear()
+                rank = rank_check(system)
+                try:
+                    box = derive_bounds(system)
+                    box = (box.lo, box.hi)
+                except RankDeficientError:
+                    box = None
+                cases.append((q, m, spec, rank, box))
+                counts.append((q, m, spec, len(calls)))
+    return cases, counts
+
+
+def test_bounds_sweep_pinned(sweep):
+    # sha256 of (q, m, family, rank, box), recorded before the elimination
+    # took the level equations first: every box and rank of the sweep is
+    # as it was
+    cases, _ = sweep
     assert len(cases) == 196
     digest = hashlib.sha256(repr(cases).encode()).hexdigest()
-    assert digest == "650f65ece26f542e9d277b9a4621ea7e96cf34e86cc9ae535454f5e0dac8f3f7"
+    assert digest == "8b04d8fddd5003e1249778fa9c162c57452e6cf6e7cb298e104c1f5fd64cd8e4"
+
+
+def test_bounds_sweep_pivot_counts_pinned(sweep):
+    # sha256 of (q, m, family, pivots): 11,935 pivots in all, against 10,159
+    # when the elimination took the rows first
+    _, counts = sweep
+    assert sum(c[-1] for c in counts) == 11935
+    digest = hashlib.sha256(repr(counts).encode()).hexdigest()
+    assert digest == "6d6301489d402bf3e26d8fa055656b05b39d8a028c9f8d15b2f5dded0b67812f"
 
 
 def orbit_count(system):
@@ -503,8 +535,8 @@ def test_bounds_pinned_brauer_p_53_26():
 
 
 def test_emptiness_from_a_priced_in_condition(monkeypatch):
-    # the far row comes after rows of full rank, so it is no start column:
-    # only pricing brings it in, and the resumed _phase2 finds the dual unbounded
+    # the far row comes after rows of full rank, so it is not in the start
+    # basis: only pricing brings it in, and the resumed _phase2 finds the dual unbounded
     system = infeasible_system()
     far = solver._relaxation(system).rows[-1]
     assert far.const == -50
@@ -565,25 +597,34 @@ def test_infeasible_relaxation_enumerates_nothing():
     assert rep.node_count == 0 and len(rep.solutions) == 0
 
 
-def test_rank_deficient_rows_enumerate_as_incomplete():
+def test_rows_completed_by_the_level_equations_solve():
     # chi_2 and chi_4 alone have rank 7 for 8 variables and 8 with the level
-    # equations, so a level column takes a pivot in the one elimination:
-    # rank_check still reads 7, and the LP on the same system still has a
-    # box, and its search finds the paper's 4
+    # equations, so the relaxation is bounded and the family is solved: the
+    # search finds the paper's 4
     fr = frame_for(19, 10)
     system = build_constraints(fr, [CHI2, CHI4])
-    assert rank_check(system) == 7
     relaxation = solver._prepared(system)
     rows = [c.coeffs for c in relaxation.rows]
     assert fraction_rank(rows) == 7
     assert fraction_rank(rows + [c.coeffs for c in relaxation.levels]) == 8
-    box = derive_bounds(system)
-    assert all(a <= b for a, b in zip(box.lo, box.hi))
-    assert box == two_phase_bounds(system)
-    rep = enumerate_solutions(system, box)
-    assert rep.rank == 7 and rep.complete is False
+    rep = solve_vpa(fr, (CHI2, CHI4))
+    assert rep.rank == 8 and rep.complete is True
+    assert rep.bounds == two_phase_bounds(system)
     assert len(rep.solutions) == 4
     assert compare_sets(rep.solutions, solve_vpa(fr, "paper").solutions).equal
+
+
+def test_deficient_rank_enumerates_as_incomplete():
+    # the trivial character's rows are sums over the levels, so the rank is
+    # that of the 3 level equations (derive_bounds rejects the system); a
+    # search of a box made by hand finds its 5 * 2 * 1 points of 0s and 1s
+    # but is not complete
+    fr = frame_for(19, 10)
+    system = build_constraints(fr, [TRIV])
+    rep = enumerate_solutions(system, BoundsBox(lo=(0,) * 8, hi=(1,) * 8))
+    assert rep.rank == 3 and rep.complete is False
+    assert len(rep.solutions) == 10
+    assert set(tpa_set(fr)) <= set(rep.solutions)
 
 
 def test_bounds_require_full_rank():
@@ -1004,9 +1045,10 @@ def test_search_leaves_no_reference_cycle():
 
 
 def test_one_relaxation_per_solve(monkeypatch):
-    # the rank gate, the bounds, the search and the report's rank all read
-    # one relaxation and one elimination of the system
-    counts = Counter()
+    # the bounds, the search and the report's rank all read one relaxation
+    # and one elimination of the system; the one rank gate is derive_bounds
+    # calling rank_check, and the report reads rank_check once more
+    counts, systems = Counter(), []
 
     def counted(name, real):
         def call(*args, **kwargs):
@@ -1015,11 +1057,20 @@ def test_one_relaxation_per_solve(monkeypatch):
 
         return call
 
+    def build(*args):
+        systems.append(build_constraints(*args))
+        return systems[-1]
+
     for name in ("_relaxation", "_eliminate", "rank_check", "derive_bounds"):
         monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    monkeypatch.setattr(solver, "build_constraints", build)
     rep = solve_vpa(frame_for(19, 10), "paper")
     assert len(rep.solutions) == 4 and rep.complete
     assert counts == {"_relaxation": 1, "_eliminate": 1, "rank_check": 2, "derive_bounds": 1}
+    # a second derive_bounds on the same system object eliminates nothing
+    counts.clear()
+    assert solver.derive_bounds(systems[0]) == rep.bounds
+    assert counts == {"rank_check": 1, "derive_bounds": 1}
 
 
 def test_relaxation_goes_with_its_system():
