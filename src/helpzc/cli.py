@@ -18,6 +18,7 @@ from functools import cache
 from .cyclotomic import is_prime, trace_root
 from .help_core import (
     PADistribution,
+    Records,
     SolutionSet,
     accumulated,
     check_wagner,
@@ -115,7 +116,7 @@ def _solution_set_payload(command: str, frame, solutions: SolutionSet, **extra) 
         "epsilon": frame.epsilon,
         "family": solutions.family,
         "solution_count": len(solutions),
-        "solutions": [pa.to_json_dict() for pa in solutions],
+        "solutions": [pa.json_form() for pa in solutions],
     }
     payload.update(extra)
     return payload
@@ -226,7 +227,7 @@ def cmd_verify_main(args) -> tuple[int, str]:
     for pa in exceptionals:
         v4 = verify_v4(pa, brauer)
         sufficiency.append(
-            {"distribution": pa.to_json_dict(), "characters": len(brauer), "ok": v4.ok}
+            {"distribution": pa.json_form(), "characters": len(brauer), "ok": v4.ok}
         )
 
     per_solution = []
@@ -260,8 +261,8 @@ def cmd_verify_main(args) -> tuple[int, str]:
         "rank": report.rank,
         "match": diff.equal,
         "diff": {
-            "only_found": [pa.to_json_dict() for pa in diff.only_found],
-            "only_expected": [pa.to_json_dict() for pa in diff.only_expected],
+            "only_found": [pa.json_form() for pa in diff.only_found],
+            "only_expected": [pa.json_form() for pa in diff.only_expected],
         },
         "sufficiency": sufficiency,
         "solution_checks": per_solution,
@@ -305,17 +306,16 @@ def cmd_check(args) -> tuple[int, str]:
     }
     if v_ok["V3"]:
         chars, family = _resolve_characters(pa.frame, args.chars)
-        v4 = verify_v4(pa, chars)
-        checks, n = v4.checks, pa.n
-        # mu = s / n as text, once per distinct sum s
-        mus = {s: str(Fraction(s, n)) for s in {s for _label, _l, s in checks}}
+        v4, n = verify_v4(pa, chars), pa.n
+        # JSON leaves: each label once, mu = s / n and ok once per distinct sum s
+        leaves = {s: (json_text(str(Fraction(s, n))), json_text(s >= 0 and s % n == 0))
+                  for s in set().union(*(row for _label, row in v4.sums))}
+        records = [(text, l, *leaves[s]) for label, row in v4.sums
+                   for text in [json_text(label)] for l, s in enumerate(row)]
         payload["v4"] = {
             "family": family,
             "ok": v4.ok,
-            "multiplicities": [
-                {"character": label, "l": l, "mu": mus[s], "ok": s >= 0 and s % n == 0}
-                for label, l, s in checks
-            ],
+            "multiplicities": Records(("character", "l", "mu", "ok"), records),
         }
         all_ok = not violations and v4.ok
     else:
@@ -331,7 +331,8 @@ def cmd_check(args) -> tuple[int, str]:
     lines += [f"  {v}" for v in violations]
     if v_ok["V3"]:
         lines.append(f"V4 ({family}): {'ok' if v4.ok else 'FAIL'}")
-        lines += [f"  mu({label}, l={l}) = {mus[s]}" for label, l, s in checks if s < 0 or s % n]
+        lines += [f"  mu({label}, l={l}) = {Fraction(s, n)}"
+                  for label, l, s in v4.checks if s < 0 or s % n]
     else:
         lines.append("V4: skipped (V3 fails)")
     lines.append(f"verdict: {'ok' if all_ok else 'FAIL'}")

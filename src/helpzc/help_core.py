@@ -51,7 +51,8 @@ from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .cyclotomic import divisors, is_prime, trace_root
 from .psl2 import (
@@ -75,21 +76,44 @@ _JSON_LEAVES = {
 }
 
 
+class Records(NamedTuple):
+    """A JSON list of objects with the same keys, for json_text.
+
+    rows holds one tuple of values per object, in key order, each an exact
+    int or the json_text of a leaf.
+    """
+
+    keys: tuple[str, ...]
+    rows: list[tuple]
+
+
 def json_text(obj) -> str:
     """json.dumps(obj, indent=2), byte for byte, built a container at a time.
 
     With an indent the stdlib takes its pure-Python encoder, one generator
     step per token.  Here each container is one join over its members, and
-    each leaf one C call.  A tuple is written as a list; a dict key that is
-    not a str raises TypeError (the stdlib would coerce it); another leaf,
-    such as a float, goes through json.dumps.
+    each leaf one C call.  Records go through one %-template per (keys,
+    indent), built once, so an object costs one format operation.  A tuple
+    is written as a list; another list or tuple subclass (a NamedTuple) and
+    a dict key that is not a str raise TypeError (the stdlib would coerce
+    them); another leaf, such as a float, goes through json.dumps.
     """
     return _json_text(obj, "\n")
 
 
+@cache
+def _record_template(keys: tuple[str, ...], nl: str) -> str:
+    """The %-template of one object of these keys, closed at indent nl."""
+    if not keys:
+        return "{}"
+    inner = nl + "  "
+    body = ("," + inner).join(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+    return "{" + inner + body + nl + "}"
+
+
 def _json_text(v, nl: str) -> str:
-    get = _JSON_LEAVES.get
-    leaf = get(type(v))
+    get, kind = _JSON_LEAVES.get, type(v)
+    leaf = get(kind)
     if leaf is not None:
         return leaf(v)
     inner = nl + "  "
@@ -104,13 +128,20 @@ def _json_text(v, nl: str) -> str:
             ]
         )
         return "{" + inner + body + nl + "}"
-    if isinstance(v, (list, tuple)):
+    if kind is Records:
+        if not v.rows:
+            return "[]"
+        template = _record_template(v.keys, inner)
+        return "[" + inner + ("," + inner).join([template % r for r in v.rows]) + nl + "]"
+    if kind is list or kind is tuple:
         if not v:
             return "[]"
         body = ("," + inner).join(
             [f(x) if (f := get(type(x))) else _json_text(x, inner) for x in v]
         )
         return "[" + inner + body + nl + "]"
+    if isinstance(v, (list, tuple)):
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     return json.dumps(v)
 
 
@@ -124,11 +155,12 @@ class PADistribution:
     """An integer class-function family (eps_d)_{d | n} on the classes of a frame.
 
     It stores its nonzero entries once, as a tuple of (d, class, value)
-    sorted by (d, exp), and the key of (d, exp, value) triples derived from
-    it, which equality, hashing and sort_key() read.  Construction checks
-    only structure (levels and values are ints, levels divide n, classes
-    belong to the frame); the defining conditions (V1)-(V3) are reported by
-    violations() so that invalid candidates can still be inspected.
+    sorted by (d, exp), and its identity (q, n, key), key the (d, exp,
+    value) triples derived from the entries, which equality, hashing and
+    the canonical order read.  Construction checks only structure (levels
+    and values are ints, levels divide n, classes are ClassLabels of the
+    frame); the defining conditions (V1)-(V3) are reported by violations()
+    so that invalid candidates can still be inspected.
     """
 
     def __init__(self, frame: CyclicFrame, levels: Mapping[int, Mapping[ClassLabel, int]]):
@@ -139,14 +171,14 @@ class PADistribution:
             if exact_int(d) < 1 or n % d:
                 raise ValueError(f"level {d} does not divide the order {n}")
             for cls, v in row.items():
-                if cls not in valid:
+                if type(cls) is not ClassLabel or cls not in valid:
                     raise ValueError(f"{cls} is not a class of the order-{n} frame")
                 if exact_int(v):
                     entries.append((d, cls, v))
         entries.sort(key=lambda e: (e[0], e[1].exp))
         self.frame = frame
         self._entries = tuple(entries)
-        self._key = tuple((d, cls.exp, v) for d, cls, v in self._entries)
+        self._ident = (frame.ctx.q, n, tuple((d, cls.exp, v) for d, cls, v in entries))
 
     @property
     def n(self) -> int:
@@ -164,15 +196,15 @@ class PADistribution:
         return iter(self._entries)
 
     def sort_key(self) -> tuple:
-        return self._key
+        return self._ident[2]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PADistribution):
             return NotImplemented
-        return (self.q, self.n) == (other.q, other.n) and self._key == other._key
+        return self._ident == other._ident
 
     def __hash__(self) -> int:
-        return hash((self.q, self.n, self._key))
+        return hash(self._ident)
 
     def __repr__(self) -> str:
         body = ", ".join(f"eps_{d}(g^{c.exp})={v}" for d, c, v in self.entries())
@@ -195,18 +227,20 @@ class PADistribution:
                 )
         return out
 
+    def json_form(self) -> dict:
+        """to_json_dict() with the entries as one Records, the form json_text writes."""
+        entries = [(d, cls.order, cls.exp, v) for d, cls, v in self._entries]
+        keys = ("d", "order", "exp", "value")
+        return {"q": self.q, "n": self.n, "entries": Records(keys, entries)}
+
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "entries": [
-                {"d": d, "order": cls.order, "exp": cls.exp, "value": v}
-                for d, cls, v in self.entries()
-            ],
-        }
+        data = self.json_form()
+        keys, entries = data["entries"]
+        data["entries"] = [dict(zip(keys, e)) for e in entries]
+        return data
 
     def to_json(self) -> str:
-        return json_text(self.to_json_dict())
+        return json_text(self.json_form())
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> PADistribution:
@@ -298,8 +332,7 @@ def distribution_from_vector(layout: VariableLayout, values: Iterable[int]) -> P
     return PADistribution(frame, levels)
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
+class ConstraintRow(NamedTuple):
     """One (character, eigenvalue index) row: n * mu = coeffs . x + const.
 
     The row demands coeffs . x + const >= 0 and = 0 mod n; const equals
@@ -476,7 +509,7 @@ class SolutionSet:
 
     @classmethod
     def build(cls, items: Iterable[PADistribution], family: str = "") -> SolutionSet:
-        ordered = sorted(set(items), key=lambda pa: (pa.q, pa.n, pa.sort_key()))
+        ordered = sorted(set(items), key=attrgetter("_ident"))
         return cls(distributions=tuple(ordered), family=family)
 
     def __len__(self) -> int:
@@ -540,8 +573,7 @@ def relabel(pa: PADistribution, c: int) -> PADistribution:
     return PADistribution(pa.frame, levels)
 
 
-@dataclass(frozen=True)
-class V4Report:
+class V4Report(NamedTuple):
     """n * mu(zeta_n^l) of one distribution: one (label, sums over l) per character.
 
     ok when every sum is a nonnegative multiple of n, that is, when every
@@ -554,7 +586,7 @@ class V4Report:
     @property
     def ok(self) -> bool:
         n = self.n
-        return all(s >= 0 and s % n == 0 for _label, row in self.sums for s in row)
+        return all(s >= 0 and s % n == 0 for s in set().union(*(r for _l, r in self.sums)))
 
     @property
     def checks(self) -> tuple[tuple[str, int, int], ...]:

@@ -22,13 +22,18 @@ eigen_counts is the one statement of these restrictions: char_value
 expands it into the exact CycSum value chi(g0^i) = sum_e H[e] zeta^(i e),
 v_set_count reads the sets V_{R;h} off it, and decompose_chi the
 coefficients of chi_R over the phi_h - psi_h.
+
+The value types here and in help_core and solver are NamedTuples, not
+frozen dataclasses: a tuple is built, hashed and compared in C, and a fresh
+import defines one in a tenth of the time.  It equals any tuple of its
+fields, so code that must tell one from a plain tuple checks its type.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .cyclotomic import CycSum, prime_factorization
 
@@ -40,8 +45,7 @@ def exact_int(value) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class GroupContext:
+class GroupContext(NamedTuple):
     """The group PSL(2, q) for an odd prime power q = p^f."""
 
     q: int
@@ -64,8 +68,7 @@ def make_context(q: int) -> GroupContext:
     return GroupContext(q=q, p=p, f=f)
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(NamedTuple):
     """A conjugacy class of elements of order dividing the frame order.
 
     exp is the canonical exponent min(i mod m, m - i mod m) of a
@@ -76,8 +79,7 @@ class ClassLabel:
     exp: int
 
 
-@dataclass(frozen=True)
-class CyclicFrame:
+class CyclicFrame(NamedTuple):
     """A distinguished cyclic subgroup <g0> of order m coprime to q."""
 
     ctx: GroupContext
@@ -124,8 +126,7 @@ def make_frame(ctx: GroupContext, m: int) -> CyclicFrame:
     return CyclicFrame(ctx=ctx, m=m, epsilon=eps)
 
 
-@dataclass(frozen=True)
-class CharRestriction:
+class CharRestriction(NamedTuple):
     """A character restriction to the frame subgroup <g0>.
 
     kind is one of trivial / phi / psi / brauer; h indexes the phi and psi

@@ -61,7 +61,7 @@ search all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from operator import mul
 from typing import NamedTuple
 
@@ -94,8 +94,7 @@ class RankDeficientError(ValueError):
     """The relaxation is unbounded; the character family must be extended."""
 
 
-@dataclass(frozen=True)
-class BoundsBox:
+class BoundsBox(NamedTuple):
     """Per-variable closed integer intervals enclosing the LP relaxation; lo > hi if empty."""
 
     lo: tuple[int, ...]
@@ -108,8 +107,7 @@ class BoundsBox:
         return out
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     """The solutions in the box bounds, the search's node count and the rank.
 
     rank is that of the rows and level equations together (rank_check).  The
@@ -128,8 +126,7 @@ class EnumerationReport:
         return self.rank == len(self.bounds.lo)
 
 
-@dataclass(frozen=True)
-class SetDiff:
+class SetDiff(NamedTuple):
     only_found: tuple[PADistribution, ...]
     only_expected: tuple[PADistribution, ...]
 
@@ -155,8 +152,7 @@ def compare_sets(found: SolutionSet, expected: SolutionSet) -> SetDiff:
 class _Condition(NamedTuple):
     """lo <= const + coeffs.x <= hi, optionally const + coeffs.x = 0 mod n.
 
-    A NamedTuple for the reason _Relaxation is one; it equals and hashes as
-    the plain tuple (coeffs, const, lo, hi, modn).
+    It equals and hashes as the plain tuple (coeffs, const, lo, hi, modn).
     """
 
     coeffs: tuple[int, ...]
@@ -180,8 +176,6 @@ class _Relaxation(NamedTuple):
     row is zero on every condition.  The levels have disjoint supports, so
     each takes a pivot, in the row of its first variable: no earlier row
     touches that variable.  Readers copy T and never write it.
-    A NamedTuple, not a dataclass: it is cheaper to define, and every fresh
-    import of the package pays for that.
     """
 
     rows: tuple[_Condition, ...]

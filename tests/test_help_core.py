@@ -8,13 +8,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpzc import help_core
 from helpzc.cyclotomic import divisors
 from helpzc.help_core import (
     PADistribution,
+    Records,
     SolutionSet,
     V4Report,
     accumulated,
@@ -464,6 +465,7 @@ def test_distribution_accepts_exactly_the_frame_classes():
             ClassLabel(order=1, exp=10),  # exponent not reduced mod 10
             other.class_of(5),  # order 12 at exp 5
             other.class_of(6),  # exp 6 beyond 10 / 2
+            (10, 1),  # equal to the label of g0, but a plain tuple
         ]
         for cls in bad:
             with pytest.raises(ValueError, match="is not a class of the order-10 frame"):
@@ -811,6 +813,69 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_json_text_is_indent_2_json_dumps(value):
     assert json_text(value) == json.dumps(value, indent=2)
+
+
+# keys that a %-template or a JSON string must escape
+RECORD_KEYS = JSON_STRINGS | st.sampled_from(["%", "%s", "%%d", '"', '"%"', "%(x)s"])
+RECORD_LEAVES = (
+    st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | JSON_STRINGS
+    | st.booleans()
+    | st.none()
+)
+
+
+@st.composite
+def record_payloads(draw):
+    """(records form, list-of-dicts form) of one record list nested at depth 0-3."""
+    keys = tuple(draw(st.lists(RECORD_KEYS, unique=True, max_size=5)))
+    rows = draw(st.lists(st.tuples(*[RECORD_LEAVES] * len(keys)), max_size=4))
+    encoded = [tuple(v if type(v) is int else json_text(v) for v in row) for row in rows]
+    records, plain = Records(keys, encoded), [dict(zip(keys, row)) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(RECORD_KEYS)
+        if draw(st.booleans()):
+            records, plain = {key: records, "next": 1}, {key: plain, "next": 1}
+        else:
+            records, plain = [0, records], [0, plain]
+    return records, plain
+
+
+@given(record_payloads())
+@example((Records((), []), []))
+@example((Records((), [(), ()]), [{}, {}]))
+@example((Records(("%", '"'), [(-1, "true")]), [{"%": -1, '"': True}]))
+def test_json_text_writes_records_as_their_dicts(payload):
+    records, plain = payload
+    assert json_text(records) == json.dumps(plain, indent=2)
+
+
+@given(st.data())
+def test_distribution_to_json_is_indent_2_json_dumps(data):
+    frame = data.draw(st.sampled_from([frame_for(19, 10), frame_for(23, 12), frame_for(13, 6)]))
+    classes = frame.classes()
+    levels = data.draw(
+        st.dictionaries(
+            st.sampled_from(divisors(frame.m)),
+            st.dictionaries(st.sampled_from(classes), st.integers(-3, 3) | st.integers()),
+        )
+    )
+    for pa in (PADistribution(frame, levels), PADistribution(frame, {})):
+        assert pa.to_json() == json.dumps(pa.to_json_dict(), indent=2)
+    assert '"entries": []' in PADistribution(frame, {}).to_json()
+
+
+def test_json_text_refuses_tuple_subclasses():
+    # a NamedTuple value type would otherwise be written as a JSON list
+    fr = frame_for(19, 10)
+    for value in (fr.class_of(1), CharRestriction.trivial()):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json_text({"ok": 0, "nested": [{"value": value}]})
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json_text([value])
+    assert json_text({"exact": (1, [2])}) == json.dumps({"exact": [1, [2]]}, indent=2)
 
 
 def test_json_text_empty_containers_and_float_leaf():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpzc.cyclotomic import CycSum, euler_phi
 from helpzc.psl2 import (
     CharRestriction,
+    ClassLabel,
     _brauer_half_exponents,
     brauer_irreducibles,
     char_value,
@@ -65,6 +66,31 @@ def test_class_canonicalization():
     assert fr.class_of(-3).exp == 3
     assert fr.class_of(12).exp == 2 and fr.class_of(12).order == 5
     assert fr.class_of(5).order == 2
+
+
+def test_value_types_read_as_before():
+    # NamedTuples: the dataclass repr, frozen fields, equal classes hash equal
+    fr = frame_for(19, 10)
+    assert repr(fr.class_of(5)) == "ClassLabel(order=2, exp=5)"
+    assert repr(ClassLabel(order=2, exp=1)) == "ClassLabel(order=2, exp=1)"
+    assert repr(CharRestriction.brauer((2,))) == "CharRestriction(kind='brauer', h=0, weights=(2,))"
+    assert repr(make_context(27)) == "GroupContext(q=27, p=3, f=3)"
+    for i in range(-12, 13):
+        assert fr.class_of(i) == fr.class_of(-i)
+        assert hash(fr.class_of(i)) == hash(fr.class_of(-i))
+    for value, field in [
+        (fr.class_of(3), "exp"),
+        (fr, "m"),
+        (fr.ctx, "q"),
+        (CharRestriction.phi(1), "h"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+        with pytest.raises(AttributeError):
+            value.extra = 1  # no instance dict
+    assert CharRestriction.trivial() == CharRestriction("trivial")
+    assert (CharRestriction.trivial().h, CharRestriction.trivial().weights) == (0, ())
+    assert (CharRestriction.psi(2).weights, CharRestriction.brauer((4,)).h) == ((), 0)
 
 
 def test_classes_of_order_dividing_counts():

@@ -517,7 +517,7 @@ def test_orbit_bounds_match_per_variable_bounds_on_symmetric_rows(extra):
     # every orbit, so the copied bounds meet rows the presets never produce
     system = paper_system(19, 10)
     perms = system.layout.unit_permutations()
-    images = tuple(replace(r, coeffs=tuple(r.coeffs[j] for j in p)) for r in extra for p in perms)
+    images = tuple(r._replace(coeffs=tuple(r.coeffs[j] for j in p)) for r in extra for p in perms)
     system = replace(system, rows=system.rows + tuple(extra) + images)
     assert orbit_count(system) == 5
     box = derive_bounds(system)
@@ -773,7 +773,7 @@ def test_node_budget_is_exact():
 
 def _mirrored(row):
     # 0 <= const + a.x <= upper is 0 <= (upper - const) - a.x <= upper; upper = 0 mod n
-    return replace(row, coeffs=tuple(-a for a in row.coeffs), const=row.upper - row.const)
+    return row._replace(coeffs=tuple(-a for a in row.coeffs), const=row.upper - row.const)
 
 
 @pytest.mark.parametrize(
