@@ -25,21 +25,31 @@ Ramanujan sum c_m(k) = Tr(zeta_m^k), the integer table
     K[h][l] = sum over entries (d, x, v) of v * c_{n/d}(exp_x h / d - l)
 
 holds n * mu(zeta_n^l) of each lambda_h, so chi's is sum_h H[h] K[h][l].
+Both kernels work on the real half h, l <= n/2 of that table.  Every chi
+is real on <g0> (g0^i and g0^-i are conjugate), so H[h] = H[-h]; and c_m
+is even, so K[-h][l] = K[h][-l].  Hence chi's sums are even in l, and
+
+    sum_h H[h] K[h][l] = sum over h <= n/2 of H[h] P[h][l]
+
+with the pair row P[h] = K[h] + K[-h] of the pair {h, -h}.  Where h = -h
+mod n (h = 0, and h = n/2 for even n) the pair is one class and P[h] is
+halved, which is exact.  The sums at l > n/2 are those at n - l.
 _mu_sums evaluates that sum at the cost of chi's residual: with c the
-most common count, H = c 1 + R, so
+most common count of H[: n/2 + 1], H = c 1 + R, so
 
-    sum_h H[h] K[h] = c (sum_h K[h]) + sum over h with H[h] != c of (H[h] - c) K[h].
+    sum_h H[h] P[h] = c (sum_h P[h]) + sum over h with H[h] != c of (H[h] - c) P[h].
 
-The column sums sum_h K[h] are taken once per table, and each character
+The column sums sum_h P[h] are taken once per table, and each character
 then costs one pass for c and one per count that differs from c (for the
-phi_h, two).  The identity holds for every integer c, so the sums are
+phi_h, one).  The identity holds for every integer c, so the sums are
 exact whichever count is chosen.  A constraint row takes the table of one
 unit entry per variable, so the coefficient of (d, x) in row (chi, l) is
-sum_h H[h] K_x[h][l]; build_constraints lays those tables side by side,
-one flat row per h over (l, variable), and takes all of chi's rows in
-one _mu_sums.  The (V4) check of one distribution takes the table of its
-entries once for all characters.  multiplicity() keeps the direct
-single-l formula as the reference.
+sum_h H[h] P_x[h][l]; build_constraints lays those tables side by side,
+one flat row per h over (l, variable), and takes all of chi's rows with
+l <= n/2 in one _mu_sums; row l > n/2 shares the coefficients of n - l.
+The (V4) check of one distribution takes the table of its entries once
+for all characters.  multiplicity() keeps the direct single-l formula as
+the reference.
 """
 
 from __future__ import annotations
@@ -362,25 +372,34 @@ class ConstraintSystem:
 
 
 @cache
-def _ramanujan_shifts(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Row k is [c_m(k - l) for l in range(n)], c_m(j) = Tr(zeta_m^j) the Ramanujan sum."""
-    return tuple(tuple(trace_root(m, k - l) for l in range(n)) for k in range(m))
+def _folded_shifts(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Row k is [c_m(k - l) + c_m(k + l) for l <= n / 2], with c_m(j) = Tr(zeta_m^j)
+    the Ramanujan sum: the unit zeta_m^k's share of K[h] + K[-h] (module docstring)."""
+    return tuple(
+        tuple(trace_root(m, k - l) + trace_root(m, k + l) for l in range(n // 2 + 1))
+        for k in range(m)
+    )
 
 
 def _eigen_table(n: int, entries: Iterable[tuple[int, ClassLabel, int]]) -> list[list[int]]:
-    """K[h][l] = sum over entries (d, x, v) of v * c_{n/d}(exp_x * h / d - l).
+    """The real half of K (module docstring): row h <= n / 2 is the pair row
+    K[h] + K[-h] at l <= n / 2, halved where h = -h mod n, with
 
-    Row h is n * mu(zeta_n^l) of the linear character lambda_h: g0^i -> zeta_n^(h i),
+        K[h][l] = sum over entries (d, x, v) of v * c_{n/d}(exp_x * h / d - l).
+
+    K[h] is n * mu(zeta_n^l) of the linear character lambda_h: g0^i -> zeta_n^(h i),
     whose value at x descends to zeta_{n/d}^(exp_x h / d) on level d.
     """
-    table = [[0] * n for _ in range(n)]
+    half = n // 2 + 1
+    table = [[0] * half for _ in range(half)]
     for d, cls, v in entries:
         m = n // d
         k = cls.exp // d
-        shifts = _ramanujan_shifts(m, n)
+        shifts = _folded_shifts(m, n)
         for h, row in enumerate(table):
             table[h] = [a + v * b for a, b in zip(row, shifts[k * h % m])]
-    return table
+    # where h = -h mod n, row h summed K[h] twice
+    return [[a // 2 for a in row] if 2 * h % n == 0 else row for h, row in enumerate(table)]
 
 
 def _mu_sums(counts: list[int], table: list[list[int]], colsum: list[int]) -> list[int]:
@@ -398,6 +417,11 @@ def _mu_sums(counts: list[int], table: list[list[int]], colsum: list[int]) -> li
     return out
 
 
+def _mirrored(values: list, n: int) -> list:
+    """The values at l < n from those at l <= n / 2: l > n / 2 reads n - l."""
+    return values + values[(n - 1) // 2 : 0 : -1]
+
+
 def build_constraints(
     frame: CyclicFrame,
     characters: Iterable[CharRestriction],
@@ -406,27 +430,32 @@ def build_constraints(
     """Row (chi, l) has coefficient sum_h H[h] K_x[h][l] at x = (d, cls) of
     variable_layout(frame), H = eigen_counts(chi), K_x the table of entry (d, cls, 1).
 
-    Row h of the joint table holds K_x[h][l] at l * len(layout) + index of x,
-    so one _mu_sums over it gives every row of chi, l after l.
+    Row h <= n / 2 of the joint table holds x's real-half row h (see
+    _eigen_table) at l * len(layout) + index of x for l <= n / 2, so one
+    _mu_sums over H[: n / 2 + 1] gives those rows of chi, l after l; row
+    l > n / 2 is row n - l.
     """
     layout = variable_layout(frame)
     n = frame.m
+    half = n // 2 + 1
     nvars = len(layout)
-    # K_x[h] is row exp_x h / d (mod n / d) of the Ramanujan shifts of order n / d
-    units = [(_ramanujan_shifts(n // d, n), cls.exp // d, n // d) for d, cls in layout.variables]
-    table = [
-        [a for column in zip(*[s[k * h % m] for s, k, m in units]) for a in column]
-        for h in range(n)
-    ]
+    # x's row h is row exp_x h / d (mod n / d) of the folded shifts of order n / d
+    units = [(_folded_shifts(n // d, n), cls.exp // d, n // d) for d, cls in layout.variables]
+    table = []
+    for h in range(half):
+        row = [a for column in zip(*[s[k * h % m] for s, k, m in units]) for a in column]
+        # where h = -h mod n, row h summed K_x[h] twice
+        table.append([a // 2 for a in row] if 2 * h % n == 0 else row)
     colsum = [sum(column) for column in zip(*table)]
     rows = []
     for chi in characters:
-        sums = _mu_sums(eigen_counts(frame, chi), table, colsum)
+        # eigen_counts is symmetric, H[h] = H[-h] (test_eigen_counts_are_symmetric)
+        sums = _mu_sums(eigen_counts(frame, chi)[:half], table, colsum)
+        coeffs = _mirrored([tuple(sums[l * nvars : (l + 1) * nvars]) for l in range(half)], n)
         deg = chi.degree(frame)
-        for l in range(n):
-            coeffs = tuple(sums[l * nvars : (l + 1) * nvars])
+        for l, row in enumerate(coeffs):
             rows.append(
-                ConstraintRow(character=chi.label, l=l, coeffs=coeffs, const=deg, upper=n * deg)
+                ConstraintRow(character=chi.label, l=l, coeffs=row, const=deg, upper=n * deg)
             )
     return ConstraintSystem(frame=frame, layout=layout, rows=tuple(rows), family=family)
 
@@ -598,22 +627,22 @@ def verify_v4(pa: PADistribution, characters: Iterable[CharRestriction]) -> V4Re
     """The integers n * mu of every character and l, for the (V4) check.
 
     n * mu of chi is sum_h H[h] K[h][l] with H = eigen_counts(chi) and K the
-    table of the distribution's entries, taken by _mu_sums (module
-    docstring); (V3) must hold.
+    table of the distribution's entries, taken on the real half by _mu_sums
+    (module docstring) and mirrored: l > n / 2 reads n - l.  (V3) must hold.
     """
     n = pa.n
+    half = n // 2 + 1
     entries = list(pa.entries())
     _check_v3(entries)
     table = _eigen_table(n, entries)
     colsum = [sum(column) for column in zip(*table)]
     frame = pa.frame
-    return V4Report(
-        n,
-        tuple(
-            (chi.label, tuple(_mu_sums(eigen_counts(frame, chi), table, colsum)))
-            for chi in characters
-        ),
-    )
+    out = []
+    for chi in characters:
+        # eigen_counts is symmetric, H[h] = H[-h] (test_eigen_counts_are_symmetric)
+        sums = _mu_sums(eigen_counts(frame, chi)[:half], table, colsum)
+        out.append((chi.label, tuple(_mirrored(sums, n))))
+    return V4Report(n, tuple(out))
 
 
 def check_wagner(pa: PADistribution, r: int, t: int) -> bool:

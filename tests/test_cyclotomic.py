@@ -16,7 +16,7 @@ from helpzc.cyclotomic import (
     mobius,
     trace_root,
 )
-from helpzc.help_core import _ramanujan_shifts
+from helpzc.help_core import _folded_shifts
 
 from helpers import galois_trace_oracle, mobius_oracle, phi_oracle
 
@@ -129,24 +129,40 @@ def test_mul_root_and_product_consistency():
         k = rng.randrange(-2 * m, 2 * m)
         assert z.mul_root(k) == z * CycSum.root(m, k)
 
-def twisted_traces(z):
-    """[Tr(z * zeta_m^-k) for k in range(m)] through the Ramanujan-sum table of
-    the (V4) kernel: coefficient j of z times row j, whose entry k is c_m(j - k)."""
-    shifts = _ramanujan_shifts(z.order, z.order)
-    return [sum(c * row[k] for c, row in zip(z.coeffs, shifts)) for k in range(z.order)]
+def twisted_traces(z, n):
+    """[Tr(z * zeta_m^-l) + Tr(z * zeta_m^l) for l <= n / 2] through the folded
+    Ramanujan-sum table of the (V4) kernel: coefficient j of z times row j, whose
+    entry l is c_m(j - l) + c_m(j + l)."""
+    shifts = _folded_shifts(z.order, n)
+    return [sum(c * row[l] for c, row in zip(z.coeffs, shifts)) for l in range(n // 2 + 1)]
+
+def folded_rotated_traces(z, n):
+    return [z.mul_root(-l).trace() + z.mul_root(l).trace() for l in range(n // 2 + 1)]
 
 @pytest.mark.parametrize("m", range(1, 61))
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_twisted_traces_match_rotated_traces(m, data):
     coeffs = data.draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    n = m * data.draw(st.integers(1, 3))
     z = CycSum(m, coeffs)
-    assert twisted_traces(z) == [z.mul_root(-k).trace() for k in range(m)]
+    assert twisted_traces(z, n) == folded_rotated_traces(z, n)
+
+@pytest.mark.parametrize(
+    "m,n", [(1, 1), (1, 2), (2, 2), (5, 5), (5, 10), (9, 9), (6, 12), (12, 36)]
+)
+def test_folded_shift_rows_are_unit_traces(m, n):
+    # row k is the table of the unit zeta_m^k alone
+    shifts = _folded_shifts(m, n)
+    assert len(shifts) == m
+    for k, row in enumerate(shifts):
+        assert list(row) == folded_rotated_traces(CycSum.root(m, k), n)
 
 def test_twisted_traces_examples():
-    assert twisted_traces(CycSum.integer(10, 1)) == [4, 1, -1, 1, -1, -4, -1, 1, -1, 1]
-    assert twisted_traces(CycSum.root(12, 5))[5] == euler_phi(12)
-    assert twisted_traces(CycSum.zero(7)) == [0] * 7
+    assert twisted_traces(CycSum.integer(10, 1), 10) == [8, 2, -2, 2, -2, -8]
+    assert twisted_traces(CycSum.root(12, 5), 12)[5] == euler_phi(12) + 2
+    assert twisted_traces(CycSum.root(9, 2), 9) == [0, -3, 6, 0, -3]
+    assert twisted_traces(CycSum.zero(7), 14) == [0] * 8
 
 def test_descend_and_subfield_trace():
     z = CycSum.root(10, 4) + CycSum.root(10, 6)

@@ -349,14 +349,18 @@ def test_verify_v4_takes_eigen_counts_once_per_character(monkeypatch):
     assert count_calls == list(chars)
 
 
-ORACLE_FRAMES = [frame_for(q, n) for q, n in [(19, 10), (53, 26), (25, 12), (81, 20)]]
+# odd orders too, where the mirror l -> n - l has no self-paired l = n / 2;
+# (49, 25): q = 7^2 and a frame of prime-power order, two levels below n
+ORACLE_FRAMES = [
+    frame_for(q, n) for q, n in [(19, 10), (53, 26), (25, 12), (81, 20), (19, 9), (49, 25)]
+]
 
 
 @st.composite
-def v3_valid_distributions(draw):
-    """A frame of ORACLE_FRAMES and random values on every (V3)-allowed entry;
+def v3_valid_distributions(draw, frames=ORACLE_FRAMES):
+    """A frame of frames and random values on every (V3)-allowed entry;
     (V1) and (V2) may fail, as `check` evaluates (V4) whenever (V3) holds."""
-    fr = draw(st.sampled_from(ORACLE_FRAMES))
+    fr = draw(st.sampled_from(frames))
     n = fr.m
     levels: dict = {}
     for d in divisors(n):
@@ -372,6 +376,16 @@ def test_verify_v4_matches_trace_row_oracle(pa, family):
     report = verify_v4(pa, chars)
     assert report == trace_row_v4(pa, chars)
     assert all(type(s) is int for _label, _l, s in report.checks)
+
+
+# n = 1 and n = 2: the real half is the whole table, every h = -h
+@pytest.mark.parametrize("q,n", [(13, 1), (13, 2)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), family=st.sampled_from(["paper", "brauer-p"]))
+def test_verify_v4_matches_trace_row_oracle_at_orders_1_and_2(q, n, data, family):
+    pa = data.draw(v3_valid_distributions([frame_for(q, n)]))
+    chars, _ = character_family(pa.frame, family)
+    assert verify_v4(pa, chars) == trace_row_v4(pa, chars)
 
 
 @pytest.mark.parametrize("q,n", [(19, 10), (53, 26)])
@@ -397,10 +411,9 @@ def test_build_constraints_takes_eigen_counts_once_per_character(monkeypatch, q,
     assert count_calls == list(chars)
 
 
-# (49, 25): q = 7^2 and a frame of prime-power order, two levels below n
 @pytest.mark.parametrize("family", ["paper", "brauer-p"])
 @pytest.mark.parametrize(
-    "fr", [*ORACLE_FRAMES, frame_for(49, 25)], ids=lambda fr: f"{fr.ctx.q}-{fr.m}"
+    "fr", [*ORACLE_FRAMES, frame_for(13, 1), frame_for(13, 2)], ids=lambda fr: f"{fr.ctx.q}-{fr.m}"
 )
 def test_build_constraints_matches_trace_row_oracle(fr, family):
     chars, _ = character_family(fr, family)
@@ -414,6 +427,11 @@ def test_build_constraints_matches_trace_row_oracle(fr, family):
     rows = [(r.character, r.l, r.coeffs, r.const, r.upper) for r in system.rows]
     assert rows == expected
     assert rows == dense_constraint_rows(fr, chars)
+    # every character is real on <g0>: row l of a character equals row n - l
+    n = fr.m
+    for start in range(0, len(system.rows), n):
+        coeffs = [r.coeffs for r in system.rows[start : start + n]]
+        assert all(coeffs[l] == coeffs[-l] for l in range(n))
 
 
 @st.composite

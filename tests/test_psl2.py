@@ -207,6 +207,37 @@ def test_eigen_counts_phi_h_at_half_the_order():
     assert counts == [2] * 5 + [0] + [2] * 4
 
 
+@st.composite
+def frames_and_characters(draw):
+    """A frame with f = 1 or 2 and m even or odd (m = 1 and 2 included), and a
+    character of any kind on it: chi_R with random digits of even sum."""
+    q, m = draw(st.sampled_from(
+        [(13, 1), (13, 2), (19, 9), (19, 10), (29, 7), (25, 12), (25, 13), (49, 24), (49, 25)]
+    ))
+    fr = frame_for(q, m)
+    # phi_h and psi_h need h != 0 mod m, so none exists at m = 1
+    kind = draw(st.sampled_from(["trivial", "brauer", *(["phi", "psi"] if m > 1 else [])]))
+    if kind == "trivial":
+        return fr, CharRestriction.trivial()
+    if kind == "brauer":
+        digits = draw(st.lists(st.integers(0, fr.ctx.p - 1), min_size=fr.ctx.f,
+                               max_size=fr.ctx.f).filter(lambda w: sum(w) % 2 == 0))
+        return fr, CharRestriction.brauer(digits)
+    h = draw(st.integers(1, 3 * m).filter(lambda h: h % m))
+    return fr, getattr(CharRestriction, kind)(h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames_and_characters())
+def test_eigen_counts_are_symmetric(frame_and_chi):
+    # every character is real on <g0> (g0^i and g0^-i are conjugate); the
+    # (V4) kernels of help_core fold their tables onto h <= m / 2 on this
+    fr, chi = frame_and_chi
+    counts = eigen_counts(fr, chi)
+    m = fr.m
+    assert all(counts[e] == counts[-e % m] for e in range(m))
+
+
 def test_eigen_counts_reject_h_on_the_frame_order():
     fr = frame_for(19, 10)
     for chi in (CharRestriction.phi(10), CharRestriction.psi(20)):
