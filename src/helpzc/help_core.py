@@ -42,14 +42,15 @@ most common count of H[: n/2 + 1], H = c 1 + R, so
 The column sums sum_h P[h] are taken once per table, and each character
 then costs one pass for c and one per count that differs from c (for the
 phi_h, one).  The identity holds for every integer c, so the sums are
-exact whichever count is chosen.  A constraint row takes the table of one
-unit entry per variable, so the coefficient of (d, x) in row (chi, l) is
-sum_h H[h] P_x[h][l]; build_constraints lays those tables side by side,
-one flat row per h over (l, variable), and takes all of chi's rows with
-l <= n/2 in one _mu_sums; row l > n/2 shares the coefficients of n - l.
-The (V4) check of one distribution takes the table of its entries once
-for all characters.  multiplicity() keeps the direct single-l formula as
-the reference.
+exact whichever count is chosen.  _unit_table gives the table of one
+unit entry (d, x, 1).  A constraint row takes one per variable, so the
+coefficient of (d, x) in row (chi, l) is sum_h H[h] P_x[h][l];
+build_constraints lays those tables side by side, one flat row per h
+over (l, variable), and takes all of chi's rows with l <= n/2 in one
+_mu_sums; row l > n/2 shares the coefficients of n - l.  The (V4) check
+of one distribution sums its entries' unit tables, weighted by their
+values, once for all characters.  multiplicity() keeps the direct
+single-l formula as the reference.
 """
 
 from __future__ import annotations
@@ -381,25 +382,32 @@ def _folded_shifts(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _eigen_table(n: int, entries: Iterable[tuple[int, ClassLabel, int]]) -> list[list[int]]:
-    """The real half of K (module docstring): row h <= n / 2 is the pair row
-    K[h] + K[-h] at l <= n / 2, halved where h = -h mod n, with
-
-        K[h][l] = sum over entries (d, x, v) of v * c_{n/d}(exp_x * h / d - l).
+def _unit_table(n: int, d: int, exp: int) -> list:
+    """The real half of K (module docstring) of the one entry (d, g0^exp, 1):
+    row h <= n / 2 is the pair row K[h] + K[-h] at l <= n / 2, halved where
+    h = -h mod n, with K[h][l] = c_{n/d}(exp * h / d - l).
 
     K[h] is n * mu(zeta_n^l) of the linear character lambda_h: g0^i -> zeta_n^(h i),
-    whose value at x descends to zeta_{n/d}^(exp_x h / d) on level d.
+    whose value at g0^exp descends to zeta_{n/d}^(exp h / d) on level d.
     """
+    m = n // d
+    k = exp // d
+    shifts = _folded_shifts(m, n)
+    # where h = -h mod n, row h summed K[h] twice
+    return [
+        [a // 2 for a in shifts[k * h % m]] if 2 * h % n == 0 else shifts[k * h % m]
+        for h in range(n // 2 + 1)
+    ]
+
+
+def _eigen_table(n: int, entries: Iterable[tuple[int, ClassLabel, int]]) -> list[list[int]]:
+    """The real half of K over entries (d, x, v): sum of v times x's _unit_table."""
     half = n // 2 + 1
     table = [[0] * half for _ in range(half)]
     for d, cls, v in entries:
-        m = n // d
-        k = cls.exp // d
-        shifts = _folded_shifts(m, n)
-        for h, row in enumerate(table):
-            table[h] = [a + v * b for a, b in zip(row, shifts[k * h % m])]
-    # where h = -h mod n, row h summed K[h] twice
-    return [[a // 2 for a in row] if 2 * h % n == 0 else row for h, row in enumerate(table)]
+        unit = _unit_table(n, d, cls.exp)
+        table = [[a + v * b for a, b in zip(row, u)] for row, u in zip(table, unit)]
+    return table
 
 
 def _mu_sums(counts: list[int], table: list[list[int]], colsum: list[int]) -> list[int]:
@@ -430,22 +438,17 @@ def build_constraints(
     """Row (chi, l) has coefficient sum_h H[h] K_x[h][l] at x = (d, cls) of
     variable_layout(frame), H = eigen_counts(chi), K_x the table of entry (d, cls, 1).
 
-    Row h <= n / 2 of the joint table holds x's real-half row h (see
-    _eigen_table) at l * len(layout) + index of x for l <= n / 2, so one
-    _mu_sums over H[: n / 2 + 1] gives those rows of chi, l after l; row
-    l > n / 2 is row n - l.
+    Row h <= n / 2 of the joint table holds row h of x's _unit_table at
+    l * len(layout) + index of x for l <= n / 2, so one _mu_sums over
+    H[: n / 2 + 1] gives those rows of chi, l after l; row l > n / 2 is
+    row n - l.
     """
     layout = variable_layout(frame)
     n = frame.m
     half = n // 2 + 1
     nvars = len(layout)
-    # x's row h is row exp_x h / d (mod n / d) of the folded shifts of order n / d
-    units = [(_folded_shifts(n // d, n), cls.exp // d, n // d) for d, cls in layout.variables]
-    table = []
-    for h in range(half):
-        row = [a for column in zip(*[s[k * h % m] for s, k, m in units]) for a in column]
-        # where h = -h mod n, row h summed K_x[h] twice
-        table.append([a // 2 for a in row] if 2 * h % n == 0 else row)
+    units = [_unit_table(n, d, cls.exp) for d, cls in layout.variables]
+    table = [[a for column in zip(*rows) for a in column] for rows in zip(*units)]
     colsum = [sum(column) for column in zip(*table)]
     rows = []
     for chi in characters:

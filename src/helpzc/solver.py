@@ -26,13 +26,13 @@ variables and hundreds of rows, so the dual tableau has one row per
 primal variable and stays tiny.  A condition lo <= const + a.x <= hi
 is one dual column, a or -a as needed.  The system's Gauss-Jordan
 elimination of [A^T | I], over the level equations and then the
-distinct rows, gives a basis from which the first dual starts feasible
-after column flips, for one phase of Bland-rule simplex.  The
-LPs share their cost and differ only in the right-hand side, so each
-later one starts from the previous optimum, which stays dual feasible,
-and re-optimises by dual simplex under Bland's rule.  The tableau holds
-only the elimination's basis at first, and so stores no column;
-after each optimum the omitted conditions are priced against it, and
+distinct rows, gives the start basis.  The LPs share their cost and
+differ only in the right-hand side, so every LP, the first included,
+starts in the dual phase: dual simplex under Bland's rule from the
+start basis or the previous optimum, which stays dual feasible.  The
+tableau holds only the elimination's basis at first, and so stores no
+column: the first dual phase only flips the bounds of basic variables.
+After each optimum the omitted conditions are priced against it, and
 the most violated one is appended and the primal simplex resumed, until
 none prices in.  Most conditions never enter.  All of it is
 integer-preserving: an int tableau over one common denominator whose
@@ -165,10 +165,9 @@ class _Condition(NamedTuple):
 class _Relaxation(NamedTuple):
     """The relaxation of a system and its one elimination.
 
-    rows are the distinct non-constant character rows
-    0 <= const + coeffs.x <= upper, = 0 mod n; levels are the (V1)
-    equations sum = 1, one per level; consistent says whether every
-    constant row already holds.  A is the matrix of the levels followed by
+    rows are the distinct character rows 0 <= const + coeffs.x <= upper,
+    = 0 mod n, constant ones included; levels are the (V1) equations
+    sum = 1, one per level.  A is the matrix of the levels followed by
     the rows.  T / den is the I block of [A^T | I] after Gauss-Jordan
     elimination (_eliminate), den * B^-1 for the basis B it found; the
     condition columns are not stored, as each is T times its a.  basis
@@ -180,7 +179,6 @@ class _Relaxation(NamedTuple):
 
     rows: tuple[_Condition, ...]
     levels: tuple[_Condition, ...]
-    consistent: bool
     T: list[list[int]]
     basis: tuple[int | None, ...]
     den: int
@@ -189,31 +187,24 @@ class _Relaxation(NamedTuple):
 def _relaxation(system: ConstraintSystem) -> _Relaxation:
     """Build the system's relaxation and eliminate it; _prepared calls it once per system.
 
-    The non-constant rows are deduplicated as plain (coeffs, const, upper)
-    tuples, in first-occurrence order, before any _Condition is built.  Most
-    rows repeat: rows l and -l of a character agree, as its values on <g0>
-    are real, and characters share rows.  The 616 rows of verify-main's four
-    systems make 152 conditions.
+    The rows are deduplicated as plain (coeffs, const, upper) tuples, in
+    first-occurrence order, before any _Condition is built.  Most rows
+    repeat: rows l and -l of a character agree, as its values on <g0> are
+    real, and characters share rows.  The 616 rows of verify-main's four
+    systems make 156 conditions.  A constant row never pivots in the
+    elimination and, as 0 <= const <= upper, never prices in; the search
+    checks it (_substitute_levels).
     """
     nvars = len(system.layout)
-    rows = tuple(
-        _Condition(coeffs, const, 0, upper, True)
-        for coeffs, const, upper in dict.fromkeys(
-            (r.coeffs, r.const, r.upper) for r in system.rows if any(r.coeffs)
-        )
-    )
+    distinct = dict.fromkeys((r.coeffs, r.const, r.upper) for r in system.rows)
+    rows = tuple(_Condition(coeffs, const, 0, upper, True) for coeffs, const, upper in distinct)
     levels = tuple(
         _Condition(tuple(1 if i in idxs else 0 for i in range(nvars)), 0, 1, 1, False)
         for _d, idxs in sorted(system.layout.level_indices().items())
     )
-    consistent = all(
-        0 <= r.const <= r.upper and r.const % system.n == 0
-        for r in system.rows
-        if not any(r.coeffs)
-    )
     T = [[int(j == i) for j in range(nvars)] for i in range(nvars)]
     basis, den = _eliminate(T, levels + rows)
-    return _Relaxation(rows, levels, consistent, T, tuple(basis), den)
+    return _Relaxation(rows, levels, T, tuple(basis), den)
 
 
 def _prepared(system: ConstraintSystem) -> _Relaxation:
@@ -240,9 +231,8 @@ def _pivot(T: list[list[int]], r: int, column: list[int], den: int) -> int:
 
     The tableau is condensed: it stores no basic column, so the caller
     passes the entering column, column[i] being its entry in row i of T.
-    It is a stored column of T in an exchange (_exchange), the column the
-    elimination builds as (I block) . a, or the leaving variable's own
-    column flipped.
+    It is a stored column of T in an exchange (_exchange) or the column
+    the elimination builds as (I block) . a.
     Every entry of T stays, up to sign, a minor of the starting matrix
     (Bareiss), so each // is exact; row r is negated to keep den positive.
     """
@@ -319,25 +309,17 @@ def _flip(T: list[list[int]], col: int, width: int, den: int) -> None:
 def _phase2(
     T: list[list[int]], basis: list[int], slots: list[int], den: int, widths: list[int]
 ) -> int | None:
-    """Solve min c.y from a basis made feasible by flips; return den, None if unbounded.
+    """Resume min c.y from a feasible basis after pricing; return den, None if unbounded.
 
     T / den is the condensed tableau: one row per basic variable, the
     stored (nonbasic) columns, the I block and the right-hand side, then
     the cost row den * c with the basis priced out.  Variable v stands for
     a or -a of its condition and has width widths[v]; stored column j holds
-    variable slots[j], row r variable basis[r].  A row with a negative
-    right-hand side is negated, which flips its basic variable, and
-    widths[v] times it leaves the cost row: that makes the basis feasible.
-    The other direction of a stored column prices in where its reduced cost
-    exceeds den * its width, and at most one of the two does, so this is
-    Bland's rule over both, by variable, and cycling cannot occur.  The
-    optimum is -T[-1][-1] / den.
+    variable slots[j], row r variable basis[r].  The other direction of a
+    stored column prices in where its reduced cost exceeds den * its width,
+    and at most one of the two does, so this is Bland's rule over both, by
+    variable, and cycling cannot occur.  The optimum is -T[-1][-1] / den.
     """
-    for r, bv in enumerate(basis):
-        if T[r][-1] < 0:
-            T[r] = [-x for x in T[r]]
-            w = widths[bv]
-            T[-1] = [x - w * y for x, y in zip(T[-1], T[r])]
     while True:
         cost = T[-1]
         enter = min(
@@ -363,19 +345,20 @@ def _phase2(
 def _dual_phase(
     T: list[list[int]], basis: list[int], slots: list[int], den: int, widths: list[int]
 ) -> int:
-    """Re-optimise T / den after its right-hand side changed; return the new den.
+    """Optimise T / den after its right-hand side changed; return the new den.
 
     Every reduced cost of an optimal tableau lies in [0, den * widths[v]],
-    whatever the right-hand side, so the basis stays dual feasible and the
-    dual simplex restores primal feasibility.  The leaving row is the one
-    with a negative right-hand side and the least basic variable.  A stored
-    column enters as it is where its entry a in that row is negative, at
-    ratio cost / -a, or flipped where a is positive, at ratio
-    (den * width - cost) / a.  The leaving variable's own bound flip is a
-    candidate too, at ratio its width: as a pivot it negates the row and
-    takes the width times the row from the cost row, and den and the basis
-    stay.  The least ratio enters, ties to the least variable (Bland), so
-    cycling cannot occur, and the flip makes every row have a candidate.
+    whatever the right-hand side, and the start tableau stores no column,
+    so the basis is dual feasible and the dual simplex restores primal
+    feasibility.  The leaving row is the one with a negative right-hand
+    side and the least basic variable.  A stored column enters as it is
+    where its entry a in that row is negative, at ratio cost / -a, or
+    flipped where a is positive, at ratio (den * width - cost) / a.  The
+    leaving variable's own bound flip is a candidate too, at ratio its
+    width: it negates the row and takes the width times the row from the
+    cost row, and den and the basis stay.  The least ratio wins, ties to
+    the least variable (Bland), so cycling cannot occur, and the flip
+    makes every row have a candidate.
     """
     while True:
         leave = min(((bv, r) for r, bv in enumerate(basis) if T[r][-1] < 0), default=None)
@@ -398,10 +381,9 @@ def _dual_phase(
                 best = (num, a, v, j)
         col = best[3]
         if col is None:
-            # the leaving variable's column flipped: -den e_r, cost den * width
-            column = [0] * len(T)
-            column[r], column[-1] = -den, den * widths[bv]
-            den = _pivot(T, r, column, den)
+            T[r] = [-x for x in row]
+            w = widths[bv]
+            T[-1] = [x - w * y for x, y in zip(cost, T[r])]
             continue
         if row[col] > 0:
             _flip(T, col, widths[best[2]], den)
@@ -492,20 +474,20 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     takes the leaving variable.  The start tableau is den * B^-1 and the
     cost row, the reduced cost of the start basis; it stores no column.
 
-    Every condition outside the basis waits.  The LPs form one chain.
-    The first starts from the Gauss-Jordan basis (_phase2); every later LP
-    changes only the right-hand side and re-optimises from the previous
-    optimal basis (_dual_phase).  After each optimum the waiting
-    conditions are priced (_price); the most violated one joins the
-    tableau (_add_column) and _phase2 resumes, until none prices in.
-    Then the bound is exact over every condition.
+    Every condition outside the basis waits.  The LPs form one chain, and
+    each starts in the dual phase (_dual_phase): the first from the
+    Gauss-Jordan basis, where it only flips bounds, every later one from
+    the previous optimal basis, as only the right-hand side changes.
+    After each optimum the waiting conditions are priced (_price); the
+    most violated one joins the tableau (_add_column) and the primal
+    simplex resumes (_phase2), until none prices in.  Then the bound is
+    exact over every condition.
 
     An empty relaxation shows as an unbounded dual, _phase2 returning
-    None, and only the first LP can find it: once nothing prices in
-    there, the full relaxation has a point.  It may surface in a
-    resumption after pricing rather than in the first _phase2 call.
-    The start basis's conditions never leave the tableau and have full
-    rank, so every restricted relaxation is bounded.
+    None after pricing, and only the first LP can find it: once nothing
+    prices in there, the full relaxation has a point.  The start basis's
+    conditions never leave the tableau and have full rank, so every
+    restricted relaxation is bounded.
 
     The LP pair is solved for the least variable of each orbit
     (_orbit_roots) and copied to the others.
@@ -530,7 +512,6 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     T.append([-sum(map(mul, h, column)) for column in zip(*T)])
     widths, slots = [conds[c].hi - conds[c].lo for c in start], []
     empty = BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
-    solve = _phase2
     lo, hi = [], []
     for i, root in enumerate(_orbit_roots(system.layout, conds)):
         if root < i:
@@ -541,17 +522,12 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
             # right-hand side +-B^-1 e_i, and in the cost row its objective
             for row in T:
                 row[-1] = sense * row[len(slots) + i]
-            den = solve(T, basis, slots, den, widths)
-            while den is not None:
-                j = _price(T[-1], waiting, den, len(slots))
-                if j is None:
-                    break
+            den = _dual_phase(T, basis, slots, den, widths)
+            while (j := _price(T[-1], waiting, den, len(slots))) is not None:
                 _add_column(T, waiting.pop(j), den, widths, slots)
                 den = _phase2(T, basis, slots, den, widths)
-            if den is None:
-                return empty
-            # every later LP starts from this optimum
-            solve = _dual_phase
+                if den is None:
+                    return empty
             bounds.append(sense * (-T[-1][-1] // den))
     if any(a > b for a, b in zip(lo, hi)):
         return empty
@@ -572,7 +548,8 @@ def _substitute_levels(
     its box through the level equation itself, which the search keeps: over
     x_j's box it bounds the other variables exactly as
     box.lo[j] <= 1 - sum(others) <= box.hi[j] would.  Returns (the distinct
-    non-constant rows, whether every row that became constant holds).
+    non-constant rows, whether every constant row holds), a row constant
+    from the start included: this is the one check of constant rows.
     """
     members = [[i for i, a in enumerate(c.coeffs) if a] for c in levels]
     members = [idxs for idxs in members if len(idxs) > 1]
@@ -602,16 +579,16 @@ def _search(
 ):
     """Depth-first enumeration in index order; returns (solution vectors, node count).
 
-    The conditions are the distinct rows and the level equations; the
-    caller has checked the system's constant rows.  Every condition is linear in the next variable,
-    so the values it admits at a node form one integer interval.  The rows
-    are searched with each level's last variable substituted out
-    (_substitute_levels): a row then bounds the level's earlier variables
-    by the level equation rather than the box reach of the last one, and
-    that last variable's single value is forced by its level equation.
-    Every condition keeps one partial sum over its assigned variables; a
-    row's congruence is read from it where the row's last variable is
-    assigned.
+    The conditions are the distinct rows and the level equations.  Every
+    condition is linear in the next variable, so the values it admits at a
+    node form one integer interval.  The rows are searched with each
+    level's last variable substituted out (_substitute_levels): a row then
+    bounds the level's earlier variables by the level equation rather than
+    the box reach of the last one, and that last variable's single value is
+    forced by its level equation.  A row left constant there is checked
+    once, and a broken one leaves nothing to search.  Every condition keeps
+    one partial sum over its assigned variables; a row's congruence is read
+    from it where the row's last variable is assigned.
 
     A node evaluates its first upper bound, then the lower bounds, then the
     other upper bounds, and returns at the first that empties its interval;
@@ -759,26 +736,23 @@ def enumerate_solutions(
     _search runs on the system's distinct conditions (_prepared) and the
     box with the variables permuted into _search_order, and its vectors
     are read back through the permuted layout; the node count is counted
-    in that order.  A violated constant row leaves nothing to search.
-    Complete, duplicate free and deterministic.  Raises SearchIncomplete
-    instead of silently truncating as soon as the node count exceeds the
-    budget.
+    in that order.  Complete, duplicate free and deterministic.  Raises
+    SearchIncomplete instead of silently truncating as soon as the node
+    count exceeds the budget.
     """
     relaxation = _prepared(system)
     order = _search_order(system.layout, box)
-    vectors, nodes = [], 0
-    if relaxation.consistent:
-        rows, levels = (
-            tuple(
-                _Condition(tuple(c.coeffs[i] for i in order), c.const, c.lo, c.hi, c.modn)
-                for c in conds
-            )
-            for conds in (relaxation.rows, relaxation.levels)
+    rows, levels = (
+        tuple(
+            _Condition(tuple(c.coeffs[i] for i in order), c.const, c.lo, c.hi, c.modn)
+            for c in conds
         )
-        searched_box = BoundsBox(
-            lo=tuple(box.lo[i] for i in order), hi=tuple(box.hi[i] for i in order)
-        )
-        vectors, nodes = _search(rows, levels, system.n, searched_box, node_budget)
+        for conds in (relaxation.rows, relaxation.levels)
+    )
+    searched_box = BoundsBox(
+        lo=tuple(box.lo[i] for i in order), hi=tuple(box.hi[i] for i in order)
+    )
+    vectors, nodes = _search(rows, levels, system.n, searched_box, node_budget)
     layout = replace(system.layout, variables=tuple(system.layout.variables[i] for i in order))
     dists = (distribution_from_vector(layout, v) for v in vectors)
     solutions = SolutionSet.build(dists, family=system.family)

@@ -411,6 +411,16 @@ def two_phase_bounds(system) -> BoundsBox:
     return BoundsBox(lo=tuple(lo), hi=tuple(hi))
 
 
+def constant_rows_hold(system) -> bool:
+    """Whether every row of system.rows with zero coefficients holds:
+    0 <= const <= upper and const = 0 mod n."""
+    return all(
+        0 <= r.const <= r.upper and r.const % system.n == 0
+        for r in system.rows
+        if not any(r.coeffs)
+    )
+
+
 def naive_search(system, box, budget):
     """The per-candidate DFS the library used before interval propagation.
 
@@ -420,12 +430,12 @@ def naive_search(system, box, budget):
     n = system.n
     nvars = len(system.layout)
     relaxation = _relaxation(system)
-    if not relaxation.consistent:
+    if not constant_rows_hold(system):
         return [], 0
     if nvars == 0:
         return [()], 0
 
-    conds = relaxation.rows + relaxation.levels
+    conds = [c for c in relaxation.rows + relaxation.levels if any(c.coeffs)]
     ncond = len(conds)
     last_var = [max(i for i, a in enumerate(c.coeffs) if a) for c in conds]
     # static suffix ranges of sum_{j >= k} a_j x_j over the box
@@ -535,7 +545,7 @@ def interval_search(system, box, budget):
     nvars = len(system.layout)
     relaxation = _relaxation(system)
     rows, holds = _substitute_levels(system, relaxation.rows, box)
-    if not (relaxation.consistent and holds):
+    if not (constant_rows_hold(system) and holds):
         return [], 0
     if nvars == 0:
         return [()], 0

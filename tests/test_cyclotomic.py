@@ -16,7 +16,7 @@ from helpzc.cyclotomic import (
     mobius,
     trace_root,
 )
-from helpzc.help_core import _folded_shifts
+from helpzc.help_core import _folded_shifts, _unit_table
 
 from helpers import galois_trace_oracle, mobius_oracle, phi_oracle
 
@@ -157,6 +157,19 @@ def test_folded_shift_rows_are_unit_traces(m, n):
     assert len(shifts) == m
     for k, row in enumerate(shifts):
         assert list(row) == folded_rotated_traces(CycSum.root(m, k), n)
+
+@pytest.mark.parametrize(
+    "n,d,exp", [(1, 1, 0), (9, 1, 2), (10, 1, 3), (12, 1, 5), (12, 2, 2), (30, 3, 6), (10, 10, 0)]
+)
+def test_unit_table_rows_are_unit_traces(n, d, exp):
+    # row h is the table of the unit zeta_m^(k h), m = n / d and k = exp / d,
+    # halved where h = -h mod n: there the pair {h, -h} is one class
+    m, k = n // d, exp // d
+    table = _unit_table(n, d, exp)
+    assert len(table) == n // 2 + 1
+    for h, row in enumerate(table):
+        traces = folded_rotated_traces(CycSum.root(m, k * h), n)
+        assert [a * (2 if 2 * h % n == 0 else 1) for a in row] == traces
 
 def test_twisted_traces_examples():
     assert twisted_traces(CycSum.integer(10, 1), 10) == [8, 2, -2, 2, -2, -8]
