@@ -116,7 +116,7 @@ def _solution_set_payload(command: str, frame, solutions: SolutionSet, **extra) 
         "epsilon": frame.epsilon,
         "family": solutions.family,
         "solution_count": len(solutions),
-        "solutions": [pa.json_form() for pa in solutions],
+        "solutions": solutions.json_records(),
     }
     payload.update(extra)
     return payload

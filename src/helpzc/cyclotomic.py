@@ -246,11 +246,6 @@ class CycSum:
         k %= m
         return CycSum(m, self._coeffs[m - k :] + self._coeffs[: m - k])
 
-    def conjugate(self) -> CycSum:
-        """Complex conjugation, the index map i -> -i mod m."""
-        m = self._order
-        return CycSum(m, tuple(self._coeffs[(-i) % m] for i in range(m)))
-
     def descend(self, k: int) -> CycSum:
         """Re-express in order m/k; the support must lie on multiples of k."""
         if k < 1 or self._order % k:

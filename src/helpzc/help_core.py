@@ -91,7 +91,8 @@ class Records(NamedTuple):
     """A JSON list of objects with the same keys, for json_text.
 
     rows holds one tuple of values per object, in key order, each an exact
-    int or the json_text of a leaf.
+    int, the json_text of a leaf or a nested Records, which json_text looks
+    for only where the first row holds one.
     """
 
     keys: tuple[str, ...]
@@ -104,10 +105,12 @@ def json_text(obj) -> str:
     With an indent the stdlib takes its pure-Python encoder, one generator
     step per token.  Here each container is one join over its members, and
     each leaf one C call.  Records go through one %-template per (keys,
-    indent), built once, so an object costs one format operation.  A tuple
-    is written as a list; another list or tuple subclass (a NamedTuple) and
-    a dict key that is not a str raise TypeError (the stdlib would coerce
-    them); another leaf, such as a float, goes through json.dumps.
+    indent), built once, so an object costs one format operation, and a
+    Records in a Records writes each distinct row once per list: a solution
+    set's distinct entry rows once per report.  A tuple is written as a list;
+    another list or tuple subclass (a NamedTuple) and a dict key that is not
+    a str raise TypeError (the stdlib would coerce them); another leaf, such
+    as a float, goes through json.dumps.
     """
     return _json_text(obj, "\n")
 
@@ -138,22 +141,40 @@ def _json_text(v, nl: str) -> str:
                 for k, x in v.items()
             ]
         )
-        return "{" + inner + body + nl + "}"
+        return f"{{{inner}{body}{nl}}}"
     if kind is Records:
-        if not v.rows:
-            return "[]"
-        template = _record_template(v.keys, inner)
-        return "[" + inner + ("," + inner).join([template % r for r in v.rows]) + nl + "]"
+        return _records_text(v, nl)
     if kind is list or kind is tuple:
         if not v:
             return "[]"
         body = ("," + inner).join(
             [f(x) if (f := get(type(x))) else _json_text(x, inner) for x in v]
         )
-        return "[" + inner + body + nl + "]"
+        return f"[{inner}{body}{nl}]"
     if isinstance(v, (list, tuple)):
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     return json.dumps(v)
+
+
+def _records_text(v: Records, nl: str, memo: dict[str, dict] | None = None) -> str:
+    """A Records at indent nl; with a memo, each distinct row is formatted once."""
+    if not v.rows:
+        return "[]"
+    inner = nl + "  "
+    template, rows = _record_template(v.keys, inner), v.rows
+    if any(type(x) is Records for x in rows[0]):
+        field, texts = inner + "  ", {}
+        rows = [tuple(_records_text(x, field, texts) if type(x) is Records else x for x in r)
+                for r in rows]
+    if memo is None:
+        body = [template % r for r in rows]
+    else:
+        known = memo.setdefault(template, {})
+        body = [known.get(r) or known.setdefault(r, template % r) for r in rows]
+    return f"[{inner}{(',' + inner).join(body)}{nl}]"
+
+
+_DISTRIBUTION_KEYS = ("q", "n", "entries")
 
 
 @cache
@@ -187,9 +208,13 @@ class PADistribution:
                 if exact_int(v):
                     entries.append((d, cls, v))
         entries.sort(key=lambda e: (e[0], e[1].exp))
+        self._set(frame, tuple(entries))
+
+    def _set(self, frame: CyclicFrame, entries: tuple[tuple[int, ClassLabel, int], ...]) -> None:
+        """Store checked nonzero entries, sorted by (d, exp), and the identity read from them."""
         self.frame = frame
-        self._entries = tuple(entries)
-        self._ident = (frame.ctx.q, n, tuple((d, cls.exp, v) for d, cls, v in entries))
+        self._entries = entries
+        self._ident = (frame.ctx.q, frame.m, tuple([(d, cls.exp, v) for d, cls, v in entries]))
 
     @property
     def n(self) -> int:
@@ -238,17 +263,18 @@ class PADistribution:
                 )
         return out
 
+    def json_record(self) -> tuple:
+        """The values of json_form(), in key order: a row of SolutionSet.json_records()."""
+        entries = [(d, cls.order, cls.exp, v) for d, cls, v in self._entries]
+        return self.q, self.n, Records(("d", "order", "exp", "value"), entries)
+
     def json_form(self) -> dict:
         """to_json_dict() with the entries as one Records, the form json_text writes."""
-        entries = [(d, cls.order, cls.exp, v) for d, cls, v in self._entries]
-        keys = ("d", "order", "exp", "value")
-        return {"q": self.q, "n": self.n, "entries": Records(keys, entries)}
+        return dict(zip(_DISTRIBUTION_KEYS, self.json_record()))
 
     def to_json_dict(self) -> dict:
-        data = self.json_form()
-        keys, entries = data["entries"]
-        data["entries"] = [dict(zip(keys, e)) for e in entries]
-        return data
+        q, n, (keys, entries) = self.json_record()
+        return {"q": q, "n": n, "entries": [dict(zip(keys, e)) for e in entries]}
 
     def to_json(self) -> str:
         return json_text(self.json_form())
@@ -333,14 +359,34 @@ def variable_layout(frame: CyclicFrame) -> VariableLayout:
     return VariableLayout(frame=frame, variables=tuple(variables))
 
 
+def distributions_from_vectors(
+    layout: VariableLayout, vectors: Iterable[tuple[int, ...]]
+) -> Iterator[PADistribution]:
+    """The distribution of each vector of layout values, plus the fixed eps_n(1) = 1.
+
+    The layout is checked once, as PADistribution(frame, levels) checks its
+    unit distribution, whose entries give the variables' order by (d, exp).
+    A vector is checked to hold one int per variable (as exact_int checks);
+    its nonzero values in that order, then eps_n(1) = 1, are the entries.
+    """
+    frame, variables = layout.frame, layout.variables
+    units = {d: {cls: 1 for e, cls in variables if e == d} for d, _cls in variables}
+    steps = [(layout.index(d, c), d, c) for d, c, _v in PADistribution(frame, units).entries()]
+    fixed, nvars = (frame.m, frame.identity, 1), len(layout)
+    if len(steps) != nvars:
+        raise ValueError("the layout repeats a variable")
+    for vec in vectors:
+        if len(vec) != nvars or not {int}.issuperset(map(type, vec)):
+            list(map(exact_int, vec))  # raises at a value that is not an int
+            raise ValueError(f"{len(vec)} values for a layout of {nvars} variables")
+        pa = object.__new__(PADistribution)
+        pa._set(frame, (*[(d, cls, v) for i, d, cls in steps if (v := vec[i])], fixed))
+        yield pa
+
+
 def distribution_from_vector(layout: VariableLayout, values: Iterable[int]) -> PADistribution:
-    """Rebuild a full distribution from layout values plus the fixed eps_n(1) = 1."""
-    frame = layout.frame
-    levels: dict[int, dict[ClassLabel, int]] = {frame.m: {frame.identity: 1}}
-    for (d, cls), v in zip(layout.variables, values):
-        if v:
-            levels.setdefault(d, {})[cls] = v
-    return PADistribution(frame, levels)
+    """The distribution of one vector of layout values: distributions_from_vectors."""
+    return next(distributions_from_vectors(layout, [tuple(values)]))
 
 
 class ConstraintRow(NamedTuple):
@@ -550,6 +596,10 @@ class SolutionSet:
     def __iter__(self) -> Iterator[PADistribution]:
         return iter(self.distributions)
 
+    def json_records(self) -> Records:
+        """The distributions' json_form() dicts as one Records, the form json_text writes."""
+        return Records(_DISTRIBUTION_KEYS, [pa.json_record() for pa in self.distributions])
+
 
 def tpa_set(frame: CyclicFrame) -> SolutionSet:
     """One distribution per conjugacy class of elements of full frame order."""
@@ -654,40 +704,3 @@ def check_wagner(pa: PADistribution, r: int, t: int) -> bool:
         raise ValueError("requires n = r * t for distinct primes r and t")
     return accumulated(pa, 1, t) % t == 0 and accumulated(pa, 1, r) % r == 0
 
-
-def mu1_accumulated_form(
-    pa: PADistribution, chi: CharRestriction, r: int, t: int
-) -> Fraction:
-    """Closed form for mu(1) from the accumulated level-1 augmentations.
-
-    Requires n = r t with the levels r and t concentrated on a single class
-    of order t resp. r with value 1; traces of equal-order classes agree,
-    which collapses the level-1 sum to the three accumulated values.
-    """
-    n = pa.n
-    if not (is_prime(r) and is_prime(t)) or r == t or n != r * t:
-        raise ValueError("requires n = r * t for distinct primes r and t")
-    level_r = [(cls, v) for d, cls, v in pa.entries() if d == r]
-    level_t = [(cls, v) for d, cls, v in pa.entries() if d == t]
-    if len(level_r) != 1 or level_r[0][1] != 1 or level_r[0][0].order != t:
-        raise ValueError("level r is not concentrated on one order-t class with value 1")
-    if len(level_t) != 1 or level_t[0][1] != 1 or level_t[0][0].order != r:
-        raise ValueError("level t is not concentrated on one order-r class with value 1")
-    cls_t = level_r[0][0]
-    cls_r = level_t[0][0]
-    cls_rt = pa.frame.class_of(1)
-
-    def big(cls: ClassLabel) -> int:
-        return char_value(pa.frame, chi, cls).trace()
-
-    t_sub_t = char_value(pa.frame, chi, cls_t).descend(r).trace()
-    t_sub_r = char_value(pa.frame, chi, cls_r).descend(t).trace()
-    total = (
-        accumulated(pa, 1, n) * big(cls_rt)
-        + accumulated(pa, 1, t) * big(cls_t)
-        + accumulated(pa, 1, r) * big(cls_r)
-        + t_sub_r
-        + t_sub_t
-        + chi.degree(pa.frame)
-    )
-    return Fraction(total, n)

@@ -8,11 +8,12 @@ from fractions import Fraction
 from math import floor, gcd
 from operator import mul
 
-from helpzc.cyclotomic import CycSum, divisors, trace_root
+from helpzc.cyclotomic import CycSum, divisors, is_prime, trace_root
 from helpzc.help_core import (
     ConstraintSystem,
     PADistribution,
     V4Report,
+    accumulated,
     variable_layout,
 )
 from helpzc.psl2 import char_value, eigen_counts, make_frame
@@ -43,6 +44,12 @@ def galois_trace_oracle(m: int, k: int) -> int:
         if gcd(j, m) == 1:
             total = total + CycSum.root(m, j * k)
     return total.as_integer()
+
+
+def conjugate(z: CycSum) -> CycSum:
+    """Complex conjugation, the index map i -> -i mod m."""
+    m = z.order
+    return CycSum(m, tuple(z.coeffs[(-i) % m] for i in range(m)))
 
 
 def brauer_half_exponents_oracle(p: int, weights: tuple[int, ...]) -> list[int]:
@@ -181,6 +188,42 @@ def dense_constraint_rows(frame, characters) -> list[tuple]:
     return out
 
 
+def mu1_accumulated_form(pa, chi, r: int, t: int) -> Fraction:
+    """Closed form for mu(1) from the accumulated level-1 augmentations.
+
+    Requires n = r t with the levels r and t concentrated on a single class
+    of order t resp. r with value 1; traces of equal-order classes agree,
+    which collapses the level-1 sum to the three accumulated values.
+    """
+    n = pa.n
+    if not (is_prime(r) and is_prime(t)) or r == t or n != r * t:
+        raise ValueError("requires n = r * t for distinct primes r and t")
+    level_r = [(cls, v) for d, cls, v in pa.entries() if d == r]
+    level_t = [(cls, v) for d, cls, v in pa.entries() if d == t]
+    if len(level_r) != 1 or level_r[0][1] != 1 or level_r[0][0].order != t:
+        raise ValueError("level r is not concentrated on one order-t class with value 1")
+    if len(level_t) != 1 or level_t[0][1] != 1 or level_t[0][0].order != r:
+        raise ValueError("level t is not concentrated on one order-r class with value 1")
+    cls_t = level_r[0][0]
+    cls_r = level_t[0][0]
+    cls_rt = pa.frame.class_of(1)
+
+    def big(cls) -> int:
+        return char_value(pa.frame, chi, cls).trace()
+
+    t_sub_t = char_value(pa.frame, chi, cls_t).descend(r).trace()
+    t_sub_r = char_value(pa.frame, chi, cls_r).descend(t).trace()
+    total = (
+        accumulated(pa, 1, n) * big(cls_rt)
+        + accumulated(pa, 1, t) * big(cls_t)
+        + accumulated(pa, 1, r) * big(cls_r)
+        + t_sub_r
+        + t_sub_t
+        + chi.degree(pa.frame)
+    )
+    return Fraction(total, n)
+
+
 class ProbedDistribution:
     """A distribution as the library once stored it: a nested dict d -> {class:
     value} of the nonzero values, read by a probe per (d, class).  value(),
@@ -223,6 +266,17 @@ class ProbedDistribution:
                     f"which does not divide n/d = {n // d}"
                 )
         return out
+
+
+def levels_distribution(layout, values) -> PADistribution:
+    """The distribution of layout values plus eps_n(1) = 1, through the validating
+    PADistribution(frame, levels): a dict of the nonzero values per level."""
+    frame = layout.frame
+    levels = {frame.m: {frame.identity: 1}}
+    for (d, cls), v in zip(layout.variables, values):
+        if v:
+            levels.setdefault(d, {})[cls] = v
+    return PADistribution(frame, levels)
 
 
 def probed_power_distribution(pa, m: int) -> PADistribution:

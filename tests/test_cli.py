@@ -302,6 +302,7 @@ def test_round_trip_every_emitted_solution(tmp_path, capsys):
     "argv",
     [
         ("vpa", "--q", "19", "--n", "10"),
+        ("vpa", "--q", "289", "--node-budget", "40000000", "--n", "12"),
         ("tpa", "--q", "19", "--n", "10"),
         ("verify-main", "--q", "19", "--t", "5"),
         ("check", "DIST", "--chars", "brauer-p"),
@@ -387,6 +388,19 @@ def test_renderer_bytes_are_pinned(line, expected_code, digest, tmp_path, capsys
     code, out, _ = run_cli(capsys, *(files.get(a, a) for a in line.split()))
     assert code == expected_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_vpa_289_12_json_is_pinned(capsys):
+    # sha256 of the 648,278 bytes of stdout less the node_count line, recorded
+    # before each distinct entry row was written once per report
+    code, out, _ = run_cli(
+        capsys, "vpa", "--q", "289", "--n", "12", "--node-budget", "40000000", "--format", "json"
+    )
+    assert code == 0
+    text = "".join(line for line in out.splitlines(keepends=True) if '"node_count":' not in line)
+    assert len(text) == 648_278
+    digest = "9dae6e64f440039a4ba547c3447cb85e1eb2ee7661dad8a3bc7f3f1b7e7b1769"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------- chars / trace

@@ -18,7 +18,7 @@ from helpzc.cyclotomic import (
 )
 from helpzc.help_core import _folded_shifts, _unit_table
 
-from helpers import galois_trace_oracle, mobius_oracle, phi_oracle
+from helpers import conjugate, galois_trace_oracle, mobius_oracle, phi_oracle
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (10, 1), (12, 0)])
 def test_mobius_examples(n, expected):
@@ -77,11 +77,11 @@ def test_trace_conjugation_invariant():
     for _ in range(100):
         m = rng.randrange(1, 31)
         z = CycSum(m, [rng.randrange(-5, 6) for _ in range(m)])
-        assert z.conjugate().trace() == z.trace()
-        assert z.conjugate().conjugate() == z
+        assert conjugate(z).trace() == z.trace()
+        assert conjugate(conjugate(z)) == z
 
 def test_conjugate_and_root_examples():
-    assert CycSum.root(10, 1).conjugate() == CycSum.root(10, 9)
+    assert conjugate(CycSum.root(10, 1)) == CycSum.root(10, 9)
     assert (CycSum.root(10, 1) + CycSum.root(10, -1)).trace() == 2
 
 def test_trace_example_values():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -22,10 +23,10 @@ from helpzc.help_core import (
     build_constraints,
     check_wagner,
     distribution_from_vector,
+    distributions_from_vectors,
     exceptional,
     exceptional_set,
     json_text,
-    mu1_accumulated_form,
     mu_minus,
     multiplicity,
     power_distribution,
@@ -49,6 +50,8 @@ from helpers import (
     dense_constraint_rows,
     dense_mu_sums,
     float_multiplicity,
+    levels_distribution,
+    mu1_accumulated_form,
     probed_power_distribution,
     probed_relabel,
     trace_row_v4,
@@ -104,6 +107,52 @@ def test_layout_is_sorted_and_respects_v2_v3():
         assert d != n
         assert cls.exp != 0
         assert (n // d) % cls.order == 0
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.0])
+def test_a_vector_of_non_ints_is_rejected(bad):
+    # as exact_int rejects them: a bool or a float, zero included
+    layout = variable_layout(frame_for(19, 10))
+    vec = [0] * len(layout)
+    vec[2] = bad
+    with pytest.raises(ValueError, match="expected an integer"):
+        distribution_from_vector(layout, vec)
+    with pytest.raises(ValueError, match="expected an integer"):
+        list(distributions_from_vectors(layout, [(0,) * len(layout), tuple(vec)]))
+    with pytest.raises(ValueError, match="7 values for a layout of 8 variables"):
+        distribution_from_vector(layout, [0] * (len(layout) - 1))
+
+
+def test_a_layout_is_checked_as_the_constructor_checks_entries():
+    fr = frame_for(19, 10)
+    layout = variable_layout(fr)
+    head = layout.variables[:-1]
+    foreign = frame_for(29, 14).class_of(3)  # order 14, not a class of the order-10 frame
+    for last, message in [
+        ((1, foreign), "is not a class of the order-10 frame"),
+        ((5, (2, 5)), "is not a class of the order-10 frame"),  # a plain tuple
+        ((3, fr.class_of(1)), "level 3 does not divide the order 10"),
+        (head[0], "the layout repeats a variable"),
+    ]:
+        bad = replace(layout, variables=head + (last,))
+        with pytest.raises(ValueError, match=message):
+            distribution_from_vector(bad, [0] * len(layout))
+        with pytest.raises(ValueError, match=message):
+            list(distributions_from_vectors(bad, []))
+
+
+def test_distributions_from_vectors_match_the_validating_constructor():
+    # the per-layout plan against PADistribution(frame, levels), on a layout
+    # in reverse order, every entry and its class label included
+    rng = random.Random(5)
+    for fr in (frame_for(19, 10), frame_for(29, 14), frame_for(289, 12)):
+        layout = variable_layout(fr)
+        layout = replace(layout, variables=layout.variables[::-1])
+        vectors = [tuple(rng.randrange(-2, 3) for _ in layout.variables) for _ in range(30)]
+        for pa, vec in zip(distributions_from_vectors(layout, vectors), vectors):
+            want = levels_distribution(layout, vec)
+            assert pa._entries == want._entries and pa._ident == want._ident
+            assert [type(cls) for _d, cls, _v in pa.entries()] == [ClassLabel] * len(want._entries)
 
 
 # ---------------------------------------------------------------- constructors
@@ -846,12 +895,29 @@ RECORD_LEAVES = (
 
 
 @st.composite
+def records_pairs(draw, depth=1):
+    """(records form, list-of-dicts form) of one record list; up to depth
+    levels of its columns hold a record list in every row, whose rows repeat."""
+    keys = tuple(draw(st.lists(RECORD_KEYS, unique=True, max_size=5)))
+    columns = [depth > 0 and draw(st.booleans()) for _ in keys]
+    leaves = [records_pairs(depth - 1) if nested else RECORD_LEAVES for nested in columns]
+    pool = draw(st.lists(st.tuples(*leaves), min_size=1, max_size=3))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=5))
+    encoded = [
+        tuple(v[0] if nested else v if type(v) is int else json_text(v)
+              for v, nested in zip(row, columns))
+        for row in rows
+    ]
+    plain = [
+        {k: v[1] if nested else v for k, v, nested in zip(keys, row, columns)} for row in rows
+    ]
+    return Records(keys, encoded), plain
+
+
+@st.composite
 def record_payloads(draw):
     """(records form, list-of-dicts form) of one record list nested at depth 0-3."""
-    keys = tuple(draw(st.lists(RECORD_KEYS, unique=True, max_size=5)))
-    rows = draw(st.lists(st.tuples(*[RECORD_LEAVES] * len(keys)), max_size=4))
-    encoded = [tuple(v if type(v) is int else json_text(v) for v in row) for row in rows]
-    records, plain = Records(keys, encoded), [dict(zip(keys, row)) for row in rows]
+    records, plain = draw(records_pairs())
     for _ in range(draw(st.integers(0, 3))):
         key = draw(RECORD_KEYS)
         if draw(st.booleans()):
@@ -865,6 +931,27 @@ def record_payloads(draw):
 @example((Records((), []), []))
 @example((Records((), [(), ()]), [{}, {}]))
 @example((Records(("%", '"'), [(-1, "true")]), [{"%": -1, '"': True}]))
+@example(
+    (
+        Records(("q", "e"), [(1, Records(("d",), [(2,), (3,)])), (1, Records(("d",), [(3,)]))]),
+        [{"q": 1, "e": [{"d": 2}, {"d": 3}]}, {"q": 1, "e": [{"d": 3}]}],
+    )
+)
+@example(
+    (Records(("e",), [(Records(("d",), []),), (Records((), [()]),)]), [{"e": []}, {"e": [{}]}])
+)
+@example(
+    (
+        Records(("e",), [(Records(("a",), [(1,)]),), (Records(("b",), [(1,)]),)]),
+        [{"e": [{"a": 1}]}, {"e": [{"b": 1}]}],
+    )
+)
+@example(
+    (
+        Records(("a",), [(Records(("b",), [(Records(("c",), [(1,), (1,)]),)] * 2),)] * 2),
+        [{"a": [{"b": [{"c": 1}, {"c": 1}]}] * 2}] * 2,
+    )
+)
 def test_json_text_writes_records_as_their_dicts(payload):
     records, plain = payload
     assert json_text(records) == json.dumps(plain, indent=2)

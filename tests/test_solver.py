@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpzc import solver
+from helpzc import cli, solver
 from helpzc.cyclotomic import prime_factorization
 from helpzc.help_core import (
     ConstraintRow,
@@ -31,7 +31,7 @@ from helpzc.help_core import (
     variable_layout,
     verify_v4,
 )
-from helpzc.psl2 import CharRestriction, make_context, make_frame
+from helpzc.psl2 import CharRestriction, ClassLabel, make_context, make_frame
 from helpzc.solver import (
     BoundsBox,
     RankDeficientError,
@@ -48,6 +48,7 @@ from helpers import (
     _simplex_min,
     fraction_rank,
     interval_search,
+    levels_distribution,
     naive_box_scan,
     naive_search,
     two_phase_bounds,
@@ -373,6 +374,62 @@ def test_bounds_sweep_pivot_counts_pinned(sweep):
     assert sum(c[-1] for c in counts) == 6542
     digest = hashlib.sha256(repr(counts).encode()).hexdigest()
     assert digest == "938917ec1926f2140ca1239e2d934488a2c48ce9f81ab3dcc869453e5c8026c8"
+
+
+def built_as_validated(system, box):
+    # enumerate_solutions' set against its search vectors rebuilt through the
+    # validating PADistribution(frame, levels): in order, entry by entry, the
+    # class labels included; returns the solution count
+    seen = []
+    real = solver.distributions_from_vectors
+
+    def recorded(layout, vectors):
+        seen.append((layout, vectors))
+        return real(layout, vectors)
+
+    with mock.patch.object(solver, "distributions_from_vectors", recorded):
+        found = enumerate_solutions(system, box).solutions
+    [(layout, vectors)] = seen
+    rebuilt = SolutionSet.build(levels_distribution(layout, v) for v in vectors)
+    assert [pa._entries for pa in found] == [pa._entries for pa in rebuilt]
+    assert [pa._ident for pa in found] == [pa._ident for pa in rebuilt]
+    assert all(type(cls) is ClassLabel for pa in found for _d, cls, _v in pa.entries())
+    return len(found)
+
+
+def test_enumerated_distributions_are_those_of_the_validating_constructor(sweep):
+    cases, _ = sweep
+    counts = [built_as_validated(family_system(q, m, spec), BoundsBox(*box))
+              for q, m, spec, _rank, box in cases]
+    assert sum(counts) == 898
+    system = paper_system(289, 12)
+    assert built_as_validated(system, derive_bounds(system)) == 560
+
+
+def test_enumeration_rejects_a_layout_with_a_foreign_class():
+    system = paper_system(19, 10)
+    box = derive_bounds(system)
+    layout = system.layout
+    foreign = frame_for(29, 14).class_of(3)  # order 14, not a class of the order-10 frame
+    moved = replace(layout, variables=layout.variables[:-1] + ((1, foreign),))
+    with pytest.raises(ValueError, match="is not a class of the order-10 frame"):
+        enumerate_solutions(replace(system, layout=moved), box)
+
+
+def test_a_stalled_lp_raises_rather_than_hangs(monkeypatch):
+    # with the cost-row update of _flip deleted, the paper (19,10) chain
+    # never reaches an optimum; the iteration cap ends it, and main does not
+    # read the defect as bad input (exit 2)
+    def flip_without_cost(T, col, width, den):
+        for row in T[:-1]:
+            row[col] = -row[col]
+
+    monkeypatch.setattr(solver, "_flip", flip_without_cost)
+    with pytest.raises(solver.SimplexStallError):
+        derive_bounds(paper_system(19, 10))
+    assert not issubclass(solver.SimplexStallError, ValueError)
+    with pytest.raises(solver.SimplexStallError):
+        cli.main(["vpa", "--q", "19", "--n", "10"])
 
 
 def orbit_count(system):
