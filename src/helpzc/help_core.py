@@ -263,10 +263,11 @@ class PADistribution:
                 )
         return out
 
-    def json_record(self) -> tuple:
-        """The values of json_form(), in key order: a row of SolutionSet.json_records()."""
-        entries = [(d, cls.order, cls.exp, v) for d, cls, v in self._entries]
-        return self.q, self.n, Records(("d", "order", "exp", "value"), entries)
+    def json_record(self, built: dict | None = None) -> tuple:
+        """The values of json_form(), in key order; the calls sharing built build a row once."""
+        built = {} if built is None else built
+        rows = [built.get(e) or built.setdefault(e, (e[0], *e[1], e[2])) for e in self._entries]
+        return self.q, self.n, Records(("d", "order", "exp", "value"), rows)
 
     def json_form(self) -> dict:
         """to_json_dict() with the entries as one Records, the form json_text writes."""
@@ -597,8 +598,9 @@ class SolutionSet:
         return iter(self.distributions)
 
     def json_records(self) -> Records:
-        """The distributions' json_form() dicts as one Records, the form json_text writes."""
-        return Records(_DISTRIBUTION_KEYS, [pa.json_record() for pa in self.distributions])
+        """The distributions' json_form() dicts as one Records, sharing built entry rows."""
+        built: dict = {}
+        return Records(_DISTRIBUTION_KEYS, [pa.json_record(built) for pa in self.distributions])
 
 
 def tpa_set(frame: CyclicFrame) -> SolutionSet:

@@ -5,21 +5,22 @@ level equations have full column rank, bound every variable by exact
 linear programming, then run a depth-first search over the integer box.
 The search takes the levels from the highest divisor d down, and within
 a level the variables from the narrowest box to the widest, ties by
-layout index.  Before the
-search, each level's (V1) equation sum = 1 substitutes the level's last,
-widest, variable out of every row, so a row bounds the level's earlier
-variables without the box reach of the last one, and the search never
-branches on it.  At each node interval propagation gives the
-next variable's range.  Every condition keeps one partial sum, and a
-row's mod-n congruence is read from it where its last variable is
-assigned.  A node tries the bound that last emptied its range first, and
-a parent evaluates its child's first two bounds before building it, so
-most dead ends cost two divisions.
-The node count adds every candidate value of the box range at each node,
-pruned or not; that count is what the budget bounds.  The search runs in
-one process and stops at the first count past the budget.  Everything is
-exact; the search either finishes with the complete solution set or
-fails loudly when the node budget runs out.
+layout index.  Before the search, each level's (V1) equation sum = 1
+substitutes the level's last, widest, variable out of every row, so a row
+bounds the level's earlier variables without the box reach of the last
+one, and the search never branches on it.  At each node interval
+propagation gives the next variable's range.  The rows' mod-n congruences
+and the level equations make one module mod n, taken once to its Howell
+form: at most one row per variable, which fixes the variable mod a divisor
+of n given the earlier ones, so the value loop steps over that class.  A
+node tries the bound that last emptied its range first, and a parent
+evaluates its child's first two bounds before building it, so most dead
+ends cost two divisions.  The node count adds every candidate value of
+the box range at each node, pruned or stepped over or not; that count is
+what the budget bounds.  The search runs in one process and stops at the
+first count past the budget.  Everything is exact; the search either
+finishes with the complete solution set or fails loudly when the node
+budget runs out.
 
 The per-variable LPs are solved through the dual: the primal has few
 variables and hundreds of rows, so the dual tableau has one row per
@@ -62,6 +63,7 @@ search all read it.
 from __future__ import annotations
 
 from dataclasses import replace
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -582,6 +584,37 @@ def _substitute_levels(
     return list(dict.fromkeys(out)), consistent
 
 
+def _howell(vectors: list[list[int]], n: int) -> dict[int, list[int]]:
+    """The Howell form mod n of the vectors' span, {column: the row leading there}.
+
+    Each vector is reduced column by column (Storjohann and Mulders, ESA
+    1998); where its entry a, mod n, is no multiple of the leading entry g
+    (n if no row leads), the row becomes s row + t v, leading at
+    h = gcd(g, a) = s g + t a, and the rest (a/h) row - (g/h) v, which spans
+    n/h times the new row with n/g times the old, goes on.  So the span's
+    vectors zero before column i are spanned by the rows from i on (the
+    Howell property).  Only the rows are reduced mod n.
+    """
+    form: dict[int, list[int]] = {}
+    for v in vectors:
+        for i in range(len(v)):
+            a = v[i] % n
+            if not a:
+                continue
+            row = form.get(i) or [0] * len(v)
+            g = row[i] or n
+            if a % g:
+                h = gcd(g, a)
+                t = pow(a // h, -1, g // h)
+                s = (h - t * a) // g
+                form[i] = [(s * y + t * x) % n for x, y in zip(v, row)]
+                v = [a // h * y - g // h * x for x, y in zip(v, row)]
+            else:
+                f = a // g
+                v = [x - f * y for x, y in zip(v, row)]
+    return form
+
+
 def _search(
     rows: tuple[_Condition, ...],
     levels: tuple[_Condition, ...],
@@ -598,9 +631,16 @@ def _search(
     bounds the level's earlier variables by the level equation rather than
     the box reach of the last one, and that last variable's single value is
     forced by its level equation.  A row left constant there is checked
-    once, and a broken one leaves nothing to search.  Every condition keeps
-    one partial sum over its assigned variables; a row's congruence is read
-    from it where the row's last variable is assigned.
+    once, and a broken one leaves nothing to search.  A condition whose
+    bounds cut the box keeps a sum over its assigned variables.
+
+    The other rows' congruences const + a.x = 0 and the level equations,
+    mod n, are taken once to their Howell form (_howell), over the columns
+    x_(nvars-1), ..., x_0, 1; a row leading at 1 leaves nothing to search.
+    Level k owns one row g x_k + s = 0 mod n, g | n, s a partial sum (g = n,
+    s = 0 where none leads), and these imply every congruence on
+    x_0 .. x_k.  So g | s, as n/g times the row is one on x_0 .. x_(k-1),
+    which the earlier levels keep, and x_k steps by n/g from -s/g.
 
     A node evaluates its first upper bound, then the lower bounds, then the
     other upper bounds, and returns at the first that empties its interval;
@@ -609,23 +649,26 @@ def _search(
     the value just assigned; if they leave no value, it adds the child's
     nodes and checks the budget as the child would, and moves on.  The
     lists belong to this call, so the node count and the solution order
-    are those of the plain interval search.
+    are those of the plain interval search.  A node counts its box range.
     """
     nvars = len(box.lo)
     rows, holds = _substitute_levels(rows, levels, n)
-    if not holds:
+    congruences = [[*c.coeffs[::-1], c.const] for c in rows if c.modn]
+    form = _howell(congruences + [[*c.coeffs[::-1], c.const - c.lo] for c in levels], n)
+    if not holds or nvars in form:
         return [], 0
 
-    conds = rows + list(levels)
     # x_k >= ceil((b - p) / a) for each (ci, a, b, c) in lower[k], x_k <= floor
     # of the same for each in upper[k]: p is partial sum ci, b a bound of its
     # condition less the reach of its later variables, c the coefficient of
     # x_(k-1) in it (the parent's peek adds c * x_(k-1) to p).  A bound no
-    # partial sum in the box can push into the box is left out.  moves[k] are
-    # the sums x_k changes that have a later variable, closes[k] the
-    # congruences it ends: each is read from the condition's partial sum.
-    lower, upper, moves, closes = ([[] for _ in range(nvars)] for _ in range(4))
-    for ci, cond in enumerate(conds):
+    # partial sum in the box can push into the box is left out, and a
+    # condition left with none keeps no sum.  moves[k] are the sums x_k
+    # changes that have a later variable, the Howell rows' included.
+    lower, upper, moves = ([[] for _ in range(nvars)] for _ in range(3))
+    starts = []
+    for cond in rows + list(levels):
+        ci, cuts = len(starts), False
         reach = [sorted((a * lo, a * hi)) for a, lo, hi in zip(cond.coeffs, box.lo, box.hi)]
         pmin = pmax = cond.const
         smin, smax = (sum(r) for r in zip(*reach))
@@ -637,14 +680,26 @@ def _search(
             c = cond.coeffs[k - 1] if k else 0
             if pmin + rmin + smax < cond.lo:
                 (lower if a > 0 else upper)[k].append((ci, a, cond.lo - smax, c))
+                cuts = True
             if pmax + rmax + smin > cond.hi:
                 (upper if a > 0 else lower)[k].append((ci, a, cond.hi - smin, c))
+                cuts = True
             pmin, pmax = pmin + rmin, pmax + rmax
-        *terms, (last, a) = [(k, a) for k, a in enumerate(cond.coeffs) if a]
-        for k, b in terms:
-            moves[k].append((ci, b))
-        if cond.modn:
-            closes[last].append((ci, a))
+        if cuts:
+            starts.append(cond.const)
+            *terms, _last = [(k, a) for k, a in enumerate(cond.coeffs) if a]
+            for k, a in terms:
+                moves[k].append((ci, a))
+    # (ci, g, n // g) for level k's Howell row g x_k + s, s = c + b.x sum ci
+    congs = []
+    for k in range(nvars):
+        c, *b = form.get(nvars - 1 - k, [0] * (nvars + 1))[::-1]
+        for j in range(k):
+            if b[j]:
+                moves[j].append((len(starts), b[j]))
+        g = b[k] or n
+        congs.append((len(starts), g, n // g))
+        starts.append(c)
     # the parent peeks at a level that has a lower and an upper bound
     sizes = [max(0, hi - lo + 1) for lo, hi in zip(box.lo, box.hi)]
     peeks = [
@@ -653,7 +708,7 @@ def _search(
         else None
         for k in range(1, nvars)
     ]
-    plan = list(zip(sizes, box.lo, box.hi, lower, upper, moves, closes, peeks + [None]))
+    plan = list(zip(sizes, box.lo, box.hi, lower, upper, moves, congs, peeks + [None]))
 
     point = [0] * nvars
     solutions: list[tuple[int, ...]] = []
@@ -664,7 +719,7 @@ def _search(
         if k == nvars:
             solutions.append(tuple(point))
             return
-        size, lo, hi, lows, highs, move, close, peek = plan[k]
+        size, lo, hi, lows, highs, move, cong, peek = plan[k]
         nodes += size
         if nodes > budget:
             raise SearchIncomplete(nodes, budget)
@@ -692,12 +747,10 @@ def _search(
                     highs[0], highs[i] = highs[i], highs[0]
                     return
                 hi = t
-        ends = [(partial[ci], a) for ci, a in close]
+        ci, g, step = cong
         if peek:
             count, clo, chi, clows, chighs = peek
-        for v in range(lo, hi + 1):
-            if ends and any((p + a * v) % n for p, a in ends):
-                continue
+        for v in range(lo + (-partial[ci] // g - lo) % step, hi + 1, step):
             point[k] = v
             if peek:
                 # the child's front bounds at x_k = v: an empty interval
@@ -718,7 +771,7 @@ def _search(
             descend(k + 1, child)
 
     try:
-        descend(0, [cond.const for cond in conds])
+        descend(0, starts)
     finally:
         del descend
     return solutions, nodes

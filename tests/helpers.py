@@ -22,6 +22,7 @@ from helpzc.solver import (
     RankDeficientError,
     SearchIncomplete,
     _Condition,
+    _howell,
     _relaxation,
 )
 
@@ -585,35 +586,42 @@ def _substitute_levels(
 
 
 def interval_search(system, box, budget):
-    """The interval DFS the library used before the culprit-first bound order
-    and the parent-side peek; returns (solution vectors, node count).
+    """The interval DFS the library used before the culprit-first bound order,
+    the parent-side peek and the stepped congruences; returns (solution
+    vectors, node count).
 
     Every condition is linear in the next variable, so the values it admits
     at a node form one integer interval.  The rows are searched with each
     level's last variable substituted out (_substitute_levels): a row then
     bounds the level's earlier variables by the level equation rather than
     the box reach of the last one, and that last variable's single value is
-    forced by its level equation.
+    forced by its level equation.  The congruences are the library's Howell
+    form (_howell) of the unsubstituted rows and the level equations mod n:
+    each value of level k is tested against the row leading at x_k, its sum
+    read from point.
     """
     n = system.n
     nvars = len(system.layout)
     relaxation = _relaxation(system)
     rows, holds = _substitute_levels(system, relaxation.rows, box)
-    if not (constant_rows_hold(system) and holds):
+    form = _howell(
+        [[*r.coeffs[::-1], r.const] for r in relaxation.rows]
+        + [[*r.coeffs[::-1], -1] for r in relaxation.levels],
+        n,
+    )
+    if not (constant_rows_hold(system) and holds) or nvars in form:
         return [], 0
     if nvars == 0:
         return [()], 0
 
     conds = rows + list(relaxation.levels)
-    values = [range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)]
     # x_k >= ceil((b - p) / a) for each (ci, a, b) in lower[k], x_k <= floor
     # of the same for each in upper[k]: p is partial sum ci, b a bound of its
     # condition less the reach of its later variables.  A bound no partial
-    # sum in the box can push into the box is left out.  moves[k] are the sums
-    # x_k changes that have a later variable, closes[k] the congruences it ends.
-    # A condition left with no bound keeps no partial sum: its congruence is
-    # checked from point where its last variable is assigned (sums[k]).
-    lower, upper, moves, closes, sums = ([[] for _ in range(nvars)] for _ in range(5))
+    # sum in the box can push into the box is left out, and a condition left
+    # with no bound keeps no partial sum.  moves[k] are the sums x_k changes
+    # that have a later variable.
+    lower, upper, moves = ([[] for _ in range(nvars)] for _ in range(3))
     starts = []
     for cond in conds:
         ci = len(starts)
@@ -633,16 +641,14 @@ def interval_search(system, box, budget):
                 (upper if a > 0 else lower)[k].append((ci, a, cond.hi - smin))
                 cuts = True
             pmin, pmax = pmin + rmin, pmax + rmax
-        *terms, (last, a) = [(k, a) for k, a in enumerate(cond.coeffs) if a]
         if cuts:
             starts.append(cond.const)
+            *terms, _last = [(k, a) for k, a in enumerate(cond.coeffs) if a]
             for k, b in terms:
                 moves[k].append((ci, b))
-            if cond.modn:
-                closes[last].append((ci, a))
-        elif cond.modn:
-            sums[last].append((cond.const, terms, a))
-    plan = list(zip(values, box.lo, box.hi, lower, upper, moves, closes, sums))
+    # the row leading at x_k, in the columns x_(nvars-1) .. x_0, 1, if any
+    leading = [form.get(nvars - 1 - k) for k in range(nvars)]
+    plan = list(zip(box.lo, box.hi, lower, upper, moves, leading))
 
     point = [0] * nvars
     solutions: list[tuple[int, ...]] = []
@@ -653,8 +659,8 @@ def interval_search(system, box, budget):
         if k == nvars:
             solutions.append(tuple(point))
             return
-        candidates, lo, hi, lows, highs, move, close, sum_at = plan[k]
-        nodes += len(candidates)
+        lo, hi, lows, highs, move, row = plan[k]
+        nodes += max(0, hi - lo + 1)
         if nodes > budget:
             raise SearchIncomplete(nodes, budget)
         for ci, a, b in highs:
@@ -669,11 +675,8 @@ def interval_search(system, box, budget):
                 if t > hi:
                     return
                 lo = t
-        ends = [(partial[ci], a) for ci, a in close]
-        ends += [(c + sum(b * point[j] for j, b in terms), a) for c, terms, a in sum_at]
-        step = candidates.step
-        for v in range(lo + (candidates.start - lo) % step, hi + 1, step):
-            if ends and any((p + a * v) % n for p, a in ends):
+        for v in range(lo, hi + 1):
+            if row and sum(map(mul, row[::-1], [1, *point[:k], v])) % n:
                 continue
             point[k] = v
             child = partial.copy()

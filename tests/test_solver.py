@@ -867,6 +867,49 @@ def test_violated_constant_row_enumerates_nothing():
     assert derive_bounds(empty) == BoundsBox((0,) * 8, (-1,) * 8) == two_phase_bounds(empty)
 
 
+def _span(vectors, n, d):
+    # the module the vectors span in (Z/n)^d: the closure of 0 under adding each
+    span, todo = {(0,) * d}, [(0,) * d]
+    while todo:
+        u = todo.pop()
+        for v in vectors:
+            w = tuple((x + y) % n for x, y in zip(u, v))
+            if w not in span:
+                span.add(w)
+                todo.append(w)
+    return span
+
+
+@st.composite
+def _generators(draw):
+    # n in 2..12, prime powers and composites, and up to four vectors of (Z/n)^d, d <= 4
+    n, d = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-n, 2 * n), min_size=d, max_size=d)
+    return n, d, draw(st.lists(vector, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_generators())
+@example(instance=(4, 2, [[2, 1]]))  # saturation: 2 (2, 1) = (0, 2) takes the second column
+@example(instance=(12, 4, [[8, 3, 0, 5], [6, 0, 9, 2]]))
+@example(instance=(9, 3, [[3, 6, 1], [6, 3, 2], [0, 0, 3]]))
+def test_howell_form_has_the_howell_property(instance):
+    # brute force over (Z/n)^d: the form spans the module, the module's
+    # vectors zero before column i are spanned by the rows from column i on,
+    # and every row is zero before its column and leads there at a proper
+    # divisor of n
+    n, d, vectors = instance
+    form = solver._howell(vectors, n)
+    module = _span(vectors, n, d)
+    assert _span(list(form.values()), n, d) == module
+    for i in range(d + 1):
+        tail = [row for col, row in form.items() if col >= i]
+        assert _span(tail, n, d) == {v for v in module if not any(v[:i])}
+    for col, row in form.items():
+        assert len(row) == d and not any(row[:col])
+        assert 0 < row[col] < n and n % row[col] == 0
+
+
 def search(system, box, budget):
     # _search in layout order over the system's conditions, as the oracles
     # search; _search checks the constant rows itself, the oracles apart
@@ -1003,9 +1046,10 @@ def _budget_error(search, *args):
 @settings(max_examples=60, deadline=None)
 @given(instance=_search_instance(), data=st.data())
 def test_search_matches_interval_oracle_on_random_boxes(instance, data):
-    # the culprit-first bound order and the parent-side peek change neither
-    # the vectors, their order, nor the node count; a budget below the total
-    # fails at the same count, also where it is crossed at a skipped child
+    # the culprit-first bound order, the parent-side peek and the stepped
+    # congruences change neither the vectors, their order, nor the node
+    # count; a budget below the total fails at the same count, also where it
+    # is crossed at a skipped child
     system, box = instance
     budget = solver.DEFAULT_NODE_BUDGET
     result = search(system, box, budget)
@@ -1051,12 +1095,28 @@ def test_row_constant_after_substitution_and_violated_enumerates_nothing():
     assert naive_search(bad, box, budget)[0] == []
 
 
+def test_contradicting_congruences_enumerate_nothing():
+    # x_0 + 5 = 0 and x_0 + 6 = 0 mod 10 give 1 = 0: neither row's bounds
+    # cut the box, the Howell form has a row on the constant alone, and the
+    # search visits no node
+    system = paper_system(19, 10)
+    box = derive_bounds(system)
+    e0 = tuple(int(i == 0) for i in range(len(system.layout)))
+    extra = tuple(ConstraintRow("x", 0, e0, const, 20) for const in (5, 6))
+    bad = replace(system, rows=system.rows + extra)
+    budget = solver.DEFAULT_NODE_BUDGET
+    assert search(bad, box, budget) == ([], 0) == interval_search(bad, box, budget)
+    assert naive_search(bad, box, budget)[0] == []
+    # one of the two alone leaves nodes to visit
+    assert search(replace(system, rows=system.rows + extra[:1]), box, budget)[1] > 0
+
+
 def _node_counts(cases):
     # the ids name the frame alone, so a re-pinned count keeps the test's name
     return pytest.mark.parametrize("q, n, nodes", cases, ids=[f"{q}-{n}" for q, n, _ in cases])
 
 
-@_node_counts([(29, 14, 361), (31, 15, 1025), (43, 22, 619), (37, 18, 3292), (53, 26, 1045)])
+@_node_counts([(29, 14, 223), (31, 15, 1025), (43, 22, 541), (37, 18, 548), (53, 26, 925)])
 def test_search_node_counts_pinned(q, n, nodes):
     system = paper_system(q, n)
     box = derive_bounds(system)
@@ -1094,7 +1154,7 @@ def test_search_q47_n24_paper():
     assert len(keys) == 48
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert digest == "7ceeb8009d7e2de37917f4bfb3a8e832c7a10940db05f62c72e1a89545e0205c"
-    assert rep.node_count == 1004819
+    assert rep.node_count == 132390
 
 
 def test_search_leaves_no_reference_cycle():
