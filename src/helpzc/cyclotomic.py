@@ -187,11 +187,6 @@ class CycSum:
     def is_integer(self) -> bool:
         return not any(self.canonical[1:])
 
-    def as_integer(self) -> int:
-        if not self.is_integer():
-            raise ValueError(f"{self!r} is not a rational integer")
-        return self.canonical[0]
-
     def __eq__(self, other: object) -> bool:
         other = self._lift(other)
         if other is NotImplemented:

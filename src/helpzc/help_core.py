@@ -34,23 +34,34 @@ is even, so K[-h][l] = K[h][-l].  Hence chi's sums are even in l, and
 with the pair row P[h] = K[h] + K[-h] of the pair {h, -h}.  Where h = -h
 mod n (h = 0, and h = n/2 for even n) the pair is one class and P[h] is
 halved, which is exact.  The sums at l > n/2 are those at n - l.
-_mu_sums evaluates that sum at the cost of chi's residual: with c the
-most common count of H[: n/2 + 1], H = c 1 + R, so
 
-    sum_h H[h] P[h] = c (sum_h P[h]) + sum over h with H[h] != c of (H[h] - c) P[h].
+_family_sums walks a character family in order and takes each
+character's sums from one of two references, whichever needs fewer row
+passes.  With c the most common count of H[: n/2 + 1], H = c 1 + R, so
 
-The column sums sum_h P[h] are taken once per table, and each character
-then costs one pass for c and one per count that differs from c (for the
-phi_h, one).  The identity holds for every integer c, so the sums are
-exact whichever count is chosen.  _unit_table gives the table of one
-unit entry (d, x, 1).  A constraint row takes one per variable, so the
-coefficient of (d, x) in row (chi, l) is sum_h H[h] P_x[h][l];
-build_constraints lays those tables side by side, one flat row per h
-over (l, variable), and takes all of chi's rows with l <= n/2 in one
-_mu_sums; row l > n/2 shares the coefficients of n - l.  The (V4) check
-of one distribution sums its entries' unit tables, weighted by their
-values, once for all characters.  multiplicity() keeps the direct
-single-l formula as the reference.
+    sum_h H[h] P[h] = c (sum_h P[h]) + sum over h with H[h] != c of (H[h] - c) P[h],
+
+and with H' the counts of the previous character in the family,
+
+    sum_h H[h] P[h] = sum_h H'[h] P[h] + sum over h with H[h] != H'[h] of (H[h] - H'[h]) P[h].
+
+The residual costs one pass for c (the column sums sum_h P[h] are taken
+once per table) and one per count that differs from c; the predecessor
+costs one per count that differs from H'.  Both identities are exact for
+every integer c and every H', so the sums do not depend on the
+reference.  The first character and a tie take the residual, so phi_h
+after phi_(h-1) still costs one pass for c and one row.  For prime q,
+consecutive brauer-p characters chi_r and chi_(r+2) differ in one count,
+so each after the first costs one row; a repeated character costs none,
+and c is counted only when the predecessor needs two passes or more.
+_unit_table gives the table of one unit entry (d, x, 1).  A constraint
+row takes one per variable, so the coefficient of (d, x) in row (chi, l)
+is sum_h H[h] P_x[h][l]; build_constraints lays those tables side by
+side, one flat row per h over (l, variable), and takes all of chi's rows
+with l <= n/2 in one sum; row l > n/2 shares the coefficients of n - l.
+The (V4) check of one distribution sums its entries' unit tables,
+weighted by their values, once for all characters.  multiplicity() keeps
+the direct single-l formula as the reference.
 """
 
 from __future__ import annotations
@@ -457,19 +468,26 @@ def _eigen_table(n: int, entries: Iterable[tuple[int, ClassLabel, int]]) -> list
     return table
 
 
-def _mu_sums(counts: list[int], table: list[list[int]], colsum: list[int]) -> list[int]:
-    """sum_h counts[h] * table[h], entrywise, with colsum = sum_h table[h].
-
-    Taken as c * colsum plus (counts[h] - c) * table[h] for each h where
-    counts[h] differs from c, the most common count (module docstring).
+def _family_sums(family: Iterable[list[int]], table: list[list[int]]) -> Iterator[list[int]]:
+    """sum_h counts[h] * table[h], entrywise, for each count vector of family in turn:
+    from the previous vector's sums or from the residual c * colsum, whichever
+    needs fewer row passes (module docstring), the residual for the first
+    vector and on a tie.  A yielded list is not written again.
     """
-    c = Counter(counts).most_common(1)[0][0]
-    out = [c * b for b in colsum]
-    for row, w in zip(table, counts):
-        if w != c:
-            w -= c
+    colsum = [sum(column) for column in zip(*table)]
+    prev = out = None
+    for counts in family:
+        if prev is not None:
+            steps = [(row, w - v) for row, w, v in zip(table, counts, prev) if w != v]
+        if prev is None or len(steps) > 1:
+            c = Counter(counts).most_common(1)[0][0]
+            residual = [(row, w - c) for row, w in zip(table, counts) if w != c]
+            if prev is None or len(steps) > len(residual):
+                out, steps = [c * b for b in colsum], residual
+        for row, w in steps:
             out = [a + w * b for a, b in zip(out, row)]
-    return out
+        prev = counts
+        yield out
 
 
 def _mirrored(values: list, n: int) -> list:
@@ -486,9 +504,11 @@ def build_constraints(
     variable_layout(frame), H = eigen_counts(chi), K_x the table of entry (d, cls, 1).
 
     Row h <= n / 2 of the joint table holds row h of x's _unit_table at
-    l * len(layout) + index of x for l <= n / 2, so one _mu_sums over
+    l * len(layout) + index of x for l <= n / 2, so one sum over
     H[: n / 2 + 1] gives those rows of chi, l after l; row l > n / 2 is
-    row n - l.
+    row n - l.  _family_sums takes the characters in order, each from its
+    predecessor's sums or from its residual, whichever costs fewer passes
+    over the joint table's rows (module docstring).
     """
     layout = variable_layout(frame)
     n = frame.m
@@ -496,11 +516,11 @@ def build_constraints(
     nvars = len(layout)
     units = [_unit_table(n, d, cls.exp) for d, cls in layout.variables]
     table = [[a for column in zip(*rows) for a in column] for rows in zip(*units)]
-    colsum = [sum(column) for column in zip(*table)]
+    characters = list(characters)
+    # eigen_counts is symmetric, H[h] = H[-h] (test_eigen_counts_are_symmetric)
+    counts = (eigen_counts(frame, chi)[:half] for chi in characters)
     rows = []
-    for chi in characters:
-        # eigen_counts is symmetric, H[h] = H[-h] (test_eigen_counts_are_symmetric)
-        sums = _mu_sums(eigen_counts(frame, chi)[:half], table, colsum)
+    for chi, sums in zip(characters, _family_sums(counts, table)):
         coeffs = _mirrored([tuple(sums[l * nvars : (l + 1) * nvars]) for l in range(half)], n)
         deg = chi.degree(frame)
         for l, row in enumerate(coeffs):
@@ -682,20 +702,22 @@ def verify_v4(pa: PADistribution, characters: Iterable[CharRestriction]) -> V4Re
     """The integers n * mu of every character and l, for the (V4) check.
 
     n * mu of chi is sum_h H[h] K[h][l] with H = eigen_counts(chi) and K the
-    table of the distribution's entries, taken on the real half by _mu_sums
-    (module docstring) and mirrored: l > n / 2 reads n - l.  (V3) must hold.
+    table of the distribution's entries, taken on the real half and
+    mirrored: l > n / 2 reads n - l.  _family_sums takes the characters in
+    order, each from its predecessor's sums or from its residual, whichever
+    costs fewer row passes (module docstring).  (V3) must hold.
     """
     n = pa.n
     half = n // 2 + 1
     entries = list(pa.entries())
     _check_v3(entries)
     table = _eigen_table(n, entries)
-    colsum = [sum(column) for column in zip(*table)]
     frame = pa.frame
+    characters = list(characters)
+    # eigen_counts is symmetric, H[h] = H[-h] (test_eigen_counts_are_symmetric)
+    counts = (eigen_counts(frame, chi)[:half] for chi in characters)
     out = []
-    for chi in characters:
-        # eigen_counts is symmetric, H[h] = H[-h] (test_eigen_counts_are_symmetric)
-        sums = _mu_sums(eigen_counts(frame, chi)[:half], table, colsum)
+    for chi, sums in zip(characters, _family_sums(counts, table)):
         out.append((chi.label, tuple(_mirrored(sums, n))))
     return V4Report(n, tuple(out))
 

@@ -264,13 +264,6 @@ def v_set_count(frame: CyclicFrame, weights, h: int) -> int:
     return count
 
 
-def v_pair_count(frame: CyclicFrame, weights, h: int) -> int:
-    """n_h = |V_{R;h}| / 2; the set is closed under digit negation, so this is exact."""
-    c = v_set_count(frame, weights, h)
-    assert c % 2 == 0
-    return c // 2
-
-
 def decompose_chi(frame: CyclicFrame, weights) -> tuple[int, dict[int, int]]:
     """Coefficients (k_0, n_h) with chi_R = k_0 * 1 + eps * sum_h n_h (phi_h - psi_h).
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import random
 from fractions import Fraction
 from math import floor, gcd
 from operator import mul
@@ -14,9 +15,11 @@ from helpzc.help_core import (
     PADistribution,
     V4Report,
     accumulated,
+    exceptional_set,
+    tpa_set,
     variable_layout,
 )
-from helpzc.psl2 import char_value, eigen_counts, make_frame
+from helpzc.psl2 import char_value, eigen_counts, make_context, make_frame, v_set_count
 from helpzc.solver import (
     BoundsBox,
     RankDeficientError,
@@ -44,7 +47,14 @@ def galois_trace_oracle(m: int, k: int) -> int:
     for j in range(1, m + 1):
         if gcd(j, m) == 1:
             total = total + CycSum.root(m, j * k)
-    return total.as_integer()
+    return as_integer(total)
+
+
+def as_integer(z: CycSum) -> int:
+    """z as a rational integer, read off its canonical form; ValueError if it is not one."""
+    if not z.is_integer():
+        raise ValueError(f"{z!r} is not a rational integer")
+    return z.canonical[0]
 
 
 def conjugate(z: CycSum) -> CycSum:
@@ -78,6 +88,13 @@ def v_set_count_oracle(frame, weights, h: int) -> int:
         if (e - h) % m == 0 or (e + h) % m == 0:
             count += 1
     return count
+
+
+def v_pair_count(frame, weights, h: int) -> int:
+    """n_h = |V_{R;h}| / 2; the set is closed under digit negation, so this is exact."""
+    c = v_set_count(frame, weights, h)
+    assert c % 2 == 0
+    return c // 2
 
 
 def float_root(m: int, k: int) -> complex:
@@ -187,6 +204,29 @@ def dense_constraint_rows(frame, characters) -> list[tuple]:
         deg = chi.degree(frame)
         out.extend((chi.label, l, tuple(s[l] for s in sums), deg, n * deg) for l in range(n))
     return out
+
+
+def check_brauer_items(seed: int) -> list[PADistribution]:
+    """The 44 distributions of the check-brauer benchmark workload: the TPA and
+    exceptional distributions of the frames (43, 22) and (53, 26), each followed
+    by its seeded level-1 perturbation, +1 on one class and -1 on another, both
+    where eps_1 is 0."""
+    rng = random.Random(seed)
+    items = []
+    for q, n in ((43, 22), (53, 26)):
+        frame = make_frame(make_context(q), n)
+        for pa in [*tpa_set(frame), *exceptional_set(frame, n // 2)]:
+            items.append(pa)
+            free = [cls for cls in frame.classes() if cls.exp and not pa.value(1, cls)]
+            plus, minus = rng.sample(free, 2)
+            levels = {
+                d: {cls: pa.value(d, cls) for cls in frame.classes()}
+                for d in {d for d, _c, _v in pa.entries()} | {1}
+            }
+            levels[1][plus] += 1
+            levels[1][minus] -= 1
+            items.append(PADistribution(frame, levels))
+    return items
 
 
 def mu1_accumulated_form(pa, chi, r: int, t: int) -> Fraction:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -47,6 +48,7 @@ from helpzc.solver import character_family
 
 from helpers import (
     ProbedDistribution,
+    check_brauer_items,
     dense_constraint_rows,
     dense_mu_sums,
     float_multiplicity,
@@ -437,6 +439,27 @@ def test_verify_v4_matches_trace_row_oracle_at_orders_1_and_2(q, n, data, family
     assert verify_v4(pa, chars) == trace_row_v4(pa, chars)
 
 
+# sha256 of the verify_v4 reports of the 44 check-brauer items of seeds 0-2,
+# recorded before a character's sums came from its predecessor's; step -1
+# walks the family backwards
+@pytest.mark.parametrize(
+    "family, step, digest",
+    [
+        ("brauer-p", 1, "0115f74c0141472e9ba84c8ccc810baf58e1f971514a86e981060ae530e7a5bb"),
+        ("brauer-p", -1, "9ec444bc63c8aeb5da90c15f218d85cd8ebdbceda4e59897a7dca56623177906"),
+        ("paper", 1, "d6973bedd12d75e10daf92fb0e9ff719832b92c52db528f9e94e808ce72dbaf2"),
+    ],
+    ids=["brauer-p", "brauer-p-reversed", "paper"],
+)
+def test_verify_v4_reports_pinned(family, step, digest):
+    h = hashlib.sha256()
+    for seed in range(3):
+        for pa in check_brauer_items(seed):
+            chars = character_family(pa.frame, family)[0][::step]
+            h.update(repr(verify_v4(pa, iter(chars))).encode())
+    assert h.hexdigest() == digest
+
+
 @pytest.mark.parametrize("q,n", [(19, 10), (53, 26)])
 def test_build_constraints_takes_eigen_counts_once_per_character(monkeypatch, q, n):
     fr = frame_for(q, n)
@@ -506,17 +529,82 @@ def counts_and_table(draw, kind):
     return counts, table
 
 
-@pytest.mark.parametrize("kind", ["ties", "constant", "distinct", "any"])
+FAMILY_KINDS = [
+    "chain", "repeated", "reversed", "constant-between", "random", "empty-family", "empty-table",
+]
+
+
+@st.composite
+def family_and_table(draw, kind):
+    """A family of count vectors of the given kind and an integer table.
+
+    ties, constant, distinct, any: one vector of that kind (counts_and_table);
+    chain: each vector its predecessor with up to three counts redrawn, so
+    repeats and one-count steps are common; repeated: each vector one to
+    three times in a row; reversed: a chain, then the same backwards;
+    constant-between: a constant vector between two others; random:
+    unrelated vectors; empty-family: none; empty-table: vectors over a table
+    with no rows, as at n = 1 with no variables.
+    """
+    counts, table = draw(counts_and_table("any" if kind in FAMILY_KINDS else kind))
+    if kind not in FAMILY_KINDS:
+        return [counts], table
+    size = len(counts)
+    vector = st.lists(st.integers(-3, 3), min_size=size, max_size=size)
+    if kind == "empty-family":
+        return [], table
+    if kind == "empty-table":
+        return [counts, *draw(st.lists(vector, max_size=4))], []
+    if kind == "constant-between":
+        return [counts, [draw(st.integers(-3, 3))] * size, draw(vector)], table
+    if kind == "random":
+        return [counts, *draw(st.lists(vector, min_size=1, max_size=5))], table
+    family = [counts]
+    for _ in range(draw(st.integers(1, 6))):
+        step = list(family[-1])
+        for h in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+            step[h] = draw(st.integers(-3, 3))
+        family.append(step)
+    if kind == "repeated":
+        family = [c for c in family for _ in range(draw(st.integers(1, 3)))]
+    if kind == "reversed":
+        family += family[::-1]
+    return family, table
+
+
+@pytest.mark.parametrize("kind", ["ties", "constant", "distinct", "any", *FAMILY_KINDS])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_mu_sums_match_dense_oracle(kind, data):
-    # any split count gives the same integers, so the choice among tied
-    # most common values does not show
-    counts, table = data.draw(counts_and_table(kind))
-    colsum = [sum(column) for column in zip(*table)]
-    before = (list(counts), [list(row) for row in table], list(colsum))
-    assert help_core._mu_sums(counts, table, colsum) == dense_mu_sums(counts, table)
-    assert (counts, table, colsum) == before  # the kernel writes none of its inputs
+    # the four single-vector kinds take the residual; any split count gives
+    # the same integers, so the choice among tied most common values, and
+    # between the two references, does not show
+    family, table = data.draw(family_and_table(kind))
+    before = ([list(c) for c in family], [list(row) for row in table])
+    sums = list(help_core._family_sums(iter(family), table))
+    assert sums == [dense_mu_sums(counts, table) for counts in family]
+    assert (family, table) == before  # the kernel writes none of its inputs
+
+
+def test_verify_v4_takes_one_row_pass_per_brauer_character(monkeypatch):
+    # consecutive brauer-p characters differ in one count of the real half,
+    # so after the first each costs one pass over one table row
+    pa = check_brauer_items(0)[1]  # (43, 22)
+    chars = character_family(pa.frame, "brauer-p")[0]
+    passes = []
+
+    class Row(list):
+        def __iter__(self):
+            passes.append(self)
+            return super().__iter__()
+
+    table = help_core._eigen_table
+    monkeypatch.setattr(help_core, "_eigen_table", lambda *a: [Row(r) for r in table(*a)])
+    assert verify_v4(pa, chars) == trace_row_v4(pa, chars)
+    family_passes = len(passes)
+    passes.clear()
+    verify_v4(pa, chars[:1])
+    assert family_passes - len(passes) == len(chars) - 1
 
 
 def test_distribution_accepts_exactly_the_frame_classes():

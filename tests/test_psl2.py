@@ -19,7 +19,6 @@ from helpzc.psl2 import (
     eigen_counts,
     make_context,
     make_frame,
-    v_pair_count,
     v_set_count,
 )
 
@@ -27,6 +26,7 @@ from helpers import (
     brauer_half_exponents_oracle,
     conjugate,
     float_char_exponents,
+    v_pair_count,
     v_set_count_oracle,
 )
 

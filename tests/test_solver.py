@@ -331,9 +331,10 @@ def sweep_frames():
 @pytest.fixture(scope="module")
 def sweep():
     # over the 98 frames and both presets, fresh systems: (q, m, family,
-    # rank, box), and (q, m, family, _pivot calls of rank_check and
-    # derive_bounds)
+    # rank, box), (q, m, family, _pivot calls of rank_check and
+    # derive_bounds), and the sha256 of (q, m, family, rows)
     cases, counts, calls = [], [], []
+    rows = hashlib.sha256()
     real = solver._pivot
 
     def counted(*args):
@@ -344,6 +345,7 @@ def sweep():
         for q, m in sweep_frames():
             for spec in ("paper", "brauer-p"):
                 system = family_system(q, m, spec)
+                rows.update(repr((q, m, spec, system.rows)).encode())
                 calls.clear()
                 rank = rank_check(system)
                 try:
@@ -353,14 +355,21 @@ def sweep():
                     box = None
                 cases.append((q, m, spec, rank, box))
                 counts.append((q, m, spec, len(calls)))
-    return cases, counts
+    return cases, counts, rows.hexdigest()
+
+
+def test_build_constraints_sweep_rows_pinned(sweep):
+    # recorded before a character's sums came from its predecessor's: every
+    # row of the sweep is as it was
+    *_, rows = sweep
+    assert rows == "ce16460ffba20ee53fae3f773bc03d50e9a7d6f31de17df6cdcca288b7d952a8"
 
 
 def test_bounds_sweep_pinned(sweep):
     # sha256 of (q, m, family, rank, box), recorded before the elimination
     # took the level equations first: every box and rank of the sweep is
     # as it was
-    cases, _ = sweep
+    cases, _, _ = sweep
     assert len(cases) == 196
     digest = hashlib.sha256(repr(cases).encode()).hexdigest()
     assert digest == "8b04d8fddd5003e1249778fa9c162c57452e6cf6e7cb298e104c1f5fd64cd8e4"
@@ -370,7 +379,7 @@ def test_bounds_sweep_pivot_counts_pinned(sweep):
     # sha256 of (q, m, family, pivots): 6,542 pivots in all, against 11,935
     # when a bound flip of the dual phase was a pivot (and 10,159 before
     # that, when the elimination took the rows first)
-    _, counts = sweep
+    _, counts, _ = sweep
     assert sum(c[-1] for c in counts) == 6542
     digest = hashlib.sha256(repr(counts).encode()).hexdigest()
     assert digest == "938917ec1926f2140ca1239e2d934488a2c48ce9f81ab3dcc869453e5c8026c8"
@@ -398,7 +407,7 @@ def built_as_validated(system, box):
 
 
 def test_enumerated_distributions_are_those_of_the_validating_constructor(sweep):
-    cases, _ = sweep
+    cases, _, _ = sweep
     counts = [built_as_validated(family_system(q, m, spec), BoundsBox(*box))
               for q, m, spec, _rank, box in cases]
     assert sum(counts) == 898
