@@ -2,11 +2,10 @@
 
 A value of order m is a redundant integer coefficient vector over the
 powers zeta_m^0 .. zeta_m^(m-1) of a fixed primitive m-th root of unity.
-Construction never reduces anything, so building values out of explicit
-root powers stays trivial and exact.  Equality and integrality are
-decided on demand by reducing the coefficient polynomial modulo x^m - 1
-(implicit in the indexing) and then modulo the m-th cyclotomic
-polynomial.  Rational traces use the closed form
+Construction never reduces anything.  The canonical form, read by the
+character tables and by equality, reduces the coefficient polynomial
+modulo x^m - 1 (implicit in the indexing) and then modulo the m-th
+cyclotomic polynomial.  Rational traces use the closed form
 Tr(zeta_m^k) = mu(d) * phi(m) / phi(d) with d = m / gcd(m, k), which is
 the Ramanujan sum c_m(k) = sum over e | gcd(m, k) of e * mu(m/e).
 
@@ -141,8 +140,9 @@ class CycSum:
     coeffs[i] is the coefficient of zeta_m^i; instances are immutable.
     The representation is redundant, so canonical forms (reduction modulo
     the m-th cyclotomic polynomial) are computed lazily and cached.
-    Equality lifts ints and compares canonical forms of one order; mixed
-    orders raise, as in arithmetic.  CycSum is unhashable: it can equal an int.
+    Equality is a value comparison: it compares canonical forms of one
+    order, reads an int as that integer, and raises on mixed orders.
+    CycSum is unhashable: it can equal an int.
     """
 
     def __init__(self, order: int, coeffs: Iterable[int]):
@@ -162,21 +162,6 @@ class CycSum:
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
 
-    @classmethod
-    def zero(cls, order: int) -> CycSum:
-        return cls(order, (0,) * order)
-
-    @classmethod
-    def integer(cls, order: int, value: int) -> CycSum:
-        return cls(order, (value,) + (0,) * (order - 1))
-
-    @classmethod
-    def root(cls, order: int, k: int) -> CycSum:
-        """The single root of unity zeta_order^k."""
-        coeffs = [0] * order
-        coeffs[k % order] = 1
-        return cls(order, coeffs)
-
     @cached_property
     def canonical(self) -> tuple[int, ...]:
         """Coefficients modulo the cyclotomic polynomial, padded to degree phi(m)."""
@@ -184,56 +169,16 @@ class CycSum:
         rem = _poly_divmod(self._coeffs, phi_m)[1]
         return tuple(rem) + (0,) * (len(phi_m) - 1 - len(rem))
 
-    def is_integer(self) -> bool:
-        return not any(self.canonical[1:])
-
     def __eq__(self, other: object) -> bool:
-        other = self._lift(other)
-        if other is NotImplemented:
+        if isinstance(other, int):
+            return self.canonical == (other,) + (0,) * (len(self.canonical) - 1)
+        if not isinstance(other, CycSum):
             return NotImplemented
+        if other._order != self._order:
+            raise ValueError("incompatible cyclotomic orders")
         return self.canonical == other.canonical
 
     __hash__ = None  # type: ignore[assignment]
-
-    def _lift(self, other: int | CycSum) -> CycSum:
-        if isinstance(other, int):
-            return CycSum.integer(self._order, other)
-        if isinstance(other, CycSum):
-            if other._order != self._order:
-                raise ValueError("incompatible cyclotomic orders")
-            return other
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: int | CycSum) -> CycSum:
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycSum(self._order, (a + b for a, b in zip(self._coeffs, other._coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: int | CycSum) -> CycSum:
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycSum(self._order, (a - b for a, b in zip(self._coeffs, other._coeffs)))
-
-    def __mul__(self, other: int | CycSum) -> CycSum:
-        if isinstance(other, int):
-            return CycSum(self._order, (other * a for a in self._coeffs))
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        m = self._order
-        out = [0] * m
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    if b:
-                        out[(i + j) % m] += a * b
-        return CycSum(m, out)
-
-    __rmul__ = __mul__
 
     def mul_root(self, k: int) -> CycSum:
         """Multiply by zeta_m^k: a cyclic shift of the coefficient vector."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from math import floor, gcd
 from operator import mul
@@ -43,18 +44,23 @@ def phi_oracle(n: int) -> int:
 
 def galois_trace_oracle(m: int, k: int) -> int:
     """Brute-force Galois sum of zeta_m^(j*k) over j coprime to m, via canonical forms."""
-    total = CycSum.zero(m)
+    counts = [0] * m
     for j in range(1, m + 1):
         if gcd(j, m) == 1:
-            total = total + CycSum.root(m, j * k)
-    return as_integer(total)
+            counts[j * k % m] += 1
+    return as_integer(CycSum(m, counts))
 
 
 def as_integer(z: CycSum) -> int:
     """z as a rational integer, read off its canonical form; ValueError if it is not one."""
-    if not z.is_integer():
+    if any(z.canonical[1:]):
         raise ValueError(f"{z!r} is not a rational integer")
     return z.canonical[0]
+
+
+def combination(m: int, *terms: tuple[int, Sequence[int]]) -> CycSum:
+    """CycSum(m, sum of c * v over the (c, v) in terms), each v a coefficient list of length m."""
+    return CycSum(m, [sum(c * v[i] for c, v in terms) for i in range(m)])
 
 
 def conjugate(z: CycSum) -> CycSum:

@@ -37,7 +37,7 @@ from helpzc.psl2 import (
 )
 from helpzc.solver import character_family, compare_sets, solve_vpa
 
-from helpers import galois_trace_oracle
+from helpers import combination, galois_trace_oracle
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -162,16 +162,16 @@ def test_criterion_7_decomposition_identity():
         for weights in tuples:
             k0, coeffs = decompose_chi(frame, weights)
             chi = CharRestriction.brauer(weights)
+            e0 = [1] + [0] * (m - 1)
+            eps = frame.epsilon
             for cls in frame.classes():
-                lhs = char_value(frame, chi, cls)
-                rhs = char_value(frame, CharRestriction.trivial(), cls) * k0
+                terms = [(k0, e0)]
                 for h, nh in coeffs.items():
                     if nh:
-                        diff = char_value(frame, CharRestriction.phi(h), cls) - char_value(
-                            frame, CharRestriction.psi(h), cls
-                        )
-                        rhs = rhs + frame.epsilon * nh * diff
-                assert lhs == rhs, (m, weights, cls)
+                        phi_h = char_value(frame, CharRestriction.phi(h), cls)
+                        psi_h = char_value(frame, CharRestriction.psi(h), cls)
+                        terms += [(eps * nh, phi_h.coeffs), (-eps * nh, psi_h.coeffs)]
+                assert char_value(frame, chi, cls) == combination(m, *terms), (m, weights, cls)
                 cases += 1
     report("criterion 7 (decomposition identity)", True, f"{cases} exact equalities")
 

@@ -345,6 +345,13 @@ RENDERER_PINS = [
      "e4eab1290ecc4eb634c0445b7fd31820ee2a8e051d1d7ca768ac42b0fdf45a1d"),
     ("chars --q 19 --m 10 --chars brauer-p --format json", 0,
      "194d159d72f94820058c1ea0c95a4ed14ba56390406641005fecd66163ec4ac3"),
+    # a three-prime order (Phi_30) and a non-squarefree one (Phi_36)
+    ("chars --q 61 --m 30 --chars brauer-p --format json", 0,
+     "1e082c4ee15b64823d3131f6039ada649a321391fc93529a1940feb0d7300dbe"),
+    ("chars --q 61 --m 30 --format text", 0,
+     "d077495ae6c68e37a70a0523e97adde7cf06823c45f12a44a39bf684273608b5"),
+    ("chars --q 73 --m 36 --chars brauer-p --format csv", 0,
+     "1ffa6c926bf65997d238e42d19e1804f67ec02350fb008ac571fa0e21a64ab64"),
     ("chars --q 19 --m 10 --decompose 4 --format json", 0,
      "de0ca824fe4164fcc3af0a71d2fecf97e78eecf438c18b58376915a52552316a"),
     ("chars --q 19 --m 10 --decompose 4", 0,

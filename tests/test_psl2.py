@@ -24,6 +24,7 @@ from helpzc.psl2 import (
 
 from helpers import (
     brauer_half_exponents_oracle,
+    combination,
     conjugate,
     float_char_exponents,
     v_pair_count,
@@ -392,16 +393,15 @@ def check_decomposition_identity(fr, weights):
     """chi_R = k0 * 1 + eps * sum_h n_h (phi_h - psi_h), as exact values."""
     k0, n = decompose_chi(fr, weights)
     chi = CharRestriction.brauer(weights)
+    e0 = [1] + [0] * (fr.m - 1)
     for cls in fr.classes():
-        lhs = char_value(fr, chi, cls)
-        rhs = CycSum.integer(fr.m, k0)
+        terms = [(k0, e0)]
         for h, nh in n.items():
             if nh:
-                diff = char_value(fr, CharRestriction.phi(h), cls) - char_value(
-                    fr, CharRestriction.psi(h), cls
-                )
-                rhs = rhs + fr.epsilon * nh * diff
-        assert lhs == rhs, (weights, cls)
+                phi_h = char_value(fr, CharRestriction.phi(h), cls)
+                psi_h = char_value(fr, CharRestriction.psi(h), cls)
+                terms += [(fr.epsilon * nh, phi_h.coeffs), (-fr.epsilon * nh, psi_h.coeffs)]
+        assert char_value(fr, chi, cls) == combination(fr.m, *terms), (weights, cls)
     # degree bookkeeping: |X_R| = k0 + 2 * sum_h n_h
     assert chi.degree(fr) == k0 + 2 * sum(n.values())
 
