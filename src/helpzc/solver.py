@@ -24,10 +24,12 @@ budget runs out.
 
 The per-variable LPs are solved through the dual: the primal has few
 variables and hundreds of rows, so the dual tableau has one row per
-primal variable and stays tiny.  A condition lo <= const + a.x <= hi
-is one dual column, a or -a as needed.  The system's Gauss-Jordan
-elimination of [A^T | I], over the level equations and then the
-distinct rows, gives the start basis.  The LPs share their cost and
+primal variable and stays tiny.  Each level's (V1) equation first
+substitutes the level's last variable out of the rows, so the LP has one
+variable fewer per level and no level equation.  A condition
+lo <= const + a.x <= hi is one dual column, a or -a as needed.  The
+system's Gauss-Jordan elimination of [A^T | I] over the reduced distinct
+rows gives the start basis.  The LPs share their cost and
 differ only in the right-hand side, so every LP, the first included,
 starts in the dual phase: dual simplex under Bland's rule from the
 start basis or the previous optimum, which stays dual feasible.  The
@@ -55,16 +57,16 @@ The relaxation is bounded exactly when the rows and the level equations
 together have full column rank, and one gate checks it: derive_bounds
 raises RankDeficientError when rank_check reads a lower rank.  It never
 extends the family.  Each system's relaxation (its distinct rows, level
-equations and their one elimination) is built once, on first use, and
-kept on the system object (_prepared); rank_check, derive_bounds and the
-search all read it.
+equations, the reduced rows and their one elimination) is built once, on
+first use, and kept on the system object (_prepared); rank_check,
+derive_bounds and the search all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .help_core import (
@@ -100,7 +102,7 @@ class SimplexStallError(RuntimeError):
     """An LP phase passed _ITERATIONS_PER_ROW iterations per basis row: a defect, not bad input."""
 
 
-# about 95 times the most per phase call measured: 356 for the 34 rows of brauer-p (61,30)
+# about 150 times the most per phase call measured: 175 for the 27 rows of brauer-p (61,30)
 _ITERATIONS_PER_ROW = 1_000
 
 
@@ -173,48 +175,84 @@ class _Condition(NamedTuple):
 
 
 class _Relaxation(NamedTuple):
-    """The relaxation of a system and its one elimination.
+    """The relaxation of a system, reduced by its level equations, and its one elimination.
 
     rows are the distinct character rows 0 <= const + coeffs.x <= upper,
     = 0 mod n, constant ones included; levels are the (V1) equations
-    sum = 1, one per level.  A is the matrix of the levels followed by
-    the rows.  T / den is the I block of [A^T | I] after Gauss-Jordan
-    elimination (_eliminate), den * B^-1 for the basis B it found; the
-    condition columns are not stored, as each is T times its a.  basis
-    holds each T row's pivot, an index into levels + rows, None where the
-    row is zero on every condition.  The levels have disjoint supports, so
-    each takes a pivot, in the row of its first variable: no earlier row
-    touches that variable.  Readers copy T and never write it.
+    sum = 1, one per level; the search reads both.  The LP has each
+    level's last variable, by layout index, substituted out as
+    1 - sum(its level mates): its variables y are the others, and
+    x_i = offset + c.y for (c, offset) = images[i].  reduced are the
+    distinct substituted rows that are not constant; holds is whether
+    every constant one has lo <= const <= hi.  T / den is the I block of
+    [A^T | I] after Gauss-Jordan elimination (_eliminate), A the matrix of
+    reduced: den * B^-1 for the basis B it found; the condition columns
+    are not stored, as each is T times its a.  basis holds each T row's
+    pivot, an index into reduced, None where the row is zero on every
+    condition.  Readers copy T and never write it.
     """
 
     rows: tuple[_Condition, ...]
     levels: tuple[_Condition, ...]
+    reduced: tuple[_Condition, ...]
+    images: tuple[tuple[tuple[int, ...], int], ...]
+    holds: bool
     T: list[list[int]]
     basis: tuple[int | None, ...]
     den: int
 
 
+def _substitute(coeffs: tuple[int, ...], const: int, members: list) -> tuple[list[int], int]:
+    """const + coeffs.x with x_j = 1 - sum(others) put in for each (*others, j) of members."""
+    coeffs = list(coeffs)
+    for *others, j in members:
+        a = coeffs[j]
+        if a:
+            for i in others:
+                coeffs[i] -= a
+            coeffs[j] = 0
+            const += a
+    return coeffs, const
+
+
 def _relaxation(system: ConstraintSystem) -> _Relaxation:
-    """Build the system's relaxation and eliminate it; _prepared calls it once per system.
+    """Build the system's relaxation, reduce and eliminate it; _prepared calls it once per system.
 
     The rows are deduplicated as plain (coeffs, const, upper) tuples, in
     first-occurrence order, before any _Condition is built.  Most rows
     repeat: rows l and -l of a character agree, as its values on <g0> are
     real, and characters share rows.  The 616 rows of verify-main's four
-    systems make 156 conditions.  A constant row never pivots in the
-    elimination and, as 0 <= const <= upper, never prices in; the search
-    checks it (_substitute_levels).
+    systems make 156 conditions.  Each level's last variable, a singleton
+    level's too, is substituted out of the rows (_substitute), and the
+    reduced rows are deduplicated again.  A row left constant never pivots;
+    its congruence is the search's to check (_substitute_levels).
     """
     nvars = len(system.layout)
     distinct = dict.fromkeys((r.coeffs, r.const, r.upper) for r in system.rows)
     rows = tuple(_Condition(coeffs, const, 0, upper, True) for coeffs, const, upper in distinct)
+    members = [idxs for _d, idxs in sorted(system.layout.level_indices().items())]
     levels = tuple(
-        _Condition(tuple(1 if i in idxs else 0 for i in range(nvars)), 0, 1, 1, False)
-        for _d, idxs in sorted(system.layout.level_indices().items())
+        _Condition(tuple(int(i in idxs) for i in range(nvars)), 0, 1, 1, False)
+        for idxs in members
     )
-    T = [[int(j == i) for j in range(nvars)] for i in range(nvars)]
-    basis, den = _eliminate(T, levels + rows)
-    return _Relaxation(rows, levels, T, tuple(basis), den)
+    kept = sorted(set(range(nvars)).difference(idxs[-1] for idxs in members))
+
+    def reduce(coeffs, const):
+        coeffs, const = _substitute(coeffs, const, members)
+        return tuple([coeffs[i] for i in kept]), const
+
+    images = tuple(reduce(tuple(int(i == j) for i in range(nvars)), 0) for j in range(nvars))
+    reduced, holds = {}, True
+    for row in rows:
+        coeffs, const = reduce(row.coeffs, row.const)
+        if any(coeffs):
+            reduced[coeffs, const, row.hi] = None
+        elif not row.lo <= const <= row.hi:
+            holds = False
+    reduced = tuple(_Condition(coeffs, const, 0, hi, True) for coeffs, const, hi in reduced)
+    T = [[int(j == i) for j in kept] for i in kept]
+    basis, den = _eliminate(T, reduced)
+    return _Relaxation(rows, levels, reduced, images, holds, T, tuple(basis), den)
 
 
 def _prepared(system: ConstraintSystem) -> _Relaxation:
@@ -285,10 +323,11 @@ def _exchange(
 def _eliminate(T: list[list[int]], conds: tuple[_Condition, ...]) -> tuple[list[int | None], int]:
     """Gauss-Jordan on T = I, row by row: each row's pivot condition (or None), and den.
 
-    T is the I block of [A^T | I], A the matrix of conds, and the condition
-    columns are never stored: condition j's entry in a row is that row
-    times its a.  A row pivots on the first condition with a nonzero
-    entry, and only that condition's column is built.
+    T is the I block of [A^T | I], A the matrix of conds (the level-reduced
+    rows, no level equation), and the condition columns are never stored:
+    condition j's entry in a row is that row times its a.  A row pivots on
+    the first condition with a nonzero entry, and only that condition's
+    column is built.
     """
     pivots, den = [], 1
     for r, trow in enumerate(T):
@@ -303,10 +342,12 @@ def _eliminate(T: list[list[int]], conds: tuple[_Condition, ...]) -> tuple[list[
 def rank_check(system: ConstraintSystem) -> int:
     """Exact rank over Q of the distinct rows and the level equations together.
 
-    The relaxation is bounded exactly when this is the variable count.  It
-    is the number of pivots of the system's one elimination (_prepared).
+    The relaxation is bounded exactly when this is the variable count.  The
+    level equations have disjoint supports, so it is their count plus the
+    pivots of the system's one elimination of the reduced rows (_prepared).
     """
-    return sum(col is not None for col in _prepared(system).basis)
+    relaxation = _prepared(system)
+    return len(relaxation.levels) + sum(col is not None for col in relaxation.basis)
 
 
 def _flip(T: list[list[int]], col: int, width: int, den: int) -> None:
@@ -414,15 +455,11 @@ def _orbit_roots(layout: VariableLayout, conds: list[_Condition]) -> list[int]:
     form a group and those that keep conds a subgroup, so the orbit of i
     is i with its images.  Without such an s every variable is its own root.
     """
-    keep = set(conds)
-    kept = [
-        perm
-        for perm in layout.unit_permutations()
-        if all(
-            (tuple(c.coeffs[j] for j in perm), c.const, c.lo, c.hi, c.modn) in keep
-            for c in conds
-        )
-    ]
+    keep, kept = set(conds), []
+    for perm in layout.unit_permutations():
+        get = itemgetter(*perm)
+        if all((get(c.coeffs), c.const, c.lo, c.hi, c.modn) in keep for c in conds):
+            kept.append(perm)
     return [min([i, *(perm[i] for perm in kept)]) for i in range(len(layout))]
 
 
@@ -468,17 +505,20 @@ def _add_column(
 def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     """Exact per-variable LP bounds of the relaxation, rounded inward.
 
-    Each bound max/min x_i over G x <= h is solved as its dual
-    min h.y, G^T y = +-e_i, y >= 0.  G holds each condition's a as -a and
-    +a; the full dual has one variable per condition for the direction in
-    use.  The system's one Gauss-Jordan elimination of [A^T | I]
-    (_prepared), A the matrix of the level equations and all rows a,
-    gives a start basis.  This is the one rank gate: where rank_check,
-    which reads the same elimination, is below the variable count, A is
-    rank deficient, the relaxation unbounded, and RankDeficientError is
-    raised.  The tableau carries the I block, which holds den * B^-1 for
-    the current basis B, so the right-hand side of the LP for +-e_i is +-
-    its column i, and the cost row's entry there gives the objective.
+    The LP runs on the level-reduced relaxation (_prepared), whose
+    variables y are those left after the substitution: x_i = offset + c.y
+    for (c, offset) = images[i].  Each bound max/min c.y over G y <= h is
+    solved as its dual min h.z, G^T z = +-c, z >= 0, and offset added; a
+    singleton level's x_i (c = 0) is 1 and solves no LP.  G holds each
+    reduced condition's a as -a and +a.  The system's one Gauss-Jordan
+    elimination of [A^T | I], A the matrix of the reduced rows, gives a
+    start basis.  This is the one rank gate: where rank_check, which reads
+    the same elimination, is below the variable count, the relaxation is
+    unbounded and RankDeficientError is raised.  A constant reduced row
+    that breaks its bounds empties the box.  The tableau carries the I
+    block, which holds den * B^-1 for the current basis B, so the
+    right-hand side of the LP for +-c is +- the I block times c, and the
+    cost row's entry there gives the objective.
 
     The tableau is condensed: it stores only the nonbasic columns, as a
     basic column is den times a unit vector.  A variable's number is its
@@ -504,7 +544,8 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     restricted relaxation is bounded.
 
     The LP pair is solved for the least variable of each orbit
-    (_orbit_roots) and copied to the others.
+    (_orbit_roots, on the conditions before the substitution) and copied
+    to the others.
     """
     nvars = len(system.layout)
     rank = rank_check(system)
@@ -514,8 +555,10 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
             f"equations have rank {rank} for {nvars} variables; augment the character family"
         )
     relaxation = _prepared(system)
-    pivots, den = relaxation.basis, relaxation.den
-    conds = relaxation.levels + relaxation.rows
+    empty = BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
+    if not relaxation.holds:
+        return empty
+    pivots, den, conds = relaxation.basis, relaxation.den, relaxation.reduced
     start = sorted(pivots)
     waiting = [c for j, c in enumerate(conds) if j not in pivots]
     basis = [start.index(c) for c in pivots]
@@ -525,24 +568,25 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     h = [conds[c].hi - conds[c].const for c in pivots]
     T.append([-sum(map(mul, h, column)) for column in zip(*T)])
     widths, slots = [conds[c].hi - conds[c].lo for c in start], []
-    empty = BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
     lo, hi = [], []
-    for i, root in enumerate(_orbit_roots(system.layout, conds)):
-        if root < i:
-            lo.append(lo[root])
-            hi.append(hi[root])
+    roots = _orbit_roots(system.layout, relaxation.levels + relaxation.rows)
+    for i, (root, (objective, offset)) in enumerate(zip(roots, relaxation.images)):
+        if root < i or not any(objective):
+            # an orbit mate's bounds, or a singleton level's 1
+            lo.append(lo[root] if root < i else offset)
+            hi.append(hi[root] if root < i else offset)
             continue
         for sense, bounds in ((1, hi), (-1, lo)):
-            # right-hand side +-B^-1 e_i, and in the cost row its objective
+            # right-hand side +-B^-1 objective, and in the cost row its value
             for row in T:
-                row[-1] = sense * row[len(slots) + i]
+                row[-1] = sense * sum(map(mul, row[len(slots):], objective))
             den = _dual_phase(T, basis, slots, den, widths)
             while (j := _price(T[-1], waiting, den, len(slots))) is not None:
                 _add_column(T, waiting.pop(j), den, widths, slots)
                 den = _phase2(T, basis, slots, den, widths)
                 if den is None:
                     return empty
-            bounds.append(sense * (-T[-1][-1] // den))
+            bounds.append(offset + sense * (-T[-1][-1] // den))
     if any(a > b for a, b in zip(lo, hi)):
         return empty
     return BoundsBox(lo=tuple(lo), hi=tuple(hi))
@@ -569,14 +613,7 @@ def _substitute_levels(
     members = [idxs for idxs in members if len(idxs) > 1]
     out, consistent = [], True
     for row in rows:
-        coeffs, const = list(row.coeffs), row.const
-        for *others, j in members:
-            a = coeffs[j]
-            if a:
-                for i in others:
-                    coeffs[i] -= a
-                coeffs[j] = 0
-                const += a
+        coeffs, const = _substitute(row.coeffs, row.const, members)
         if any(coeffs):
             out.append(_Condition(tuple(coeffs), const, row.lo, row.hi, row.modn))
         elif not row.lo <= const <= row.hi or const % n:

@@ -9,6 +9,7 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from unittest import mock
 
@@ -124,27 +125,36 @@ def test_rank_empty_system():
     assert rank_check(system) == 3
 
 
+_cached_paper_system = cache(paper_system)
+
+
 @st.composite
 def _row_span(draw):
-    # rows drawn from the span of a few random rows, so rank deficiency is common
-    basis = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * 5), min_size=1, max_size=5))
+    # a frame of 3, 3 or 5 levels and rows drawn from the span of a few
+    # random rows, so rank deficiency is common
+    q, n = draw(st.sampled_from([(13, 6), (19, 10), (289, 12)]))
+    nvars = len(_cached_paper_system(q, n).layout)
+    basis = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * nvars), min_size=1, max_size=nvars))
     weights = st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis))
-    return [
-        tuple(sum(w * b[i] for w, b in zip(ws, basis)) for i in range(5))
-        for ws in draw(st.lists(weights, max_size=8))
+    return q, n, [
+        tuple(sum(w * b[i] for w, b in zip(ws, basis)) for i in range(nvars))
+        for ws in draw(st.lists(weights, max_size=nvars + 3))
     ]
 
 
-@settings(max_examples=80, deadline=None)
-@given(coeffs=_row_span())
+@settings(max_examples=100, deadline=None)
+@given(instance=_row_span())
 # rows of rank below 5 that the level equations do and do not complete
-@example(coeffs=[])
-@example(coeffs=[(1, 1, 0, 0, 0), (0, 0, 1, 0, 0)])
-@example(coeffs=[(1, -1, 0, 0, 0), (0, 0, 1, 0, 0)])
-def test_rank_matches_fraction_oracle(coeffs):
-    system = paper_system(13, 6)
+@example(instance=(13, 6, []))
+@example(instance=(13, 6, [(1, 1, 0, 0, 0), (0, 0, 1, 0, 0)]))
+@example(instance=(13, 6, [(1, -1, 0, 0, 0), (0, 0, 1, 0, 0)]))
+def test_rank_matches_fraction_oracle(instance):
+    # rank_check adds the level count to the reduced rows' pivots
+    q, n, coeffs = instance
+    system = _cached_paper_system(q, n)
+    nvars = len(system.layout)
     rows = tuple(
-        ConstraintRow(character="random", l=0, coeffs=c, const=0, upper=6) for c in coeffs
+        ConstraintRow(character="random", l=0, coeffs=c, const=0, upper=n) for c in coeffs
     )
     system = replace(system, rows=rows)
     levels = [c.coeffs for c in solver._prepared(system).levels]
@@ -154,9 +164,9 @@ def test_rank_matches_fraction_oracle(coeffs):
     try:
         derive_bounds(system)
     except RankDeficientError as exc:
-        assert rank < 5 and f"rank {rank} for 5 variables" in str(exc)
+        assert rank < nvars and f"rank {rank} for {nvars} variables" in str(exc)
     else:
-        assert rank == 5
+        assert rank == nvars
 
 
 # ---------------------------------------------------------------- bounds
@@ -242,10 +252,10 @@ def test_bounds_match_two_phase_oracle(make):
 @pytest.mark.parametrize(
     "make, pivots",
     [
-        (lambda: paper_system(13, 6), 14),
-        (lambda: paper_system(19, 10), 30),
-        (lambda: paper_system(31, 15), 43),
-        (lambda: family_system(19, 10, "brauer-p"), 32),
+        (lambda: paper_system(13, 6), 10),
+        (lambda: paper_system(19, 10), 23),
+        (lambda: paper_system(31, 15), 34),
+        (lambda: family_system(19, 10, "brauer-p"), 25),
     ],
     ids=["paper-13-6", "paper-19-10", "paper-31-15", "brauer-p-19-10"],
 )
@@ -270,22 +280,18 @@ def test_bounds_pivot_counts_pinned(make, pivots, monkeypatch):
 
 
 # (row, returned den) of every _pivot call of derive_bounds on a fresh
-# system: the elimination, in which each level equation takes the row of
-# its first variable, where its entry is den, so den stays (rows 0, 3, 4 of
-# (13,6); rows 0, 5, 7 of (19,10)), then the exchanges of the chain.  A
-# bound flip is no pivot: these are the sequences recorded when it was
-# one, with its calls left out, in order.
+# system: the elimination of the level-reduced rows, one pivot per
+# variable left after the substitution (2 of (13,6)'s 5, 5 of (19,10)'s
+# 8), then the exchanges of the chain.  A bound flip is no pivot.
 PIVOT_SEQUENCES = {
     "paper-13-6": [
-        (0, 1), (1, 4), (2, 24), (3, 24), (4, 24), (2, 48), (1, 48), (3, 192), (2, 24),
-        (1, 24), (3, 24), (3, 24), (1, 24), (3, 24),
+        (0, 6), (1, 24), (1, 48), (0, 48), (1, 24), (0, 24), (1, 24), (1, 24), (0, 24), (1, 24),
     ],
     "brauer-p-19-10": [
-        (0, 1), (1, 4), (2, 20), (3, 200), (4, 2000), (5, 2000), (6, 20000), (7, 20000),
-        (0, 80000), (4, 40000), (6, 40000), (7, 100000), (1, 20000), (3, 20000), (2, 20000),
-        (7, 40000), (0, 20000), (3, 20000), (4, 80000), (5, 80000), (7, 20000), (0, 40000),
-        (3, 40000), (6, 40000), (2, 40000), (0, 20000), (4, 40000), (0, 20000), (4, 20000),
-        (2, 20000), (6, 40000), (2, 40000),
+        (0, 10), (1, 10), (2, 200), (3, 2000), (4, 20000), (2, 40000), (4, 40000), (0, 20000),
+        (3, 20000), (1, 20000), (0, 40000), (2, 20000), (3, 20000), (0, 20000), (2, 40000),
+        (3, 40000), (4, 40000), (1, 40000), (2, 20000), (0, 40000), (2, 20000), (0, 20000),
+        (1, 20000), (4, 40000), (1, 40000),
     ],
 }
 
@@ -376,13 +382,13 @@ def test_bounds_sweep_pinned(sweep):
 
 
 def test_bounds_sweep_pivot_counts_pinned(sweep):
-    # sha256 of (q, m, family, pivots): 6,542 pivots in all, against 11,935
-    # when a bound flip of the dual phase was a pivot (and 10,159 before
-    # that, when the elimination took the rows first)
+    # sha256 of (q, m, family, pivots): 5,627 pivots in all, against 6,542
+    # when the LP carried the level equations as conditions (11,935 when a
+    # bound flip of the dual phase was a pivot, 10,159 before that)
     _, counts, _ = sweep
-    assert sum(c[-1] for c in counts) == 6542
+    assert sum(c[-1] for c in counts) == 5627
     digest = hashlib.sha256(repr(counts).encode()).hexdigest()
-    assert digest == "938917ec1926f2140ca1239e2d934488a2c48ce9f81ab3dcc869453e5c8026c8"
+    assert digest == "b10ffce7502e049e4165d7c63c83a3d1db5321ce99a1c531a2d188d245c29392"
 
 
 def built_as_validated(system, box):
@@ -426,7 +432,7 @@ def test_enumeration_rejects_a_layout_with_a_foreign_class():
 
 
 def test_a_stalled_lp_raises_rather_than_hangs(monkeypatch):
-    # with the cost-row update of _flip deleted, the paper (19,10) chain
+    # with the cost-row update of _flip deleted, the paper (29,15) chain
     # never reaches an optimum; the iteration cap ends it, and main does not
     # read the defect as bad input (exit 2)
     def flip_without_cost(T, col, width, den):
@@ -435,10 +441,10 @@ def test_a_stalled_lp_raises_rather_than_hangs(monkeypatch):
 
     monkeypatch.setattr(solver, "_flip", flip_without_cost)
     with pytest.raises(solver.SimplexStallError):
-        derive_bounds(paper_system(19, 10))
+        derive_bounds(paper_system(29, 15))
     assert not issubclass(solver.SimplexStallError, ValueError)
     with pytest.raises(solver.SimplexStallError):
-        cli.main(["vpa", "--q", "19", "--n", "10"])
+        cli.main(["vpa", "--q", "29", "--n", "15"])
 
 
 def orbit_count(system):
@@ -469,9 +475,9 @@ def test_orbit_counts(make, nvars, orbits):
 @pytest.mark.parametrize(
     "make, solves",
     [
-        (lambda: paper_system(43, 22), 10),
-        (lambda: paper_system(289, 12), 24),
-        (lambda: one_variable_row(paper_system(43, 22)), 34),
+        (lambda: paper_system(43, 22), 8),
+        (lambda: paper_system(289, 12), 20),
+        (lambda: one_variable_row(paper_system(43, 22)), 32),
     ],
     ids=["paper-43-22", "paper-289-12", "one-variable-row-43-22"],
 )
@@ -494,10 +500,64 @@ def test_one_lp_pair_per_orbit(make, solves, monkeypatch):
     # them _phase2 resumes after pricing
     assert calls[0] == "_dual_phase"
     assert calls.count("_dual_phase") == solves
-    if solves == 2 * len(system.layout):
+    # the variable of (43,22)'s singleton level is 1 and solves no LP
+    if solves == 2 * (len(system.layout) - 1):
         # the loose row moves no bound: the per-variable path gives the same box
         monkeypatch.undo()
         assert box == derive_bounds(paper_system(43, 22))
+
+
+def test_singleton_level_is_one_without_an_lp(monkeypatch):
+    # (19,10)'s level 5 holds x_7 alone, so x_7 = 1; with every variable its
+    # own orbit root, the 7 others solve an LP pair each and x_7 none
+    system = paper_system(19, 10)
+    assert system.layout.level_indices()[5] == (7,)
+    calls = []
+    real = solver._dual_phase
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_dual_phase", counted)
+    monkeypatch.setattr(solver, "_orbit_roots", lambda layout, conds: range(len(layout)))
+    box = derive_bounds(system)
+    assert len(calls) == 2 * 7
+    assert (box.lo[7], box.hi[7]) == (1, 1)
+    assert box == two_phase_bounds(system)
+
+
+def test_substituted_orbit_root_takes_its_own_lp_pair():
+    # x_10 of (43,22), the involution's class at level 1, is fixed by every
+    # unit and is the level's last variable: its LP maximises and minimises
+    # 1 - sum(its ten level mates)
+    system = paper_system(43, 22)
+    relaxation = solver._prepared(system)
+    assert system.layout.level_indices()[1] == tuple(range(11))
+    roots = solver._orbit_roots(system.layout, relaxation.levels + relaxation.rows)
+    assert roots[10] == 10
+    assert relaxation.images[10] == ((-1,) * 10 + (0,) * 4, 1)
+    box = derive_bounds(system)
+    assert box == two_phase_bounds(system)
+    assert (box.lo[10], box.hi[10]) == (0, 1)
+
+
+@pytest.mark.parametrize("const, empty", [(-2, True), (0, False)], ids=["violated", "held"])
+def test_row_constant_only_after_substitution(const, empty):
+    # const + sum over the d = 1 level is const + 1 on the (V1) hyperplane:
+    # outside [0, 10] the relaxation is empty, inside it the box stays, and
+    # neither reaches the LP's conditions
+    system = paper_system(19, 10)
+    idxs = system.layout.level_indices()[1]
+    coeffs = tuple(int(i in idxs) for i in range(len(system.layout)))
+    row = ConstraintRow("level", 0, coeffs, const, 10)
+    extended = replace(system, rows=system.rows + (row,))
+    relaxation = solver._prepared(extended)
+    assert relaxation.reduced == solver._prepared(system).reduced
+    assert relaxation.holds is not empty
+    box = derive_bounds(extended)
+    assert box == two_phase_bounds(extended)
+    assert box == (BoundsBox((0,) * 8, (-1,) * 8) if empty else derive_bounds(system))
 
 
 def _extra_row_on(nvars):
@@ -603,8 +663,10 @@ def test_emptiness_from_a_priced_in_condition(monkeypatch):
     # the far row comes after rows of full rank, so it is not in the start
     # basis: only pricing brings it in, and the resumed _phase2 finds the dual unbounded
     system = infeasible_system()
-    far = solver._relaxation(system).rows[-1]
-    assert far.const == -50
+    relaxation = solver._relaxation(system)
+    far = relaxation.reduced[-1]
+    assert far.coeffs == (1, 0, 0, 0, 0) and far.const == -50
+    assert len(relaxation.reduced) - 1 not in relaxation.basis
     added, results = [], []
     real_add, real_phase2 = solver._add_column, solver._phase2
 
@@ -628,8 +690,10 @@ def test_emptiness_from_a_priced_in_condition(monkeypatch):
 def test_tableau_ends_narrower_than_the_conditions(monkeypatch):
     system = family_system(19, 10, "brauer-p")
     relaxation = solver._relaxation(system)
-    ncond = len(relaxation.rows) + len(relaxation.levels)
-    nvars = len(system.layout)
+    ncond = len(relaxation.reduced)
+    # the LP's variables: the 8 of the layout but one per level (3)
+    nvars = len(relaxation.T)
+    assert nvars == 5
     widths, numbered = [], []
     real_pivot, real_add = solver._pivot, solver._add_column
 
@@ -647,11 +711,11 @@ def test_tableau_ends_narrower_than_the_conditions(monkeypatch):
     # the elimination's rows are the I block alone
     assert widths[:nvars] == [nvars] * nvars
     # an LP row is its variables but the nvars basic ones, the nvars columns
-    # of the I block and the right-hand side; the LP numbers fewer variables
-    # than there are conditions
+    # of the I block and the right-hand side; the LP numbers 11 variables
+    # for the 44 reduced conditions (14 for 55 with the level equations)
     variables = len(numbered[0])
-    assert widths[-1] == variables + 1
-    assert variables < ncond
+    assert widths[-1] == variables + 1 == 12
+    assert ncond == 44
 
 
 def test_infeasible_relaxation_enumerates_nothing():
