@@ -13,14 +13,13 @@ propagation gives the next variable's range.  The rows' mod-n congruences
 and the level equations make one module mod n, taken once to its Howell
 form: at most one row per variable, which fixes the variable mod a divisor
 of n given the earlier ones, so the value loop steps over that class.  A
-node tries the bound that last emptied its range first, and a parent
-evaluates its child's first two bounds before building it, so most dead
-ends cost two divisions.  The node count adds every candidate value of
-the box range at each node, pruned or stepped over or not; that count is
-what the budget bounds.  The search runs in one process and stops at the
-first count past the budget.  Everything is exact; the search either
-finishes with the complete solution set or fails loudly when the node
-budget runs out.
+node tries its first upper bound, then the lower bound that last emptied
+its range, so most dead ends cost one or two divisions.  The node count
+adds every candidate value of the box range at each node, pruned or
+stepped over or not; that count is what the budget bounds.  The search
+runs in one process and stops at the first count past the budget.
+Everything is exact; the search either finishes with the complete
+solution set or fails loudly when the node budget runs out.
 
 The per-variable LPs are solved through the dual: the primal has few
 variables and hundreds of rows, so the dual tableau has one row per
@@ -681,12 +680,10 @@ def _search(
 
     A node evaluates its first upper bound, then the lower bounds, then the
     other upper bounds, and returns at the first that empties its interval;
-    that bound is swapped to the front of its list.  Before building a
-    child, the parent evaluates the child's front lower and upper bound at
-    the value just assigned; if they leave no value, it adds the child's
-    nodes and checks the budget as the child would, and moves on.  The
-    lists belong to this call, so the node count and the solution order
-    are those of the plain interval search.  A node counts its box range.
+    that bound is swapped to the front of its list, so most dead ends cost
+    one or two divisions.  The lists belong to this call, so the node
+    count and the solution order are those of the plain interval search.
+    A node counts its box range.
     """
     nvars = len(box.lo)
     rows, holds = _substitute_levels(rows, levels, n)
@@ -695,13 +692,12 @@ def _search(
     if not holds or nvars in form:
         return [], 0
 
-    # x_k >= ceil((b - p) / a) for each (ci, a, b, c) in lower[k], x_k <= floor
+    # x_k >= ceil((b - p) / a) for each (ci, a, b) in lower[k], x_k <= floor
     # of the same for each in upper[k]: p is partial sum ci, b a bound of its
-    # condition less the reach of its later variables, c the coefficient of
-    # x_(k-1) in it (the parent's peek adds c * x_(k-1) to p).  A bound no
-    # partial sum in the box can push into the box is left out, and a
-    # condition left with none keeps no sum.  moves[k] are the sums x_k
-    # changes that have a later variable, the Howell rows' included.
+    # condition less the reach of its later variables.  A bound no partial
+    # sum in the box can push into the box is left out, and a condition left
+    # with none keeps no sum.  moves[k] are the sums x_k changes that have a
+    # later variable, the Howell rows' included.
     lower, upper, moves = ([[] for _ in range(nvars)] for _ in range(3))
     starts = []
     for cond in rows + list(levels):
@@ -714,12 +710,11 @@ def _search(
             smin, smax = smin - rmin, smax - rmax
             if not a:
                 continue
-            c = cond.coeffs[k - 1] if k else 0
             if pmin + rmin + smax < cond.lo:
-                (lower if a > 0 else upper)[k].append((ci, a, cond.lo - smax, c))
+                (lower if a > 0 else upper)[k].append((ci, a, cond.lo - smax))
                 cuts = True
             if pmax + rmax + smin > cond.hi:
-                (upper if a > 0 else lower)[k].append((ci, a, cond.hi - smin, c))
+                (upper if a > 0 else lower)[k].append((ci, a, cond.hi - smin))
                 cuts = True
             pmin, pmax = pmin + rmin, pmax + rmax
         if cuts:
@@ -737,15 +732,8 @@ def _search(
         g = b[k] or n
         congs.append((len(starts), g, n // g))
         starts.append(c)
-    # the parent peeks at a level that has a lower and an upper bound
     sizes = [max(0, hi - lo + 1) for lo, hi in zip(box.lo, box.hi)]
-    peeks = [
-        (sizes[k], box.lo[k], box.hi[k], lower[k], upper[k])
-        if lower[k] and upper[k]
-        else None
-        for k in range(1, nvars)
-    ]
-    plan = list(zip(sizes, box.lo, box.hi, lower, upper, moves, congs, peeks + [None]))
+    plan = list(zip(sizes, box.lo, box.hi, lower, upper, moves, congs))
 
     point = [0] * nvars
     solutions: list[tuple[int, ...]] = []
@@ -756,20 +744,20 @@ def _search(
         if k == nvars:
             solutions.append(tuple(point))
             return
-        size, lo, hi, lows, highs, move, cong, peek = plan[k]
+        size, lo, hi, lows, highs, move, cong = plan[k]
         nodes += size
         if nodes > budget:
             raise SearchIncomplete(nodes, budget)
         # the first upper bound, the lower ones, then the other upper ones;
         # the bound that empties the interval is swapped to the front
         if highs:
-            ci, a, b, _c = highs[0]
+            ci, a, b = highs[0]
             t = (b - partial[ci]) // a
             if t < hi:
                 if t < lo:
                     return
                 hi = t
-        for i, (ci, a, b, _c) in enumerate(lows):
+        for i, (ci, a, b) in enumerate(lows):
             t = -((partial[ci] - b) // a)
             if t > lo:
                 if t > hi:
@@ -777,7 +765,7 @@ def _search(
                     return
                 lo = t
         for i in range(1, len(highs)):
-            ci, a, b, _c = highs[i]
+            ci, a, b = highs[i]
             t = (b - partial[ci]) // a
             if t < hi:
                 if t < lo:
@@ -785,23 +773,8 @@ def _search(
                     return
                 hi = t
         ci, g, step = cong
-        if peek:
-            count, clo, chi, clows, chighs = peek
         for v in range(lo + (-partial[ci] // g - lo) % step, hi + 1, step):
             point[k] = v
-            if peek:
-                # the child's front bounds at x_k = v: an empty interval
-                # costs its nodes here without building the child
-                ci, a, b, c = chighs[0]
-                t = (b - partial[ci] - c * v) // a
-                if t > chi:
-                    t = chi
-                ci, a, b, c = clows[0]
-                if t < clo or -((partial[ci] + c * v - b) // a) > t:
-                    nodes += count
-                    if nodes > budget:
-                        raise SearchIncomplete(nodes, budget)
-                    continue
             child = partial.copy()
             for ci, a in move:
                 child[ci] += a * v

@@ -477,39 +477,42 @@ def fraction_rank(rows) -> int:
     return rank
 
 
-def two_phase_bounds(system) -> BoundsBox:
-    """derive_bounds by one cold two-phase simplex per bound LP."""
-    nvars = len(system.layout)
-    if nvars == 0:
-        return BoundsBox(lo=(), hi=())
+def two_phase_pair(system, i: int) -> tuple[int, int] | None:
+    """Variable i's (lo, hi) bound by one cold two-phase simplex per LP, or
+    None when the relaxation is empty."""
     relaxation = _relaxation(system)
     G: list[tuple[int, ...]] = []
     h: list[int] = []
     for c in relaxation.rows + relaxation.levels:
         G += [tuple(-a for a in c.coeffs), c.coeffs]
         h += [c.const - c.lo, c.hi - c.const]
-    A = [[Fraction(g[i]) for g in G] for i in range(nvars)]
+    nvars = len(system.layout)
+    A = [[Fraction(g[j]) for g in G] for j in range(nvars)]
     cost = [Fraction(x) for x in h]
-    lo = []
-    hi = []
+    hi_lo = []
+    for sense in (1, -1):
+        b = [Fraction(sense if j == i else 0) for j in range(nvars)]
+        status, value = _simplex_min(A, b, cost)
+        if status == "infeasible":
+            raise RankDeficientError("unbounded relaxation: augment the character family")
+        if status == "unbounded":
+            return None
+        hi_lo.append(sense * floor(value))
+    return hi_lo[1], hi_lo[0]
+
+
+def two_phase_bounds(system) -> BoundsBox:
+    """derive_bounds by one cold two-phase simplex per bound LP."""
+    nvars = len(system.layout)
+    pairs = []
     for i in range(nvars):
-        for sense in (1, -1):
-            b = [Fraction(sense if j == i else 0) for j in range(nvars)]
-            status, value = _simplex_min(A, b, cost)
-            if status == "infeasible":
-                raise RankDeficientError(
-                    "unbounded relaxation: augment the character family"
-                )
-            if status == "unbounded":
-                return BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
-            if sense == 1:
-                hi.append(floor(value))
-            else:
-                lo.append(-floor(value))
-    for a, b in zip(lo, hi):
-        if a > b:
+        pair = two_phase_pair(system, i)
+        if pair is None:
             return BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
-    return BoundsBox(lo=tuple(lo), hi=tuple(hi))
+        pairs.append(pair)
+    if any(lo > hi for lo, hi in pairs):
+        return BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
+    return BoundsBox(lo=tuple(lo for lo, _ in pairs), hi=tuple(hi for _, hi in pairs))
 
 
 def constant_rows_hold(system) -> bool:
@@ -632,9 +635,8 @@ def _substitute_levels(
 
 
 def interval_search(system, box, budget):
-    """The interval DFS the library used before the culprit-first bound order,
-    the parent-side peek and the stepped congruences; returns (solution
-    vectors, node count).
+    """The interval DFS the library used before the culprit-first bound order
+    and the stepped congruences; returns (solution vectors, node count).
 
     Every condition is linear in the next variable, so the values it admits
     at a node form one integer interval.  The rows are searched with each

@@ -53,6 +53,7 @@ from helpers import (
     naive_box_scan,
     naive_search,
     two_phase_bounds,
+    two_phase_pair,
 )
 
 TRIV = CharRestriction.trivial()
@@ -537,9 +538,9 @@ def test_substituted_orbit_root_takes_its_own_lp_pair():
     roots = solver._orbit_roots(system.layout, relaxation.levels + relaxation.rows)
     assert roots[10] == 10
     assert relaxation.images[10] == ((-1,) * 10 + (0,) * 4, 1)
+    # the other 13 variables of (43,22) are pinned by the bounds sweep
     box = derive_bounds(system)
-    assert box == two_phase_bounds(system)
-    assert (box.lo[10], box.hi[10]) == (0, 1)
+    assert (box.lo[10], box.hi[10]) == two_phase_pair(system, 10) == (0, 1)
 
 
 @pytest.mark.parametrize("const, empty", [(-2, True), (0, False)], ids=["violated", "held"])
@@ -1119,10 +1120,10 @@ def _budget_error(search, *args):
 @settings(max_examples=60, deadline=None)
 @given(instance=_search_instance(), data=st.data())
 def test_search_matches_interval_oracle_on_random_boxes(instance, data):
-    # the culprit-first bound order, the parent-side peek and the stepped
-    # congruences change neither the vectors, their order, nor the node
-    # count; a budget below the total fails at the same count, also where it
-    # is crossed at a skipped child
+    # the culprit-first bound order and the stepped congruences change
+    # neither the vectors, their order, nor the node count; a budget below
+    # the total fails at the same count, also where it is crossed at a node
+    # whose bounds leave no value
     system, box = instance
     budget = solver.DEFAULT_NODE_BUDGET
     result = search(system, box, budget)
@@ -1136,7 +1137,8 @@ def test_search_matches_interval_oracle_on_random_boxes(instance, data):
 
 
 def test_every_budget_fails_where_the_interval_oracle_fails():
-    # the parent skips two children here, so two budgets are crossed there
+    # two nodes here die at a bound before their value loop, and three step
+    # over every value of their range; each budget is crossed at node entry
     system = paper_system(19, 10)
     box = derive_bounds(system)
     total = search(system, box, solver.DEFAULT_NODE_BUDGET)[1]
