@@ -235,6 +235,18 @@ def check_brauer_items(seed: int) -> list[PADistribution]:
     return items
 
 
+def perturb_level_1(pa, rng):
+    """pa with +1 and -1 added on two distinct non-identity level-1 classes."""
+    up, down = rng.sample([cls for cls in pa.frame.classes() if cls.exp], 2)
+    levels: dict = {}
+    for d, cls, v in pa.entries():
+        levels.setdefault(d, {})[cls] = v
+    row = levels.setdefault(1, {})
+    row[up] = row.get(up, 0) + 1
+    row[down] = row.get(down, 0) - 1
+    return PADistribution(pa.frame, levels)
+
+
 def mu1_accumulated_form(pa, chi, r: int, t: int) -> Fraction:
     """Closed form for mu(1) from the accumulated level-1 augmentations.
 

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -15,8 +16,11 @@ import pytest
 
 import helpzc
 from helpzc.cli import main
-from helpzc.help_core import exceptional, tpa_distribution
+from helpzc.help_core import exceptional, exceptional_set, tpa_distribution, tpa_set
 from helpzc.psl2 import make_context, make_frame
+from helpzc.solver import character_family
+
+from helpers import check_brauer_items, perturb_level_1
 
 
 def run_cli(capsys, *argv):
@@ -408,6 +412,62 @@ def test_vpa_289_12_json_is_pinned(capsys):
     assert len(text) == 648_278
     digest = "9dae6e64f440039a4ba547c3447cb85e1eb2ee7661dad8a3bc7f3f1b7e7b1769"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def wide_check_inputs(tmp_path):
+    """(distribution file, --chars) of every check in the wide pin below.
+
+    The 132 check-brauer items of seeds 0-2 against brauer-p; the (19,9)
+    TPA distribution (an odd order) and the (121,10) TPA and exceptional
+    ones (q = 11^2, whose brauer-p family breaks its digit chain where the
+    first digit moves), each with a level-1 perturbation, against brauer-p;
+    and seed 0's items and the (19,9) and (121,10) ones against a character
+    file listing brauer-p backwards with phi_1 and psi_1 mixed in.
+    """
+    rng = random.Random(0)
+    extra = [tpa_distribution(frame_for(19, 9), 1)]
+    fr = frame_for(121, 10)
+    extra += [*tpa_set(fr), *exceptional_set(fr, 5)]
+    extra += [perturb_level_1(pa, rng) for pa in extra]
+    items = [pa for seed in range(3) for pa in check_brauer_items(seed)] + extra
+    paths = []
+    for i, pa in enumerate(items):
+        path = tmp_path / f"item{i:03d}.json"
+        path.write_text(pa.to_json(), encoding="utf-8")
+        paths.append(str(path))
+    out = [(path, "brauer-p") for path in paths]
+    files = {}
+    for path, pa in zip(paths[:44] + paths[132:], items[:44] + items[132:]):
+        key = (pa.q, pa.n)
+        if key not in files:
+            chars = [{"kind": "brauer", "weights": list(chi.weights)}
+                     for chi in character_family(pa.frame, "brauer-p")[0][::-1]]
+            chars[len(chars) // 2 : len(chars) // 2] = [{"kind": "psi", "h": 1}]
+            chars.insert(1, {"kind": "phi", "h": 1})
+            files[key] = tmp_path / f"chars-{key[0]}-{key[1]}.json"
+            files[key].write_text(json.dumps(chars), encoding="utf-8")
+        out.append((path, str(files[key])))
+    return out
+
+
+# sha256 of the concatenated stdout of `check` over wide_check_inputs, per
+# format, recorded before a character's counts came from its predecessor's
+# and the multiplicity list was written from shared pieces
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "a964ea6766c058242945f290074472d2c1ed38ce9da7925c530f553079172271"),
+        ("text", "fb780f71dae8621cb4a616162ba721136d6661eca10bb320e733366a1d9e6933"),
+    ],
+    ids=["json", "text"],
+)
+def test_check_output_is_pinned_wide(fmt, digest, tmp_path, capsys):
+    h = hashlib.sha256()
+    for path, chars in wide_check_inputs(tmp_path):
+        code, out, _ = run_cli(capsys, "check", path, "--chars", chars, "--format", fmt)
+        assert code in (0, 1)
+        h.update(out.encode())
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------- chars / trace

@@ -54,6 +54,7 @@ from helpers import (
     float_multiplicity,
     levels_distribution,
     mu1_accumulated_form,
+    perturb_level_1,
     probed_power_distribution,
     probed_relabel,
     trace_row_v4,
@@ -287,18 +288,6 @@ def test_verify_v4_exceptional_brauer_family():
 
 def brauer_and_paper(fr):
     return character_family(fr, "brauer-p")[0] + character_family(fr, "paper")[0]
-
-
-def perturb_level_1(pa, rng):
-    """pa with +1 and -1 added on two distinct non-identity level-1 classes."""
-    up, down = rng.sample([cls for cls in pa.frame.classes() if cls.exp], 2)
-    levels: dict = {}
-    for d, cls, v in pa.entries():
-        levels.setdefault(d, {})[cls] = v
-    row = levels.setdefault(1, {})
-    row[up] = row.get(up, 0) + 1
-    row[down] = row.get(down, 0) - 1
-    return PADistribution(pa.frame, levels)
 
 
 def assert_v4_matches_multiplicity(pa, chars):
