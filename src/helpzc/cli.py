@@ -18,7 +18,6 @@ from functools import cache
 from .cyclotomic import is_prime, trace_root
 from .help_core import (
     PADistribution,
-    Records,
     SolutionSet,
     accumulated,
     check_wagner,
@@ -307,16 +306,7 @@ def cmd_check(args) -> tuple[int, str]:
     if v_ok["V3"]:
         chars, family = _resolve_characters(pa.frame, args.chars)
         v4, n = verify_v4(pa, chars), pa.n
-        # JSON leaves: each label once, mu = s / n and ok once per distinct sum s
-        leaves = {s: (json_text(str(Fraction(s, n))), json_text(s >= 0 and s % n == 0))
-                  for s in set().union(*(row for _label, row in v4.sums))}
-        records = [(text, l, *leaves[s]) for label, row in v4.sums
-                   for text in [json_text(label)] for l, s in enumerate(row)]
-        payload["v4"] = {
-            "family": family,
-            "ok": v4.ok,
-            "multiplicities": Records(("character", "l", "mu", "ok"), records),
-        }
+        payload["v4"] = {"family": family, "ok": v4.ok, "multiplicities": v4}
         all_ok = not violations and v4.ok
     else:
         payload["v4"] = {"skipped": "V3 fails, multiplicities undefined on this input"}

@@ -54,14 +54,17 @@ after phi_(h-1) still costs one pass for c and one row.  For prime q,
 consecutive brauer-p characters chi_r and chi_(r+2) differ in one count,
 so each after the first costs one row; a repeated character costs none,
 and c is counted only when the predecessor needs two passes or more.
+The count vectors come from psl2.family_counts, which takes such a
+chi_(r+2) as chi_r's counts plus the two eigenvalues its digit adds.
 _unit_table gives the table of one unit entry (d, x, 1).  A constraint
 row takes one per variable, so the coefficient of (d, x) in row (chi, l)
 is sum_h H[h] P_x[h][l]; build_constraints lays those tables side by
 side, one flat row per h over (l, variable), and takes all of chi's rows
 with l <= n/2 in one sum; row l > n/2 shares the coefficients of n - l.
-The (V4) check of one distribution sums its entries' unit tables,
-weighted by their values, once for all characters.  multiplicity() keeps
-the direct single-l formula as the reference.
+The (V4) check of one distribution builds the sum of its entries' unit
+tables, weighted by their values, once for all characters and a row at a
+time (_eigen_table).  multiplicity() keeps the direct single-l formula as
+the reference.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .cyclotomic import divisors, is_prime, trace_root
@@ -82,8 +85,8 @@ from .psl2 import (
     ClassLabel,
     CyclicFrame,
     char_value,
-    eigen_counts,
     exact_int,
+    family_counts,
     make_context,
     make_frame,
 )
@@ -118,10 +121,11 @@ def json_text(obj) -> str:
     each leaf one C call.  Records go through one %-template per (keys,
     indent), built once, so an object costs one format operation, and a
     Records in a Records writes each distinct row once per list: a solution
-    set's distinct entry rows once per report.  A tuple is written as a list;
-    another list or tuple subclass (a NamedTuple) and a dict key that is not
-    a str raise TypeError (the stdlib would coerce them); another leaf, such
-    as a float, goes through json.dumps.
+    set's distinct entry rows once per report.  A V4Report is written as its
+    multiplicity list, each object joined from shared pieces (_v4_text).  A
+    tuple is written as a list; another list or tuple subclass (a NamedTuple)
+    and a dict key that is not a str raise TypeError (the stdlib would coerce
+    them); another leaf, such as a float, goes through json.dumps.
     """
     return _json_text(obj, "\n")
 
@@ -155,6 +159,8 @@ def _json_text(v, nl: str) -> str:
         return f"{{{inner}{body}{nl}}}"
     if kind is Records:
         return _records_text(v, nl)
+    if kind is V4Report:
+        return _v4_text(v, nl)
     if kind is list or kind is tuple:
         if not v:
             return "[]"
@@ -183,6 +189,27 @@ def _records_text(v: Records, nl: str, memo: dict[str, dict] | None = None) -> s
         known = memo.setdefault(template, {})
         body = [known.get(r) or known.setdefault(r, template % r) for r in rows]
     return f"[{inner}{(',' + inner).join(body)}{nl}]"
+
+
+def _v4_text(v: V4Report, nl: str) -> str:
+    """A V4Report's multiplicity list at indent nl: one object per character and l,
+    {"character": label, "l": l, "mu": s / n in lowest terms, as a string,
+    "ok": whether that is a nonnegative integer}.  Each object is a head per
+    character, a middle per l and a tail per distinct sum s, joined; none is
+    formatted on its own."""
+    n, inner = v.n, nl + "  "
+    sep = "," + inner + "  "
+    mids = [f'{l}{sep}"mu": ' for l in range(n)]
+    tails = {}
+    for s in set().union(*(row for _label, row in v.sums)):
+        g = gcd(s, n)
+        mu = s // g if g == n else f"{s // g}/{n // g}"
+        tails[s] = f'"{mu}"{sep}"ok": {"true" if s >= 0 and g == n else "false"}{inner}}}'
+    body = []
+    for label, row in v.sums:
+        head = f'{{{inner}  "character": {encode_basestring_ascii(label)}{sep}"l": '
+        body.append(head + ("," + inner + head).join(map(add, mids, map(tails.__getitem__, row))))
+    return f"[{inner}{(',' + inner).join(body)}{nl}]" if body else "[]"
 
 
 _DISTRIBUTION_KEYS = ("q", "n", "entries")
@@ -459,12 +486,14 @@ def _unit_table(n: int, d: int, exp: int) -> list:
 
 
 def _eigen_table(n: int, entries: Iterable[tuple[int, ClassLabel, int]]) -> list[list[int]]:
-    """The real half of K over entries (d, x, v): sum of v times x's _unit_table."""
+    """The real half of K over entries (d, x, v): the sum of v times x's _unit_table,
+    built a row at a time, each row h as the column sums of the entries' rows h."""
     half = n // 2 + 1
-    table = [[0] * half for _ in range(half)]
-    for d, cls, v in entries:
-        unit = _unit_table(n, d, cls.exp)
-        table = [[a + v * b for a, b in zip(row, u)] for row, u in zip(table, unit)]
+    units = [(v, _unit_table(n, d, cls.exp)) for d, cls, v in entries]
+    table = []
+    for h in range(half):
+        rows = [u[h] if v == 1 else [v * b for b in u[h]] for v, u in units]
+        table.append(list(map(sum, zip(*rows))) if rows else [0] * half)
     return table
 
 
@@ -506,9 +535,10 @@ def build_constraints(
     Row h <= n / 2 of the joint table holds row h of x's _unit_table at
     l * len(layout) + index of x for l <= n / 2, so one sum over
     H[: n / 2 + 1] gives those rows of chi, l after l; row l > n / 2 is
-    row n - l.  _family_sums takes the characters in order, each from its
-    predecessor's sums or from its residual, whichever costs fewer passes
-    over the joint table's rows (module docstring).
+    row n - l.  family_counts gives H along the characters, and
+    _family_sums takes each one's sums from its predecessor's or from its
+    residual, whichever costs fewer passes over the joint table's rows
+    (module docstring).
     """
     layout = variable_layout(frame)
     n = frame.m
@@ -517,10 +547,8 @@ def build_constraints(
     units = [_unit_table(n, d, cls.exp) for d, cls in layout.variables]
     table = [[a for column in zip(*rows) for a in column] for rows in zip(*units)]
     characters = list(characters)
-    # eigen_counts is symmetric, H[h] = H[-h] (test_eigen_counts_are_symmetric)
-    counts = (eigen_counts(frame, chi)[:half] for chi in characters)
     rows = []
-    for chi, sums in zip(characters, _family_sums(counts, table)):
+    for chi, sums in zip(characters, _family_sums(family_counts(frame, characters), table)):
         coeffs = _mirrored([tuple(sums[l * nvars : (l + 1) * nvars]) for l in range(half)], n)
         deg = chi.degree(frame)
         for l, row in enumerate(coeffs):
@@ -681,7 +709,8 @@ class V4Report(NamedTuple):
     """n * mu(zeta_n^l) of one distribution: one (label, sums over l) per character.
 
     ok when every sum is a nonnegative multiple of n, that is, when every
-    multiplicity is a nonnegative integer.
+    multiplicity is a nonnegative integer.  json_text writes it as its
+    multiplicity list, one object per character and l (_v4_text).
     """
 
     n: int
@@ -702,24 +731,21 @@ def verify_v4(pa: PADistribution, characters: Iterable[CharRestriction]) -> V4Re
     """The integers n * mu of every character and l, for the (V4) check.
 
     n * mu of chi is sum_h H[h] K[h][l] with H = eigen_counts(chi) and K the
-    table of the distribution's entries, taken on the real half and
-    mirrored: l > n / 2 reads n - l.  _family_sums takes the characters in
-    order, each from its predecessor's sums or from its residual, whichever
-    costs fewer row passes (module docstring).  (V3) must hold.
+    table of the distribution's entries (_eigen_table), taken on the real
+    half and mirrored: l > n / 2 reads n - l.  family_counts gives H along
+    the family, a Brauer character one digit above the one before it from
+    that one's counts, and _family_sums takes each character's sums from
+    its predecessor's or from its residual, whichever costs fewer row
+    passes (module docstring).  (V3) must hold.
     """
     n = pa.n
-    half = n // 2 + 1
     entries = list(pa.entries())
     _check_v3(entries)
     table = _eigen_table(n, entries)
-    frame = pa.frame
     characters = list(characters)
-    # eigen_counts is symmetric, H[h] = H[-h] (test_eigen_counts_are_symmetric)
-    counts = (eigen_counts(frame, chi)[:half] for chi in characters)
-    out = []
-    for chi, sums in zip(characters, _family_sums(counts, table)):
-        out.append((chi.label, tuple(_mirrored(sums, n))))
-    return V4Report(n, tuple(out))
+    sums = _family_sums(family_counts(pa.frame, characters), table)
+    return V4Report(n, tuple([(chi.label, tuple(_mirrored(row, n)))
+                              for chi, row in zip(characters, sums)]))
 
 
 def check_wagner(pa: PADistribution, r: int, t: int) -> bool:

@@ -21,7 +21,8 @@ exactly the tuples R of length f with digits below p and even sum.
 eigen_counts is the one statement of these restrictions: char_value
 expands it into the exact CycSum value chi(g0^i) = sum_e H[e] zeta^(i e),
 v_set_count reads the sets V_{R;h} off it, and decompose_chi the
-coefficients of chi_R over the phi_h - psi_h.
+coefficients of chi_R over the phi_h - psi_h.  family_counts walks a
+family, taking chi_r after chi_(r-2) as its counts plus zeta^(+-r/2).
 
 The value types here and in help_core and solver are NamedTuples, not
 frozen dataclasses: a tuple is built, hashed and compared in C, and a fresh
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .cyclotomic import CycSum, prime_factorization
 
@@ -183,8 +184,10 @@ class CharRestriction(NamedTuple):
         return out
 
 
-def _brauer_half_exponents(p: int, weights: tuple[int, ...]) -> list[int]:
-    """Half exponents (sum_j s_j p^j) / 2 over the digit box of R, last digit fastest.
+def _brauer_half_exponents(p: int, weights: tuple[int, ...], raised: int = -1) -> list[int]:
+    """Half exponents (sum_j s_j p^j) / 2 over the digit box of R, last digit fastest;
+    with raised = j, over the tuples with s_j = +-R[j] only: those that R has
+    and R less 2 at digit j has not.
 
     The box is built as an iterated sumset, one digit at a time.  For odd p
     every exponent has the parity of sum(R), so one check covers them all.
@@ -193,8 +196,9 @@ def _brauer_half_exponents(p: int, weights: tuple[int, ...]) -> list[int]:
         raise AssertionError("odd exponent in Brauer character expansion")
     out = [0]
     step = 1
-    for r in weights:
-        out = [e + s * step for e in out for s in range(-r, r + 1, 2)]
+    for j, r in enumerate(weights):
+        digits = (-r, r) if j == raised else range(-r, r + 1, 2)
+        out = [e + s * step for e in out for s in digits]
         step *= p
     return [e // 2 for e in out]
 
@@ -222,6 +226,33 @@ def eigen_counts(frame: CyclicFrame, chi: CharRestriction) -> list[int]:
         counts[chi.h % m] += eps
         counts[-chi.h % m] += eps
     return counts
+
+
+def family_counts(frame: CyclicFrame, characters: Iterable[CharRestriction]) -> Iterator[list[int]]:
+    """eigen_counts(frame, chi)[: m/2 + 1] for each chi in turn, each a fresh list:
+    all of H, as H[e] = H[-e] (the counts and the digit box are symmetric).
+
+    A chi_R whose R is its predecessor's with digit j raised by 2 takes the
+    predecessor's counts plus the half exponents with s_j = +-R[j], the
+    tuples that digit adds: two for a one-digit R.  Every other character
+    calls eigen_counts.
+    """
+    m, p = frame.m, frame.ctx.p
+    half = m // 2 + 1
+    weights, counts = (), None  # only chi_R has digits
+    for chi in characters:
+        steps = []
+        if len(weights) == len(chi.weights):
+            steps = [(b - a, j) for j, (a, b) in enumerate(zip(weights, chi.weights)) if a != b]
+        if len(steps) == 1 and steps[0][0] == 2:
+            counts = counts.copy()
+            for e in _brauer_half_exponents(p, chi.weights, steps[0][1]):
+                if (k := e % m) < half:
+                    counts[k] += 1
+        else:
+            counts = eigen_counts(frame, chi)[:half]
+        weights = chi.weights
+        yield counts
 
 
 def char_value(frame: CyclicFrame, chi: CharRestriction, cls: ClassLabel) -> CycSum:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import floor, gcd
 from operator import mul
 
-from helpzc.cyclotomic import CycSum, divisors, is_prime, trace_root
+from helpzc.cyclotomic import CycSum, divisors, is_prime, prime_factorization, trace_root
 from helpzc.help_core import (
     ConstraintSystem,
     PADistribution,
@@ -210,6 +210,17 @@ def dense_constraint_rows(frame, characters) -> list[tuple]:
         deg = chi.degree(frame)
         out.extend((chi.label, l, tuple(s[l] for s in sums), deg, n * deg) for l in range(n))
     return out
+
+
+def sweep_frames():
+    """Every frame (q, m) of PSL(2,q) of order m >= 2, q an odd prime power in [5, 53]:
+    98 frames, f = 2 at q = 9, 25 and 49 and f = 3 at q = 27."""
+    for q in range(5, 54, 2):
+        if len(prime_factorization(q)) > 1:
+            continue
+        for m in range(2, q):
+            if (q - 1) % (2 * m) == 0 or (q + 1) % (2 * m) == 0:
+                yield q, m
 
 
 def check_brauer_items(seed: int) -> list[PADistribution]:

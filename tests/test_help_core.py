@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpzc import help_core
+from helpzc import help_core, psl2
 from helpzc.cyclotomic import divisors
 from helpzc.help_core import (
     PADistribution,
@@ -366,13 +366,18 @@ def test_verify_v4_rejects_v3_violation():
         verify_v4(pa, [CharRestriction.phi(1)])
 
 
-def test_verify_v4_takes_eigen_counts_once_per_character(monkeypatch):
+def test_verify_v4_takes_eigen_counts_off_the_digit_chain_only(monkeypatch):
+    # at prime q each chi_(r+2) after chi_r takes chi_r's counts and the two
+    # eigenvalues its digit adds, so only the first character of brauer-p
+    # expands a digit box; walked backwards no character extends the one
+    # before it, so each does
     fr = frame_for(19, 10)
     chars = brauer_irreducibles(fr.ctx, fr)
     pa = perturb_level_1(exceptional(fr, 5), random.Random(1))
-    expected = trace_row_v4(pa, chars)
+    families = [(chars, chars[:1]), (chars[::-1], chars[::-1])]
+    expected = [trace_row_v4(pa, family) for family, _expanded in families]
     value_calls, count_calls = [], []
-    original_value, original_counts = help_core.char_value, help_core.eigen_counts
+    original_value, original_counts = help_core.char_value, psl2.eigen_counts
 
     def counted_value(*args):
         value_calls.append(args)
@@ -383,10 +388,12 @@ def test_verify_v4_takes_eigen_counts_once_per_character(monkeypatch):
         return original_counts(frame, chi)
 
     monkeypatch.setattr(help_core, "char_value", counted_value)
-    monkeypatch.setattr(help_core, "eigen_counts", counted_counts)
-    assert verify_v4(pa, chars) == expected
+    monkeypatch.setattr(psl2, "eigen_counts", counted_counts)
+    for (family, expanded), report in zip(families, expected):
+        count_calls.clear()
+        assert verify_v4(pa, family) == report
+        assert count_calls == list(expanded)
     assert value_calls == []
-    assert count_calls == list(chars)
 
 
 # odd orders too, where the mirror l -> n - l has no self-paired l = n / 2;
@@ -455,7 +462,7 @@ def test_build_constraints_takes_eigen_counts_once_per_character(monkeypatch, q,
     chars, _ = character_family(fr, "paper")
     expected = build_constraints(fr, chars)
     value_calls, count_calls = [], []
-    original_value, original_counts = help_core.char_value, help_core.eigen_counts
+    original_value, original_counts = help_core.char_value, psl2.eigen_counts
 
     def counted_value(*args):
         value_calls.append(args)
@@ -466,10 +473,11 @@ def test_build_constraints_takes_eigen_counts_once_per_character(monkeypatch, q,
         return original_counts(frame, chi)
 
     monkeypatch.setattr(help_core, "char_value", counted_value)
-    monkeypatch.setattr(help_core, "eigen_counts", counted_counts)
+    monkeypatch.setattr(psl2, "eigen_counts", counted_counts)
     assert build_constraints(fr, chars) == expected
     assert value_calls == []
-    assert count_calls == list(chars)
+    # chi_4 follows chi_2 with its digit raised by 2, so it takes chi_2's counts
+    assert count_calls == [chi for chi in chars if chi != CHI4]
 
 
 @pytest.mark.parametrize("family", ["paper", "brauer-p"])
@@ -1032,6 +1040,36 @@ def record_payloads(draw):
 def test_json_text_writes_records_as_their_dicts(payload):
     records, plain = payload
     assert json_text(records) == json.dumps(plain, indent=2)
+
+
+@st.composite
+def v4_reports(draw):
+    """A V4Report of one to four characters over n = 1 .. 12, odd n included;
+    sums of either sign, zero and multiples of n among them."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.lists(JSON_STRINGS | st.sampled_from(["1", "chi_2", "phi_1"]),
+                           min_size=1, max_size=4))
+    sums = st.integers(-3 * n, 3 * n) | st.sampled_from([0, n, -n]) | st.integers()
+    rows = [tuple(draw(st.lists(sums, min_size=n, max_size=n))) for _ in labels]
+    return V4Report(n, tuple(zip(labels, rows)))
+
+
+@given(v4_reports())
+@example(V4Report(1, (("1", (0,)),)))
+@example(V4Report(3, (("chi_2", (-3, 0, 2)),)))
+@example(V4Report(10, (("chi_2", (-1, 0, 10, 20, -10, 5, 4, 3, 2, 1)), ("1", (10,) * 10))))
+@example(V4Report(5, ()))
+def test_json_text_writes_a_v4_report_as_its_multiplicity_list(report):
+    n = report.n
+    plain = [
+        {"character": label, "l": l, "mu": str(Fraction(s, n)), "ok": s >= 0 and s % n == 0}
+        for label, row in report.sums
+        for l, s in enumerate(row)
+    ]
+    assert json_text(report) == json.dumps(plain, indent=2)
+    nested = {"v4": {"ok": True, "multiplicities": report}, "after": [report]}
+    plain = {"v4": {"ok": True, "multiplicities": plain}, "after": [plain]}
+    assert json_text(nested) == json.dumps(plain, indent=2)
 
 
 @given(st.data())

@@ -17,16 +17,19 @@ from helpzc.psl2 import (
     char_value,
     decompose_chi,
     eigen_counts,
+    family_counts,
     make_context,
     make_frame,
     v_set_count,
 )
+from helpzc.solver import character_family
 
 from helpers import (
     brauer_half_exponents_oracle,
     combination,
     conjugate,
     float_char_exponents,
+    sweep_frames,
     v_pair_count,
     v_set_count_oracle,
 )
@@ -242,6 +245,52 @@ def test_eigen_counts_are_symmetric(frame_and_chi):
     counts = eigen_counts(fr, chi)
     m = fr.m
     assert all(counts[e] == counts[-e % m] for e in range(m))
+
+
+def assert_family_counts(fr, chars):
+    got = list(family_counts(fr, iter(chars)))
+    assert got == [eigen_counts(fr, chi)[: fr.m // 2 + 1] for chi in chars]
+    assert len({id(counts) for counts in got}) == len(got)  # each a fresh list
+
+
+def test_family_counts_match_eigen_counts_on_the_sweep_frames():
+    # both presets, brauer-p backwards, with each character twice, and
+    # interleaved with paper, on every frame of the sweep, f = 1 to 3
+    for q, m in sweep_frames():
+        fr = frame_for(q, m)
+        paper, brauer = (character_family(fr, spec)[0] for spec in ("paper", "brauer-p"))
+        mixed = [chi for pair in itertools.zip_longest(brauer, paper) for chi in pair if chi]
+        twice = [chi for chi in brauer for _ in range(2)]
+        for chars in (paper, brauer, brauer[::-1], twice, mixed):
+            assert_family_counts(fr, chars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_family_counts_match_eigen_counts_along_random_walks(data):
+    # chi_R after chi_R' for R one digit above, below or away from R', or
+    # after a character with no digits; digits may pass p - 1
+    q, m = data.draw(st.sampled_from(
+        [(13, 1), (13, 2), (19, 9), (19, 10), (25, 12), (25, 13), (49, 24), (27, 14), (27, 13)]
+    ))
+    fr = frame_for(q, m)
+    f = fr.ctx.f
+    digits = st.lists(st.integers(0, 6), min_size=f, max_size=f).filter(lambda w: sum(w) % 2 == 0)
+    weights = data.draw(digits)
+    chars = [CharRestriction.brauer(weights)]
+    for move in data.draw(st.lists(st.sampled_from(["up", "down", "jump", "other"]), max_size=8)):
+        j = data.draw(st.integers(0, f - 1))
+        if move == "up":
+            weights[j] += 2
+        elif move == "down" and weights[j] >= 2:
+            weights[j] -= 2
+        elif move == "jump":
+            weights = data.draw(digits)
+        if move == "other":
+            chars.append(CharRestriction.trivial() if m == 1 else CharRestriction.phi(1))
+        else:
+            chars.append(CharRestriction.brauer(weights))
+    assert_family_counts(fr, chars)
 
 
 def test_eigen_counts_reject_h_on_the_frame_order():

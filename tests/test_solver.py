@@ -18,7 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpzc import cli, solver
-from helpzc.cyclotomic import prime_factorization
 from helpzc.help_core import (
     ConstraintRow,
     SolutionSet,
@@ -52,6 +51,7 @@ from helpers import (
     levels_distribution,
     naive_box_scan,
     naive_search,
+    sweep_frames,
     two_phase_bounds,
     two_phase_pair,
 )
@@ -323,16 +323,6 @@ def test_bounds_pivot_sequence_pinned(make, name, monkeypatch):
     calls = recorded_pivots(monkeypatch)
     derive_bounds(system)
     assert calls == PIVOT_SEQUENCES[name]
-
-
-def sweep_frames():
-    # every frame of PSL(2,q) of order m >= 2, q an odd prime power in [5, 53]
-    for q in range(5, 54, 2):
-        if len(prime_factorization(q)) > 1:
-            continue
-        for m in range(2, q):
-            if (q - 1) % (2 * m) == 0 or (q + 1) % (2 * m) == 0:
-                yield q, m
 
 
 @pytest.fixture(scope="module")
