@@ -115,7 +115,7 @@ def _solution_set_payload(command: str, frame, solutions: SolutionSet, **extra) 
         "epsilon": frame.epsilon,
         "family": solutions.family,
         "solution_count": len(solutions),
-        "solutions": solutions.json_records(),
+        "solutions": solutions,
     }
     payload.update(extra)
     return payload
@@ -226,7 +226,7 @@ def cmd_verify_main(args) -> tuple[int, str]:
     for pa in exceptionals:
         v4 = verify_v4(pa, brauer)
         sufficiency.append(
-            {"distribution": pa.json_form(), "characters": len(brauer), "ok": v4.ok}
+            {"distribution": pa, "characters": len(brauer), "ok": v4.ok}
         )
 
     per_solution = []
@@ -259,10 +259,7 @@ def cmd_verify_main(args) -> tuple[int, str]:
         "node_count": report.node_count,
         "rank": report.rank,
         "match": diff.equal,
-        "diff": {
-            "only_found": [pa.json_form() for pa in diff.only_found],
-            "only_expected": [pa.json_form() for pa in diff.only_expected],
-        },
+        "diff": {"only_found": diff.only_found, "only_expected": diff.only_expected},
         "sufficiency": sufficiency,
         "solution_checks": per_solution,
         "trace_identity_checks": trace_checks,

@@ -101,43 +101,21 @@ _JSON_LEAVES = {
 }
 
 
-class Records(NamedTuple):
-    """A JSON list of objects with the same keys, for json_text.
-
-    rows holds one tuple of values per object, in key order, each an exact
-    int, the json_text of a leaf or a nested Records, which json_text looks
-    for only where the first row holds one.
-    """
-
-    keys: tuple[str, ...]
-    rows: list[tuple]
-
-
 def json_text(obj) -> str:
     """json.dumps(obj, indent=2), byte for byte, built a container at a time.
 
     With an indent the stdlib takes its pure-Python encoder, one generator
     step per token.  Here each container is one join over its members, and
-    each leaf one C call.  Records go through one %-template per (keys,
-    indent), built once, so an object costs one format operation, and a
-    Records in a Records writes each distinct row once per list: a solution
-    set's distinct entry rows once per report.  A V4Report is written as its
-    multiplicity list, each object joined from shared pieces (_v4_text).  A
-    tuple is written as a list; another list or tuple subclass (a NamedTuple)
-    and a dict key that is not a str raise TypeError (the stdlib would coerce
-    them); another leaf, such as a float, goes through json.dumps.
+    each leaf one C call.  A PADistribution is written as its to_json_dict()
+    and a SolutionSet as the list of those; each distinct entry object is
+    formatted once per set (_distribution_texts).  A V4Report is written as
+    its multiplicity list, each object joined from shared pieces (_v4_text).
+    A tuple is written as a list; another list or tuple subclass (a
+    NamedTuple) and a dict key that is not a str raise TypeError (the stdlib
+    would coerce them); another leaf, such as a float, goes through
+    json.dumps.
     """
     return _json_text(obj, "\n")
-
-
-@cache
-def _record_template(keys: tuple[str, ...], nl: str) -> str:
-    """The %-template of one object of these keys, closed at indent nl."""
-    if not keys:
-        return "{}"
-    inner = nl + "  "
-    body = ("," + inner).join(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
-    return "{" + inner + body + nl + "}"
 
 
 def _json_text(v, nl: str) -> str:
@@ -157,8 +135,11 @@ def _json_text(v, nl: str) -> str:
             ]
         )
         return f"{{{inner}{body}{nl}}}"
-    if kind is Records:
-        return _records_text(v, nl)
+    if kind is PADistribution:
+        return _distribution_texts((v,), nl)[0]
+    if kind is SolutionSet:
+        body = _distribution_texts(v.distributions, inner)
+        return f"[{inner}{(',' + inner).join(body)}{nl}]" if body else "[]"
     if kind is V4Report:
         return _v4_text(v, nl)
     if kind is list or kind is tuple:
@@ -173,22 +154,30 @@ def _json_text(v, nl: str) -> str:
     return json.dumps(v)
 
 
-def _records_text(v: Records, nl: str, memo: dict[str, dict] | None = None) -> str:
-    """A Records at indent nl; with a memo, each distinct row is formatted once."""
-    if not v.rows:
-        return "[]"
+def _distribution_texts(pas: Iterable[PADistribution], nl: str) -> list[str]:
+    """The to_json_dict() object of each distribution at indent nl,
+    {"q", "n", "entries": [{"d", "order", "exp", "value"}, ...]}; each
+    distinct entry (d, class, value) is formatted once per call."""
     inner = nl + "  "
-    template, rows = _record_template(v.keys, inner), v.rows
-    if any(type(x) is Records for x in rows[0]):
-        field, texts = inner + "  ", {}
-        rows = [tuple(_records_text(x, field, texts) if type(x) is Records else x for x in r)
-                for r in rows]
-    if memo is None:
-        body = [template % r for r in rows]
-    else:
-        known = memo.setdefault(template, {})
-        body = [known.get(r) or known.setdefault(r, template % r) for r in rows]
-    return f"[{inner}{(',' + inner).join(body)}{nl}]"
+    item = inner + "  "
+    key = item + "  "
+    known: dict[tuple, str] = {}
+    out = []
+    for pa in pas:
+        body = ("," + item).join(
+            [
+                known.get(e)
+                or known.setdefault(
+                    e,
+                    f'{{{key}"d": {e[0]},{key}"order": {e[1].order},'
+                    f'{key}"exp": {e[1].exp},{key}"value": {e[2]}{item}}}',
+                )
+                for e in pa._entries
+            ]
+        )
+        entries = f"[{item}{body}{inner}]" if body else "[]"
+        out.append(f'{{{inner}"q": {pa.q},{inner}"n": {pa.n},{inner}"entries": {entries}{nl}}}')
+    return out
 
 
 def _v4_text(v: V4Report, nl: str) -> str:
@@ -210,9 +199,6 @@ def _v4_text(v: V4Report, nl: str) -> str:
         head = f'{{{inner}  "character": {encode_basestring_ascii(label)}{sep}"l": '
         body.append(head + ("," + inner + head).join(map(add, mids, map(tails.__getitem__, row))))
     return f"[{inner}{(',' + inner).join(body)}{nl}]" if body else "[]"
-
-
-_DISTRIBUTION_KEYS = ("q", "n", "entries")
 
 
 @cache
@@ -301,22 +287,18 @@ class PADistribution:
                 )
         return out
 
-    def json_record(self, built: dict | None = None) -> tuple:
-        """The values of json_form(), in key order; the calls sharing built build a row once."""
-        built = {} if built is None else built
-        rows = [built.get(e) or built.setdefault(e, (e[0], *e[1], e[2])) for e in self._entries]
-        return self.q, self.n, Records(("d", "order", "exp", "value"), rows)
-
-    def json_form(self) -> dict:
-        """to_json_dict() with the entries as one Records, the form json_text writes."""
-        return dict(zip(_DISTRIBUTION_KEYS, self.json_record()))
-
     def to_json_dict(self) -> dict:
-        q, n, (keys, entries) = self.json_record()
-        return {"q": q, "n": n, "entries": [dict(zip(keys, e)) for e in entries]}
+        return {
+            "q": self.q,
+            "n": self.n,
+            "entries": [
+                {"d": d, "order": cls.order, "exp": cls.exp, "value": v}
+                for d, cls, v in self._entries
+            ],
+        }
 
     def to_json(self) -> str:
-        return json_text(self.json_form())
+        return json_text(self)
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> PADistribution:
@@ -644,11 +626,6 @@ class SolutionSet:
 
     def __iter__(self) -> Iterator[PADistribution]:
         return iter(self.distributions)
-
-    def json_records(self) -> Records:
-        """The distributions' json_form() dicts as one Records, sharing built entry rows."""
-        built: dict = {}
-        return Records(_DISTRIBUTION_KEYS, [pa.json_record(built) for pa in self.distributions])
 
 
 def tpa_set(frame: CyclicFrame) -> SolutionSet:

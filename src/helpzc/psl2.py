@@ -268,14 +268,18 @@ def char_value(frame: CyclicFrame, chi: CharRestriction, cls: ClassLabel) -> Cyc
 
 
 def brauer_irreducibles(ctx: GroupContext, frame: CyclicFrame) -> tuple[CharRestriction, ...]:
-    """All irreducible Brauer character restrictions mod p: length-f digit tuples, even sum."""
+    """All irreducible Brauer character restrictions mod p: length-f digit tuples, even sum.
+
+    The digits come from range(p) and the sum is even by construction, so
+    each chi_R is built directly, without the checks of CharRestriction.brauer.
+    """
     if gcd(frame.m, ctx.p) != 1:
         raise ValueError("frame must be p-regular")
-    out = []
-    for weights in itertools.product(range(ctx.p), repeat=ctx.f):
-        if sum(weights) % 2 == 0:
-            out.append(CharRestriction.brauer(weights))
-    return tuple(out)
+    return tuple(
+        CharRestriction("brauer", weights=w)
+        for w in itertools.product(range(ctx.p), repeat=ctx.f)
+        if sum(w) % 2 == 0
+    )
 
 
 def v_set_count(frame: CyclicFrame, weights, h: int) -> int:

@@ -161,16 +161,15 @@ def compare_sets(found: SolutionSet, expected: SolutionSet) -> SetDiff:
 
 
 class _Condition(NamedTuple):
-    """lo <= const + coeffs.x <= hi, optionally const + coeffs.x = 0 mod n.
+    """lo <= const + coeffs.x <= hi; a row also has const + coeffs.x = 0 mod n.
 
-    It equals and hashes as the plain tuple (coeffs, const, lo, hi, modn).
+    It equals and hashes as the plain tuple (coeffs, const, lo, hi).
     """
 
     coeffs: tuple[int, ...]
     const: int
     lo: int
     hi: int
-    modn: bool
 
 
 class _Relaxation(NamedTuple):
@@ -228,10 +227,10 @@ def _relaxation(system: ConstraintSystem) -> _Relaxation:
     """
     nvars = len(system.layout)
     distinct = dict.fromkeys((r.coeffs, r.const, r.upper) for r in system.rows)
-    rows = tuple(_Condition(coeffs, const, 0, upper, True) for coeffs, const, upper in distinct)
+    rows = tuple(_Condition(coeffs, const, 0, upper) for coeffs, const, upper in distinct)
     members = [idxs for _d, idxs in sorted(system.layout.level_indices().items())]
     levels = tuple(
-        _Condition(tuple(int(i in idxs) for i in range(nvars)), 0, 1, 1, False)
+        _Condition(tuple(int(i in idxs) for i in range(nvars)), 0, 1, 1)
         for idxs in members
     )
     kept = sorted(set(range(nvars)).difference(idxs[-1] for idxs in members))
@@ -248,7 +247,7 @@ def _relaxation(system: ConstraintSystem) -> _Relaxation:
             reduced[coeffs, const, row.hi] = None
         elif not row.lo <= const <= row.hi:
             holds = False
-    reduced = tuple(_Condition(coeffs, const, 0, hi, True) for coeffs, const, hi in reduced)
+    reduced = tuple(_Condition(coeffs, const, 0, hi) for coeffs, const, hi in reduced)
     T = [[int(j == i) for j in kept] for i in kept]
     basis, den = _eliminate(T, reduced)
     return _Relaxation(rows, levels, reduced, images, holds, T, tuple(basis), den)
@@ -457,7 +456,7 @@ def _orbit_roots(layout: VariableLayout, conds: list[_Condition]) -> list[int]:
     keep, kept = set(conds), []
     for perm in layout.unit_permutations():
         get = itemgetter(*perm)
-        if all((get(c.coeffs), c.const, c.lo, c.hi, c.modn) in keep for c in conds):
+        if all((get(c.coeffs), c.const, c.lo, c.hi) in keep for c in conds):
             kept.append(perm)
     return [min([i, *(perm[i] for perm in kept)]) for i in range(len(layout))]
 
@@ -614,7 +613,7 @@ def _substitute_levels(
     for row in rows:
         coeffs, const = _substitute(row.coeffs, row.const, members)
         if any(coeffs):
-            out.append(_Condition(tuple(coeffs), const, row.lo, row.hi, row.modn))
+            out.append(_Condition(tuple(coeffs), const, row.lo, row.hi))
         elif not row.lo <= const <= row.hi or const % n:
             consistent = False
     return list(dict.fromkeys(out)), consistent
@@ -687,7 +686,7 @@ def _search(
     """
     nvars = len(box.lo)
     rows, holds = _substitute_levels(rows, levels, n)
-    congruences = [[*c.coeffs[::-1], c.const] for c in rows if c.modn]
+    congruences = [[*c.coeffs[::-1], c.const] for c in rows]
     form = _howell(congruences + [[*c.coeffs[::-1], c.const - c.lo] for c in levels], n)
     if not holds or nvars in form:
         return [], 0
@@ -819,7 +818,7 @@ def enumerate_solutions(
     order = _search_order(system.layout, box)
     rows, levels = (
         tuple(
-            _Condition(tuple(c.coeffs[i] for i in order), c.const, c.lo, c.hi, c.modn)
+            _Condition(tuple(c.coeffs[i] for i in order), c.const, c.lo, c.hi)
             for c in conds
         )
         for conds in (relaxation.rows, relaxation.levels)

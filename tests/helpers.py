@@ -9,6 +9,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import floor, gcd
 from operator import mul
+from typing import NamedTuple
 
 from helpzc.cyclotomic import CycSum, divisors, is_prime, prime_factorization, trace_root
 from helpzc.help_core import (
@@ -25,7 +26,6 @@ from helpzc.solver import (
     BoundsBox,
     RankDeficientError,
     SearchIncomplete,
-    _Condition,
     _howell,
     _relaxation,
 )
@@ -548,6 +548,17 @@ def constant_rows_hold(system) -> bool:
     )
 
 
+class Condition(NamedTuple):
+    """lo <= const + coeffs.x <= hi, and const + coeffs.x = 0 mod n if modn:
+    the oracles' own form of the library's rows (modn) and level equations."""
+
+    coeffs: tuple[int, ...]
+    const: int
+    lo: int
+    hi: int
+    modn: bool
+
+
 def naive_search(system, box, budget):
     """The per-candidate DFS the library used before interval propagation.
 
@@ -562,7 +573,8 @@ def naive_search(system, box, budget):
     if nvars == 0:
         return [()], 0
 
-    conds = [c for c in relaxation.rows + relaxation.levels if any(c.coeffs)]
+    conds = [Condition(*r, True) for r in relaxation.rows if any(r.coeffs)]
+    conds += [Condition(*e, False) for e in relaxation.levels if any(e.coeffs)]
     ncond = len(conds)
     last_var = [max(i for i, a in enumerate(c.coeffs) if a) for c in conds]
     # static suffix ranges of sum_{j >= k} a_j x_j over the box
@@ -623,8 +635,8 @@ def naive_search(system, box, budget):
 # condition per level; interval_search runs this copy, so that the oracle
 # does not change with the kernel it checks.
 def _substitute_levels(
-    system: ConstraintSystem, rows: list[_Condition], box: BoundsBox
-) -> tuple[list[_Condition], bool]:
+    system: ConstraintSystem, rows: list, box: BoundsBox
+) -> tuple[list[Condition], bool]:
     """The rows with each level's last variable x_j eliminated by its (V1) equation.
 
     On sum(level) = 1, x_j = 1 - sum(the level's other variables), so the row
@@ -647,13 +659,13 @@ def _substitute_levels(
                 coeffs[j] = 0
                 const += a
         if any(coeffs):
-            out.append(row._replace(coeffs=tuple(coeffs), const=const))
+            out.append(Condition(tuple(coeffs), const, row.lo, row.hi, True))
         elif not row.lo <= const <= row.hi or const % system.n:
             consistent = False
     out = list(dict.fromkeys(out))
     for *others, j in levels:
         coeffs = tuple(-1 if i in others else 0 for i in range(nvars))
-        out.append(_Condition(coeffs, 1, box.lo[j], box.hi[j], False))
+        out.append(Condition(coeffs, 1, box.lo[j], box.hi[j], False))
     return out, consistent
 
 

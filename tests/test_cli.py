@@ -414,6 +414,28 @@ def test_vpa_289_12_json_is_pinned(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# sha256 of stdout less the node_count line, recorded before json_text wrote
+# distributions itself: (43,11) has 5 sufficiency distributions, (81,5) 96
+# and (27,7) 42 in diff.only_found; the text form prints to_json_dict reprs
+VERIFY_MAIN_PINS = [
+    ("43 11 json", 0, 8_473, "de74cc03ddab4f4014a80d7d6590f3007404acf81da047cd3610943980937b4f"),
+    ("81 5 json", 1, 109_729, "e86d346d284b762a1d899b4357d810e269474976fe5e0e98511652b6c78541bf"),
+    ("27 7 json", 1, 52_369, "aa342fc981e0b41c3f48691eb87367f6e9d5afcf8415e543f78e5194fe56bad4"),
+    ("81 5 text", 1, 35_656, "203f524e0bc9d8805efcc62f0899403dcc5c32b4fcbc4bb1678045eb48f50fe6"),
+]
+
+
+@pytest.mark.parametrize("case, expected_code, size, digest", VERIFY_MAIN_PINS,
+                         ids=[p[0].replace(" ", "-") for p in VERIFY_MAIN_PINS])
+def test_verify_main_output_is_pinned(case, expected_code, size, digest, capsys):
+    q, t, fmt = case.split()
+    code, out, _ = run_cli(capsys, "verify-main", "--q", q, "--t", t, "--format", fmt)
+    assert code == expected_code
+    text = "".join(line for line in out.splitlines(keepends=True) if '"node_count":' not in line)
+    assert len(text) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def wide_check_inputs(tmp_path):
     """(distribution file, --chars) of every check in the wide pin below.
 

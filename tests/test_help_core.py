@@ -17,7 +17,6 @@ from helpzc import help_core, psl2
 from helpzc.cyclotomic import divisors
 from helpzc.help_core import (
     PADistribution,
-    Records,
     SolutionSet,
     V4Report,
     accumulated,
@@ -967,79 +966,66 @@ def test_json_text_is_indent_2_json_dumps(value):
     assert json_text(value) == json.dumps(value, indent=2)
 
 
-# keys that a %-template or a JSON string must escape
-RECORD_KEYS = JSON_STRINGS | st.sampled_from(["%", "%s", "%%d", '"', '"%"', "%(x)s"])
-RECORD_LEAVES = (
-    st.integers()
-    | st.integers(min_value=2**64)
-    | st.integers(max_value=-(2**64))
-    | JSON_STRINGS
-    | st.booleans()
-    | st.none()
-)
+JSON_FRAMES = [frame_for(19, 10), frame_for(23, 12), frame_for(13, 6)]
 
 
 @st.composite
-def records_pairs(draw, depth=1):
-    """(records form, list-of-dicts form) of one record list; up to depth
-    levels of its columns hold a record list in every row, whose rows repeat."""
-    keys = tuple(draw(st.lists(RECORD_KEYS, unique=True, max_size=5)))
-    columns = [depth > 0 and draw(st.booleans()) for _ in keys]
-    leaves = [records_pairs(depth - 1) if nested else RECORD_LEAVES for nested in columns]
-    pool = draw(st.lists(st.tuples(*leaves), min_size=1, max_size=3))
-    rows = draw(st.lists(st.sampled_from(pool), max_size=5))
-    encoded = [
-        tuple(v[0] if nested else v if type(v) is int else json_text(v)
-              for v, nested in zip(row, columns))
-        for row in rows
-    ]
-    plain = [
-        {k: v[1] if nested else v for k, v, nested in zip(keys, row, columns)} for row in rows
-    ]
-    return Records(keys, encoded), plain
-
-
-@st.composite
-def record_payloads(draw):
-    """(records form, list-of-dicts form) of one record list nested at depth 0-3."""
-    records, plain = draw(records_pairs())
+def distribution_payloads(draw):
+    """A random solution set, one of its distributions or a tuple of them
+    (as in a verify-main diff), nested at depth 0-3 in dicts and lists.
+    Entries draw from a few (level, class) cells and two or three nonzero
+    values, so that distributions share entries and share cells with other
+    values."""
+    frame = draw(st.sampled_from(JSON_FRAMES))
+    every = [(d, cls) for d in divisors(frame.m) for cls in frame.classes()]
+    cells = draw(st.lists(st.sampled_from(every), min_size=1, max_size=3))
+    values = draw(st.lists(
+        st.integers(-3, -1) | st.integers(1, 3) | st.integers(min_value=2**64)
+        | st.integers(max_value=-(2**64)),
+        min_size=2, max_size=3, unique=True,
+    ))
+    entries = st.lists(st.tuples(st.sampled_from(cells), st.sampled_from(values)), max_size=5)
+    pas = []
+    for drawn in draw(st.lists(entries, max_size=6)):
+        levels = {}
+        for (d, cls), v in drawn:
+            levels.setdefault(d, {})[cls] = v
+        pas.append(PADistribution(frame, levels))
+    solutions = SolutionSet.build(pas)
+    payload = draw(st.sampled_from(
+        [solutions, solutions.distributions, *solutions.distributions[:1]]
+    ))
     for _ in range(draw(st.integers(0, 3))):
-        key = draw(RECORD_KEYS)
-        if draw(st.booleans()):
-            records, plain = {key: records, "next": 1}, {key: plain, "next": 1}
-        else:
-            records, plain = [0, records], [0, plain]
-    return records, plain
+        key = draw(JSON_STRINGS)
+        payload = draw(st.sampled_from([{key: payload, "next": 1}, [0, payload]]))
+    return payload
 
 
-@given(record_payloads())
-@example((Records((), []), []))
-@example((Records((), [(), ()]), [{}, {}]))
-@example((Records(("%", '"'), [(-1, "true")]), [{"%": -1, '"': True}]))
-@example(
-    (
-        Records(("q", "e"), [(1, Records(("d",), [(2,), (3,)])), (1, Records(("d",), [(3,)]))]),
-        [{"q": 1, "e": [{"d": 2}, {"d": 3}]}, {"q": 1, "e": [{"d": 3}]}],
-    )
-)
-@example(
-    (Records(("e",), [(Records(("d",), []),), (Records((), [()]),)]), [{"e": []}, {"e": [{}]}])
-)
-@example(
-    (
-        Records(("e",), [(Records(("a",), [(1,)]),), (Records(("b",), [(1,)]),)]),
-        [{"e": [{"a": 1}]}, {"e": [{"b": 1}]}],
-    )
-)
-@example(
-    (
-        Records(("a",), [(Records(("b",), [(Records(("c",), [(1,), (1,)]),)] * 2),)] * 2),
-        [{"a": [{"b": [{"c": 1}, {"c": 1}]}] * 2}] * 2,
-    )
-)
-def test_json_text_writes_records_as_their_dicts(payload):
-    records, plain = payload
-    assert json_text(records) == json.dumps(plain, indent=2)
+def plain_json(value):
+    """value with every distribution as its to_json_dict() and every set as a list."""
+    if isinstance(value, PADistribution):
+        return value.to_json_dict()
+    if isinstance(value, dict):
+        return {k: plain_json(v) for k, v in value.items()}
+    if isinstance(value, (SolutionSet, list, tuple)):
+        return [plain_json(v) for v in value]
+    return value
+
+
+_TPA = tpa_distribution(JSON_FRAMES[0], 1)
+_EXC = exceptional(JSON_FRAMES[0], 5)
+
+
+@given(distribution_payloads())
+@example(SolutionSet.build([]))
+@example({"sets": [SolutionSet.build([]), ()], "next": 1})
+@example(SolutionSet.build([PADistribution(JSON_FRAMES[1], {}), _TPA]))
+@example({"a": [0, {"b": SolutionSet.build([_TPA, _EXC, tpa_distribution(JSON_FRAMES[0], 3)])}]})
+@example([0, (_EXC, _TPA)])
+@example(SolutionSet.build([_TPA, PADistribution(JSON_FRAMES[0], {1: {_TPA.frame.class_of(1): 2}})]))
+@example(PADistribution(JSON_FRAMES[2], {1: {JSON_FRAMES[2].class_of(1): -(2**70)}}))
+def test_json_text_writes_distributions_as_their_dicts(payload):
+    assert json_text(payload) == json.dumps(plain_json(payload), indent=2)
 
 
 @st.composite

@@ -355,6 +355,23 @@ def test_brauer_irreducibles_counts():
     assert len(brauer_irreducibles(ctx41, make_frame(ctx41, 10))) == 21
 
 
+def test_brauer_irreducibles_match_the_checked_construction_on_the_sweep_frames():
+    # the family skips CharRestriction.brauer's checks; it must build what they pass
+    for q, m in sweep_frames():
+        fr = frame_for(q, m)
+        p, f = fr.ctx.p, fr.ctx.f
+        checked = [
+            CharRestriction.brauer(list(w))
+            for w in itertools.product(range(p), repeat=f)
+            if sum(w) % 2 == 0
+        ]
+        family = brauer_irreducibles(fr.ctx, fr)
+        assert list(family) == checked
+        assert [(type(chi), type(chi.weights), chi.label) for chi in family] == [
+            (CharRestriction, tuple, chi.label) for chi in checked
+        ]
+
+
 def test_v_set_count_examples():
     fr = frame_for(19, 10)
     assert v_set_count(fr, (4,), 1) == 2
