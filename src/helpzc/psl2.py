@@ -24,10 +24,14 @@ v_set_count reads the sets V_{R;h} off it, and decompose_chi the
 coefficients of chi_R over the phi_h - psi_h.  family_counts walks a
 family, taking chi_r after chi_(r-2) as its counts plus zeta^(+-r/2).
 
-The value types here and in help_core and solver are NamedTuples, not
-frozen dataclasses: a tuple is built, hashed and compared in C, and a fresh
+The value types here and in solver are NamedTuples, not frozen
+dataclasses: a tuple is built, hashed and compared in C, and a fresh
 import defines one in a tenth of the time.  It equals any tuple of its
 fields, so code that must tell one from a plain tuple checks its type.
+help_core keeps three frozen dataclasses: ConstraintSystem holds the
+solver's memo in its own __dict__, which a tuple has not, and
+VariableLayout (__len__) and SolutionSet (__len__ and __iter__) define
+methods that a tuple's own would clash with.
 """
 
 from __future__ import annotations

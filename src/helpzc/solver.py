@@ -8,7 +8,10 @@ a level the variables from the narrowest box to the widest, ties by
 layout index.  Before the search, each level's (V1) equation sum = 1
 substitutes the level's last, widest, variable out of every row, so a row
 bounds the level's earlier variables without the box reach of the last
-one, and the search never branches on it.  At each node interval
+one, and the search never branches on it.  The LP substitutes each
+level's last variable by layout index through the same pass
+(_substitute_rows); in the search that variable would cost 37 times the
+nodes at paper (289,12).  At each node interval
 propagation gives the next variable's range.  The rows' mod-n congruences
 and the level equations make one module mod n, taken once to its Howell
 form: at most one row per variable, which fixes the variable mod a divisor
@@ -213,6 +216,28 @@ def _substitute(coeffs: tuple[int, ...], const: int, members: list) -> tuple[lis
     return coeffs, const
 
 
+def _substitute_rows(
+    rows: tuple[_Condition, ...], members: list
+) -> tuple[list[tuple], list[tuple], bool]:
+    """The rows with x_j = 1 - sum(others) put in for each (*others, j) of members (_substitute).
+
+    On the (V1) hyperplane a row const + a.x equals const + a_j +
+    (a - a_j 1_level).x, x_j's coefficient 0, so its bounds and congruence
+    carry over unchanged.  Returns (the distinct rows that keep a variable,
+    as plain (coeffs, const, lo, hi) tuples in first-occurrence order, the
+    rows left constant, whether every constant one has lo <= const <= hi).
+    """
+    kept, constant = {}, []
+    for row in rows:
+        coeffs, const = _substitute(row.coeffs, row.const, members)
+        coeffs = tuple(coeffs)
+        if any(coeffs):
+            kept[coeffs, const, row.lo, row.hi] = None
+        else:
+            constant.append((coeffs, const, row.lo, row.hi))
+    return list(kept), constant, all(lo <= const <= hi for _a, const, lo, hi in constant)
+
+
 def _relaxation(system: ConstraintSystem) -> _Relaxation:
     """Build the system's relaxation, reduce and eliminate it; _prepared calls it once per system.
 
@@ -221,9 +246,10 @@ def _relaxation(system: ConstraintSystem) -> _Relaxation:
     repeat: rows l and -l of a character agree, as its values on <g0> are
     real, and characters share rows.  The 616 rows of verify-main's four
     systems make 156 conditions.  Each level's last variable, a singleton
-    level's too, is substituted out of the rows (_substitute), and the
-    reduced rows are deduplicated again.  A row left constant never pivots;
-    its congruence is the search's to check (_substitute_levels).
+    level's too, is substituted out of the rows, and the reduced rows are
+    deduplicated again (_substitute_rows); only the distinct ones are
+    projected onto the kept variables.  A row left constant never pivots;
+    its congruence is the search's to check.
     """
     nvars = len(system.layout)
     distinct = dict.fromkeys((r.coeffs, r.const, r.upper) for r in system.rows)
@@ -234,23 +260,15 @@ def _relaxation(system: ConstraintSystem) -> _Relaxation:
         for idxs in members
     )
     kept = sorted(set(range(nvars)).difference(idxs[-1] for idxs in members))
-
-    def reduce(coeffs, const):
-        coeffs, const = _substitute(coeffs, const, members)
-        return tuple([coeffs[i] for i in kept]), const
-
-    images = tuple(reduce(tuple(int(i == j) for i in range(nvars)), 0) for j in range(nvars))
-    reduced, holds = {}, True
-    for row in rows:
-        coeffs, const = reduce(row.coeffs, row.const)
-        if any(coeffs):
-            reduced[coeffs, const, row.hi] = None
-        elif not row.lo <= const <= row.hi:
-            holds = False
-    reduced = tuple(_Condition(coeffs, const, 0, hi) for coeffs, const, hi in reduced)
+    images = []
+    for j in range(nvars):
+        a, const = _substitute(tuple(int(i == j) for i in range(nvars)), 0, members)
+        images.append((tuple([a[i] for i in kept]), const))
+    reduced, _constant, holds = _substitute_rows(rows, members)
+    reduced = tuple(_Condition(tuple([a[i] for i in kept]), *rest) for a, *rest in reduced)
     T = [[int(j == i) for j in kept] for i in kept]
     basis, den = _eliminate(T, reduced)
-    return _Relaxation(rows, levels, reduced, images, holds, T, tuple(basis), den)
+    return _Relaxation(rows, levels, reduced, tuple(images), holds, T, tuple(basis), den)
 
 
 def _prepared(system: ConstraintSystem) -> _Relaxation:
@@ -542,8 +560,8 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     restricted relaxation is bounded.
 
     The LP pair is solved for the least variable of each orbit
-    (_orbit_roots, on the conditions before the substitution) and copied
-    to the others.
+    (_orbit_roots, on the rows before the substitution) and copied to the
+    others; every unit permutation maps each level equation to itself.
     """
     nvars = len(system.layout)
     rank = rank_check(system)
@@ -567,7 +585,7 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     T.append([-sum(map(mul, h, column)) for column in zip(*T)])
     widths, slots = [conds[c].hi - conds[c].lo for c in start], []
     lo, hi = [], []
-    roots = _orbit_roots(system.layout, relaxation.levels + relaxation.rows)
+    roots = _orbit_roots(system.layout, relaxation.rows)
     for i, (root, (objective, offset)) in enumerate(zip(roots, relaxation.images)):
         if root < i or not any(objective):
             # an orbit mate's bounds, or a singleton level's 1
@@ -591,32 +609,6 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
 
 
 # ------------------------------------------------------------------ search
-
-
-def _substitute_levels(
-    rows: tuple[_Condition, ...], levels: tuple[_Condition, ...], n: int
-) -> tuple[list[_Condition], bool]:
-    """The rows with each level's last variable x_j eliminated by its (V1) equation.
-
-    On sum(level) = 1, x_j = 1 - sum(the level's other variables), so the row
-    const + a.x equals const + a_j + (a - a_j 1_level).x with x_j's
-    coefficient 0: its bounds and congruence carry over unchanged.  x_j keeps
-    its box through the level equation itself, which the search keeps: over
-    x_j's box it bounds the other variables exactly as
-    box.lo[j] <= 1 - sum(others) <= box.hi[j] would.  Returns (the distinct
-    non-constant rows, whether every constant row holds), a row constant
-    from the start included: this is the one check of constant rows.
-    """
-    members = [[i for i, a in enumerate(c.coeffs) if a] for c in levels]
-    members = [idxs for idxs in members if len(idxs) > 1]
-    out, consistent = [], True
-    for row in rows:
-        coeffs, const = _substitute(row.coeffs, row.const, members)
-        if any(coeffs):
-            out.append(_Condition(tuple(coeffs), const, row.lo, row.hi))
-        elif not row.lo <= const <= row.hi or const % n:
-            consistent = False
-    return list(dict.fromkeys(out)), consistent
 
 
 def _howell(vectors: list[list[int]], n: int) -> dict[int, list[int]]:
@@ -661,17 +653,18 @@ def _search(
 
     The conditions are the distinct rows and the level equations.  Every
     condition is linear in the next variable, so the values it admits at a
-    node form one integer interval.  The rows are searched with each
-    level's last variable substituted out (_substitute_levels): a row then
-    bounds the level's earlier variables by the level equation rather than
-    the box reach of the last one, and that last variable's single value is
-    forced by its level equation.  A row left constant there is checked
-    once, and a broken one leaves nothing to search.  A condition whose
-    bounds cut the box keeps a sum over its assigned variables.
+    node form one integer interval.  The rows are searched with the last
+    variable of each level of two or more substituted out (_substitute_rows):
+    a row then bounds the level's earlier variables by the level equation
+    rather than the box reach of the last one, and that last variable's
+    single value is forced by its level equation.  A row left constant
+    there and out of its bounds leaves nothing to search.  A condition
+    whose bounds cut the box keeps a sum over its assigned variables.
 
-    The other rows' congruences const + a.x = 0 and the level equations,
-    mod n, are taken once to their Howell form (_howell), over the columns
-    x_(nvars-1), ..., x_0, 1; a row leading at 1 leaves nothing to search.
+    The rows' congruences const + a.x = 0, the constant ones' included, and
+    the level equations, mod n, are taken once to their Howell form
+    (_howell), over the columns x_(nvars-1), ..., x_0, 1; a row leading at
+    1, as a constant row's const != 0 mod n makes, leaves nothing to search.
     Level k owns one row g x_k + s = 0 mod n, g | n, s a partial sum (g = n,
     s = 0 where none leads), and these imply every congruence on
     x_0 .. x_k.  So g | s, as n/g times the row is one on x_0 .. x_(k-1),
@@ -685,11 +678,13 @@ def _search(
     A node counts its box range.
     """
     nvars = len(box.lo)
-    rows, holds = _substitute_levels(rows, levels, n)
-    congruences = [[*c.coeffs[::-1], c.const] for c in rows]
+    members = [[i for i, a in enumerate(c.coeffs) if a] for c in levels]
+    rows, constant, holds = _substitute_rows(rows, [idxs for idxs in members if len(idxs) > 1])
+    congruences = [[*coeffs[::-1], const] for coeffs, const, _lo, _hi in rows + constant]
     form = _howell(congruences + [[*c.coeffs[::-1], c.const - c.lo] for c in levels], n)
     if not holds or nvars in form:
         return [], 0
+    rows = [_Condition(*row) for row in rows]
 
     # x_k >= ceil((b - p) / a) for each (ci, a, b) in lower[k], x_k <= floor
     # of the same for each in upper[k]: p is partial sum ci, b a bound of its

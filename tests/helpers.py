@@ -525,17 +525,78 @@ def two_phase_pair(system, i: int) -> tuple[int, int] | None:
 
 
 def two_phase_bounds(system) -> BoundsBox:
-    """derive_bounds by one cold two-phase simplex per bound LP."""
+    """derive_bounds by the primal LPs max and min x_i, which share one feasible region.
+
+    Each distinct row 0 <= const + a.x <= upper of system.rows and each
+    level equation sum = 1 is two inequalities g.x <= b with slacks
+    s = b - g.x >= 0; nothing is substituted.  The tableau is a dictionary
+    in Fractions, basic + T.nonbasic = rhs, that stores only the nonbasic
+    columns; the variables are numbered x_0 .. x_(nvars-1), then the slacks.
+    Every x_i is free: it enters first, by Gauss-Jordan, and never leaves,
+    so its row reads x_i = rhs - T.slacks and is the objective of both its
+    LPs.  Phase 1 runs once per system: the dual simplex under zero cost,
+    whose every basis is dual feasible, until no slack is negative; a
+    negative row with no negative entry shows the region empty.  Then each
+    LP, max x_0, min x_0, max x_1, ..., runs the primal simplex from the
+    previous optimum.  Bland's rule everywhere.  two_phase_pair is the cold
+    dual of one variable's pair.
+    """
     nvars = len(system.layout)
-    pairs = []
+    empty = BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
+    conds = [(c, k, 0, u) for c, k, u in dict.fromkeys(
+        (r.coeffs, r.const, r.upper) for r in system.rows)]
+    for idxs in system.layout.level_indices().values():
+        conds.append((tuple(int(i in idxs) for i in range(nvars)), 0, 1, 1))
+    T: list[list[Fraction]] = []
+    for coeffs, const, lo, hi in conds:
+        T.append([Fraction(a) for a in coeffs] + [Fraction(hi - const)])
+        T.append([Fraction(-a) for a in coeffs] + [Fraction(const - lo)])
+    basis = list(range(nvars, nvars + len(T)))
+    slots = list(range(nvars))
+
+    def pivot(r: int, j: int) -> None:
+        row, p = T[r], T[r][j]
+        T[r] = [x / p for x in row]
+        T[r][j] = 1 / p
+        for i, other in enumerate(T):
+            f = other[j]
+            if i != r and f:
+                T[i] = [x - f * y for x, y in zip(other, T[r])]
+                T[i][j] = -f / p
+        basis[r], slots[j] = slots[j], basis[r]
+
+    for j in range(nvars):
+        r = next((r for r, bv in enumerate(basis) if bv >= nvars and T[r][j]), None)
+        if r is None:
+            raise RankDeficientError("unbounded relaxation: augment the character family")
+        pivot(r, j)
+    # phase 1: the least negative slack leaves, the least column negative there enters
+    while negative := [(bv, r) for r, bv in enumerate(basis) if bv >= nvars and T[r][-1] < 0]:
+        r = min(negative)[1]
+        entering = [(v, j) for j, v in enumerate(slots) if T[r][j] < 0]
+        if not entering:
+            return empty
+        pivot(r, min(entering)[1])
+    lo, hi = [], []
     for i in range(nvars):
-        pair = two_phase_pair(system, i)
-        if pair is None:
-            return BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
-        pairs.append(pair)
-    if any(lo > hi for lo, hi in pairs):
-        return BoundsBox(lo=(0,) * nvars, hi=(-1,) * nvars)
-    return BoundsBox(lo=tuple(lo for lo, _ in pairs), hi=tuple(hi for _, hi in pairs))
+        for sense, bounds in ((1, hi), (-1, lo)):
+            while True:
+                # sense * x_i grows with the slack of column j where sense * row[j] < 0
+                row = T[basis.index(i)]
+                entering = [(v, j) for j, (v, a) in enumerate(zip(slots, row)) if sense * a < 0]
+                if not entering:
+                    break
+                j = min(entering)[1]
+                ratios = [(T[r][-1] / T[r][j], bv, r)
+                          for r, bv in enumerate(basis) if bv >= nvars and T[r][j] > 0]
+                if not ratios:
+                    raise RankDeficientError("unbounded relaxation")
+                pivot(min(ratios)[2], j)
+            value = T[basis.index(i)][-1]
+            bounds.append(floor(value) if sense > 0 else -floor(-value))
+    if any(a > b for a, b in zip(lo, hi)):
+        return empty
+    return BoundsBox(lo=tuple(lo), hi=tuple(hi))
 
 
 def constant_rows_hold(system) -> bool:

@@ -372,6 +372,19 @@ def test_bounds_sweep_pinned(sweep):
     assert digest == "8b04d8fddd5003e1249778fa9c162c57452e6cf6e7cb298e104c1f5fd64cd8e4"
 
 
+def test_orbit_roots_need_no_level_equation():
+    # every unit permutation maps each level equation to itself, so the
+    # rows alone keep the same permutations on the 196 sweep systems
+    for q, m in sweep_frames():
+        for spec in ("paper", "brauer-p"):
+            system = family_system(q, m, spec)
+            relaxation = solver._prepared(system)
+            rows, levels = relaxation.rows, relaxation.levels
+            assert solver._orbit_roots(system.layout, rows) == solver._orbit_roots(
+                system.layout, levels + rows
+            )
+
+
 def test_bounds_sweep_pivot_counts_pinned(sweep):
     # sha256 of (q, m, family, pivots): 5,627 pivots in all, against 6,542
     # when the LP carried the level equations as conditions (11,935 when a
@@ -914,8 +927,8 @@ def test_duplicated_rows_change_nothing(copy):
 
 def test_violated_constant_row_enumerates_nothing():
     # a zero row with const in [0, upper] stays in the relaxation, leaves the
-    # LP box as it is and breaks only the congruence: the search checks it
-    # once, before its first node
+    # LP box as it is and breaks only the congruence: its Howell row leads at
+    # the constant, and the search ends before its first node
     system = paper_system(19, 10)
     box = derive_bounds(system)
     zero = (0,) * 8
@@ -923,6 +936,12 @@ def test_violated_constant_row_enumerates_nothing():
     broken = replace(system, rows=system.rows + (bad,))
     assert derive_bounds(broken) == box
     rep = enumerate_solutions(broken, box)
+    assert len(rep.solutions) == 0
+    assert rep.node_count == 0
+    # 20 = 0 mod 10 but above its bound: searched in the box of the system
+    # without it, the search's own bounds check of constant rows ends it
+    above = ConstraintRow(character="const", l=0, coeffs=zero, const=20, upper=10)
+    rep = enumerate_solutions(replace(system, rows=system.rows + (above,)), box)
     assert len(rep.solutions) == 0
     assert rep.node_count == 0
     # const outside [0, upper] prices in, and the relaxation is empty
@@ -1181,7 +1200,9 @@ def _node_counts(cases):
     return pytest.mark.parametrize("q, n, nodes", cases, ids=[f"{q}-{n}" for q, n, _ in cases])
 
 
-@_node_counts([(29, 14, 223), (31, 15, 1025), (43, 22, 541), (37, 18, 548), (53, 26, 925)])
+@_node_counts(
+    [(29, 14, 223), (31, 15, 1025), (43, 22, 541), (37, 18, 548), (53, 26, 925), (49, 24, 88572)]
+)
 def test_search_node_counts_pinned(q, n, nodes):
     system = paper_system(q, n)
     box = derive_bounds(system)
