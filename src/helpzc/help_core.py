@@ -532,10 +532,10 @@ def build_constraints(
     rows = []
     for chi, sums in zip(characters, _family_sums(family_counts(frame, characters), table)):
         coeffs = _mirrored([tuple(sums[l * nvars : (l + 1) * nvars]) for l in range(half)], n)
-        deg = chi.degree(frame)
+        deg, label = chi.degree(frame), chi.label
         for l, row in enumerate(coeffs):
             rows.append(
-                ConstraintRow(character=chi.label, l=l, coeffs=row, const=deg, upper=n * deg)
+                ConstraintRow(character=label, l=l, coeffs=row, const=deg, upper=n * deg)
             )
     return ConstraintSystem(frame=frame, layout=layout, rows=tuple(rows), family=family)
 

@@ -28,10 +28,11 @@ The per-variable LPs are solved through the dual: the primal has few
 variables and hundreds of rows, so the dual tableau has one row per
 primal variable and stays tiny.  Each level's (V1) equation first
 substitutes the level's last variable out of the rows, so the LP has one
-variable fewer per level and no level equation.  A condition
-lo <= const + a.x <= hi is one dual column, a or -a as needed.  The
-system's Gauss-Jordan elimination of [A^T | I] over the reduced distinct
-rows gives the start basis.  The LPs share their cost and
+variable fewer per level and no level equation.  Rows on one form a.x,
+as a or -a and with any constant, merge into one condition lo <= a.x <= hi
+on the intersection of their intervals, one dual column, a or -a as
+needed.  The system's Gauss-Jordan elimination of [A^T | I] over the
+conditions gives the start basis.  The LPs share their cost and
 differ only in the right-hand side, so every LP, the first included,
 starts in the dual phase: dual simplex under Bland's rule from the
 start basis or the previous optimum, which stays dual feasible.  The
@@ -104,7 +105,7 @@ class SimplexStallError(RuntimeError):
     """An LP phase passed _ITERATIONS_PER_ROW iterations per basis row: a defect, not bad input."""
 
 
-# about 150 times the most per phase call measured: 175 for the 27 rows of brauer-p (61,30)
+# about 150 times the most per phase call measured: 174 for the 27 rows of brauer-p (61,30)
 _ITERATIONS_PER_ROW = 1_000
 
 
@@ -166,11 +167,20 @@ def compare_sets(found: SolutionSet, expected: SolutionSet) -> SetDiff:
 class _Condition(NamedTuple):
     """lo <= const + coeffs.x <= hi; a row also has const + coeffs.x = 0 mod n.
 
-    It equals and hashes as the plain tuple (coeffs, const, lo, hi).
+    A row or level equation before the (V1) substitution, which makes
+    _Bounds; it equals and hashes as the plain tuple (coeffs, const, lo, hi).
     """
 
     coeffs: tuple[int, ...]
     const: int
+    lo: int
+    hi: int
+
+
+class _Bound(NamedTuple):
+    """lo <= coeffs.x <= hi, its rows' intervals intersected: lo > hi if they are disjoint."""
+
+    coeffs: tuple[int, ...]
     lo: int
     hi: int
 
@@ -183,19 +193,19 @@ class _Relaxation(NamedTuple):
     sum = 1, one per level; the search reads both.  The LP has each
     level's last variable, by layout index, substituted out as
     1 - sum(its level mates): its variables y are the others, and
-    x_i = offset + c.y for (c, offset) = images[i].  reduced are the
-    distinct substituted rows that are not constant; holds is whether
-    every constant one has lo <= const <= hi.  T / den is the I block of
-    [A^T | I] after Gauss-Jordan elimination (_eliminate), A the matrix of
-    reduced: den * B^-1 for the basis B it found; the condition columns
-    are not stored, as each is T times its a.  basis holds each T row's
-    pivot, an index into reduced, None where the row is zero on every
-    condition.  Readers copy T and never write it.
+    x_i = offset + c.y for (c, offset) = images[i].  reduced are its
+    conditions, one per direction (_substitute_rows); holds is whether
+    every constant row has lo <= const <= hi and every condition lo <= hi.
+    T / den is the I block of [A^T | I] after Gauss-Jordan elimination
+    (_eliminate), A the matrix of reduced: den * B^-1 for the basis B it
+    found; the condition columns are not stored, as each is T times its
+    a.  basis holds each T row's pivot, an index into reduced, None where
+    the row is zero on every condition.  Readers copy T and never write it.
     """
 
     rows: tuple[_Condition, ...]
     levels: tuple[_Condition, ...]
-    reduced: tuple[_Condition, ...]
+    reduced: tuple[_Bound, ...]
     images: tuple[tuple[tuple[int, ...], int], ...]
     holds: bool
     T: list[list[int]]
@@ -203,7 +213,7 @@ class _Relaxation(NamedTuple):
     den: int
 
 
-def _substitute(coeffs: tuple[int, ...], const: int, members: list) -> tuple[list[int], int]:
+def _substitute(coeffs: tuple[int, ...], const: int, members: list) -> tuple[tuple[int, ...], int]:
     """const + coeffs.x with x_j = 1 - sum(others) put in for each (*others, j) of members."""
     coeffs = list(coeffs)
     for *others, j in members:
@@ -213,29 +223,34 @@ def _substitute(coeffs: tuple[int, ...], const: int, members: list) -> tuple[lis
                 coeffs[i] -= a
             coeffs[j] = 0
             const += a
-    return coeffs, const
+    return tuple(coeffs), const
 
 
 def _substitute_rows(
     rows: tuple[_Condition, ...], members: list
-) -> tuple[list[tuple], list[tuple], bool]:
+) -> tuple[list[_Bound], list[tuple[tuple[int, ...], int]], bool]:
     """The rows with x_j = 1 - sum(others) put in for each (*others, j) of members (_substitute).
 
     On the (V1) hyperplane a row const + a.x equals const + a_j +
     (a - a_j 1_level).x, x_j's coefficient 0, so its bounds and congruence
-    carry over unchanged.  Returns (the distinct rows that keep a variable,
-    as plain (coeffs, const, lo, hi) tuples in first-occurrence order, the
-    rows left constant, whether every constant one has lo <= const <= hi).
+    carry over unchanged.  Returns (one _Bound per direction up to sign, in
+    first-occurrence order and orientation, of its rows' intervals less
+    their constants, negated for -a; the distinct (a, const) of every row,
+    constant ones included; whether every constant row has lo <= const <= hi).
     """
-    kept, constant = {}, []
+    bounds, congruences, holds = {}, {}, True
     for row in rows:
         coeffs, const = _substitute(row.coeffs, row.const, members)
-        coeffs = tuple(coeffs)
-        if any(coeffs):
-            kept[coeffs, const, row.lo, row.hi] = None
-        else:
-            constant.append((coeffs, const, row.lo, row.hi))
-    return list(kept), constant, all(lo <= const <= hi for _a, const, lo, hi in constant)
+        congruences[coeffs, const] = None
+        lo, hi = row.lo - const, row.hi - const
+        if not any(coeffs):
+            holds = holds and lo <= 0 <= hi
+            continue
+        if (flipped := tuple(-a for a in coeffs)) in bounds:
+            coeffs, lo, hi = flipped, -hi, -lo
+        was_lo, was_hi = bounds.get(coeffs, (lo, hi))
+        bounds[coeffs] = max(lo, was_lo), min(hi, was_hi)
+    return [_Bound(a, *b) for a, b in bounds.items()], list(congruences), holds
 
 
 def _relaxation(system: ConstraintSystem) -> _Relaxation:
@@ -245,11 +260,11 @@ def _relaxation(system: ConstraintSystem) -> _Relaxation:
     first-occurrence order, before any _Condition is built.  Most rows
     repeat: rows l and -l of a character agree, as its values on <g0> are
     real, and characters share rows.  The 616 rows of verify-main's four
-    systems make 156 conditions.  Each level's last variable, a singleton
-    level's too, is substituted out of the rows, and the reduced rows are
-    deduplicated again (_substitute_rows); only the distinct ones are
-    projected onto the kept variables.  A row left constant never pivots;
-    its congruence is the search's to check.
+    systems make 156 distinct ones.  Each level's last variable, a
+    singleton level's too, is substituted out of the rows, and the rows
+    on one direction up to sign merge (_substitute_rows): 20/28/36/52
+    make 7/14/22/34 conditions there, projected onto the kept variables.
+    A row left constant never pivots; its congruence is the search's.
     """
     nvars = len(system.layout)
     distinct = dict.fromkeys((r.coeffs, r.const, r.upper) for r in system.rows)
@@ -264,8 +279,9 @@ def _relaxation(system: ConstraintSystem) -> _Relaxation:
     for j in range(nvars):
         a, const = _substitute(tuple(int(i == j) for i in range(nvars)), 0, members)
         images.append((tuple([a[i] for i in kept]), const))
-    reduced, _constant, holds = _substitute_rows(rows, members)
-    reduced = tuple(_Condition(tuple([a[i] for i in kept]), *rest) for a, *rest in reduced)
+    reduced, _congruences, holds = _substitute_rows(rows, members)
+    holds = holds and all(c.lo <= c.hi for c in reduced)
+    reduced = tuple(_Bound(tuple([a[i] for i in kept]), lo, hi) for a, lo, hi in reduced)
     T = [[int(j == i) for j in kept] for i in kept]
     basis, den = _eliminate(T, reduced)
     return _Relaxation(rows, levels, reduced, tuple(images), holds, T, tuple(basis), den)
@@ -336,7 +352,7 @@ def _exchange(
     return new
 
 
-def _eliminate(T: list[list[int]], conds: tuple[_Condition, ...]) -> tuple[list[int | None], int]:
+def _eliminate(T: list[list[int]], conds: tuple[_Bound, ...]) -> tuple[list[int | None], int]:
     """Gauss-Jordan on T = I, row by row: each row's pivot condition (or None), and den.
 
     T is the I block of [A^T | I], A the matrix of conds (the level-reduced
@@ -479,20 +495,20 @@ def _orbit_roots(layout: VariableLayout, conds: list[_Condition]) -> list[int]:
     return [min([i, *(perm[i] for perm in kept)]) for i in range(len(layout))]
 
 
-def _price(cost: list[int], waiting: list[_Condition], den: int, ncols: int) -> int | None:
+def _price(cost: list[int], waiting: list[_Bound], den: int, ncols: int) -> int | None:
     """The index in waiting of the condition the optimum violates most; None if none is.
 
     cost is the optimal cost row of T / den, whose I block (from column
     ncols) holds -den * c_B B^-1.  So a condition's reduced cost
-    den * (hi - const) + (that block) . a is den times its upper slack
-    hi - (const + a.x) at the primal vertex x.  Below 0 the vertex breaks
-    the upper bound, above den * (hi - lo) the lower one; the largest
-    excess wins, ties to the earliest condition.
+    den * hi + (that block) . a is den times its upper slack hi - a.x at
+    the primal vertex x.  Below 0 the vertex breaks the upper bound, above
+    den * (hi - lo) the lower one; the largest excess wins, ties to the
+    earliest condition.
     """
     pi = cost[ncols:]
     best, most = None, 0
     for j, c in enumerate(waiting):
-        slack = den * (c.hi - c.const) + sum(map(mul, pi, c.coeffs))
+        slack = den * c.hi + sum(map(mul, pi, c.coeffs))
         excess = max(-slack, slack - den * (c.hi - c.lo))
         if excess > most:
             best, most = j, excess
@@ -500,20 +516,20 @@ def _price(cost: list[int], waiting: list[_Condition], den: int, ncols: int) -> 
 
 
 def _add_column(
-    T: list[list[int]], cond: _Condition, den: int, widths: list[int], slots: list[int]
+    T: list[list[int]], cond: _Bound, den: int, widths: list[int], slots: list[int]
 ) -> None:
     """Store cond in T / den as its last stored column, direction a, and number it.
 
     The I block holds den * B^-1, so the new column den * B^-1 a is that
     block times a in every row; in the cost row the same product adds
-    -den * c_B B^-1 a to the cost den * (hi - const).  The variable takes
-    the next number, len(widths).  The basic solution does not move, so a
-    feasible basis stays feasible and _phase2 resumes from it.
+    -den * c_B B^-1 a to the cost den * hi.  The variable takes the next
+    number, len(widths).  The basic solution does not move, so a feasible
+    basis stays feasible and _phase2 resumes from it.
     """
     ncols = len(slots)
     for row in T:
         row.insert(ncols, sum(map(mul, row[ncols:], cond.coeffs)))
-    T[-1][ncols] += den * (cond.hi - cond.const)
+    T[-1][ncols] += den * cond.hi
     slots.append(len(widths))
     widths.append(cond.hi - cond.lo)
 
@@ -526,23 +542,20 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     for (c, offset) = images[i].  Each bound max/min c.y over G y <= h is
     solved as its dual min h.z, G^T z = +-c, z >= 0, and offset added; a
     singleton level's x_i (c = 0) is 1 and solves no LP.  G holds each
-    reduced condition's a as -a and +a.  The system's one Gauss-Jordan
-    elimination of [A^T | I], A the matrix of the reduced rows, gives a
-    start basis.  This is the one rank gate: where rank_check, which reads
-    the same elimination, is below the variable count, the relaxation is
-    unbounded and RankDeficientError is raised.  A constant reduced row
-    that breaks its bounds empties the box.  The tableau carries the I
-    block, which holds den * B^-1 for the current basis B, so the
-    right-hand side of the LP for +-c is +- the I block times c, and the
-    cost row's entry there gives the objective.
+    condition's a, one per direction, as -a and +a.  The system's one
+    Gauss-Jordan elimination of [A^T | I], A the matrix of the conditions,
+    gives a start basis.  This is the one rank gate: where rank_check,
+    which reads the same elimination, is below the variable count, the
+    relaxation is unbounded and RankDeficientError is raised.  A constant
+    row that breaks its bounds, or a condition with lo > hi, empties the
+    box.  The tableau carries the I block, which holds den * B^-1 for the
+    current basis B, so the right-hand side of the LP for +-c is +- the I
+    block times c, and the cost row's entry there gives the objective.
 
-    The tableau is condensed: it stores only the nonbasic columns, as a
-    basic column is den times a unit vector.  A variable's number is its
-    position among the start basis's conditions, in condition order, then
-    the order it was priced in; the pivot rules read these numbers, never a
-    column's position.  A pivot is an exchange: the entering column's place
-    takes the leaving variable.  The start tableau is den * B^-1 and the
-    cost row, the reduced cost of the start basis; it stores no column.
+    The tableau is condensed (module docstring).  A variable's number is
+    its position among the start basis's conditions, in condition order,
+    then the order it was priced in, never its column's; the start tableau
+    is den * B^-1 and the cost row of the start basis, and stores no column.
 
     Every condition outside the basis waits.  The LPs form one chain, and
     each starts in the dual phase (_dual_phase): the first from the
@@ -579,9 +592,9 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     waiting = [c for j, c in enumerate(conds) if j not in pivots]
     basis = [start.index(c) for c in pivots]
     # rows den * B^-1 and a zero right-hand side; the cost row den * c less
-    # (hi - const) of each basic condition times its row
+    # hi of each basic condition times its row
     T = [row + [0] for row in relaxation.T]
-    h = [conds[c].hi - conds[c].const for c in pivots]
+    h = [conds[c].hi for c in pivots]
     T.append([-sum(map(mul, h, column)) for column in zip(*T)])
     widths, slots = [conds[c].hi - conds[c].lo for c in start], []
     lo, hi = [], []
@@ -658,10 +671,12 @@ def _search(
     a row then bounds the level's earlier variables by the level equation
     rather than the box reach of the last one, and that last variable's
     single value is forced by its level equation.  A row left constant
-    there and out of its bounds leaves nothing to search.  A condition
-    whose bounds cut the box keeps a sum over its assigned variables.
+    there and out of its bounds leaves nothing to search.  The others bound
+    as one condition per direction, its bound on x_k the tightest of theirs,
+    so the node count is theirs and lo > hi prunes at its level.  A
+    condition whose bounds cut the box keeps a sum over its assigned variables.
 
-    The rows' congruences const + a.x = 0, the constant ones' included, and
+    The rows' distinct congruences const + a.x = 0, constant ones too, and
     the level equations, mod n, are taken once to their Howell form
     (_howell), over the columns x_(nvars-1), ..., x_0, 1; a row leading at
     1, as a constant row's const != 0 mod n makes, leaves nothing to search.
@@ -679,12 +694,12 @@ def _search(
     """
     nvars = len(box.lo)
     members = [[i for i, a in enumerate(c.coeffs) if a] for c in levels]
-    rows, constant, holds = _substitute_rows(rows, [idxs for idxs in members if len(idxs) > 1])
-    congruences = [[*coeffs[::-1], const] for coeffs, const, _lo, _hi in rows + constant]
+    conds, congruences, holds = _substitute_rows(rows, [idxs for idxs in members if len(idxs) > 1])
+    congruences = [[*coeffs[::-1], const] for coeffs, const in congruences]
     form = _howell(congruences + [[*c.coeffs[::-1], c.const - c.lo] for c in levels], n)
     if not holds or nvars in form:
         return [], 0
-    rows = [_Condition(*row) for row in rows]
+    conds += [_Bound(c.coeffs, c.lo - c.const, c.hi - c.const) for c in levels]
 
     # x_k >= ceil((b - p) / a) for each (ci, a, b) in lower[k], x_k <= floor
     # of the same for each in upper[k]: p is partial sum ci, b a bound of its
@@ -694,10 +709,10 @@ def _search(
     # later variable, the Howell rows' included.
     lower, upper, moves = ([[] for _ in range(nvars)] for _ in range(3))
     starts = []
-    for cond in rows + list(levels):
+    for cond in conds:
         ci, cuts = len(starts), False
         reach = [sorted((a * lo, a * hi)) for a, lo, hi in zip(cond.coeffs, box.lo, box.hi)]
-        pmin = pmax = cond.const
+        pmin = pmax = 0
         smin, smax = (sum(r) for r in zip(*reach))
         for k, a in enumerate(cond.coeffs):
             rmin, rmax = reach[k]
@@ -712,7 +727,7 @@ def _search(
                 cuts = True
             pmin, pmax = pmin + rmin, pmax + rmax
         if cuts:
-            starts.append(cond.const)
+            starts.append(0)
             *terms, _last = [(k, a) for k, a in enumerate(cond.coeffs) if a]
             for k, a in terms:
                 moves[k].append((ci, a))

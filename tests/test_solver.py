@@ -241,9 +241,10 @@ def one_variable_row(system, const=5, upper=100):
         infeasible_system,
         # x_0 = 0 moves the bounds of some of x_0's orbit mates, not all
         lambda: one_variable_row(paper_system(19, 10), const=0, upper=0),
+        lambda: paper_system(31, 15),
     ],
     ids=["paper-13-6", "paper-19-10", "paper-41-10", "brauer-p-19-10", "chi2-11-5",
-         "paper-29-14", "infeasible-19-10", "x0-pinned-19-10"],
+         "paper-29-14", "infeasible-19-10", "x0-pinned-19-10", "paper-31-15"],
 )
 def test_bounds_match_two_phase_oracle(make):
     system = make()
@@ -253,10 +254,10 @@ def test_bounds_match_two_phase_oracle(make):
 @pytest.mark.parametrize(
     "make, pivots",
     [
-        (lambda: paper_system(13, 6), 10),
-        (lambda: paper_system(19, 10), 23),
-        (lambda: paper_system(31, 15), 34),
-        (lambda: family_system(19, 10, "brauer-p"), 25),
+        (lambda: paper_system(13, 6), 2),
+        (lambda: paper_system(19, 10), 16),
+        (lambda: paper_system(31, 15), 30),
+        (lambda: family_system(19, 10, "brauer-p"), 19),
     ],
     ids=["paper-13-6", "paper-19-10", "paper-31-15", "brauer-p-19-10"],
 )
@@ -283,16 +284,15 @@ def test_bounds_pivot_counts_pinned(make, pivots, monkeypatch):
 # (row, returned den) of every _pivot call of derive_bounds on a fresh
 # system: the elimination of the level-reduced rows, one pivot per
 # variable left after the substitution (2 of (13,6)'s 5, 5 of (19,10)'s
-# 8), then the exchanges of the chain.  A bound flip is no pivot.
+# 8), then the exchanges of the chain.  A bound flip is no pivot.  At
+# (13,6), one condition per direction, the chain makes no exchange: after
+# bound flips the start basis is optimal for every LP, and nothing prices in.
 PIVOT_SEQUENCES = {
-    "paper-13-6": [
-        (0, 6), (1, 24), (1, 48), (0, 48), (1, 24), (0, 24), (1, 24), (1, 24), (0, 24), (1, 24),
-    ],
+    "paper-13-6": [(0, 6), (1, 24)],
     "brauer-p-19-10": [
-        (0, 10), (1, 10), (2, 200), (3, 2000), (4, 20000), (2, 40000), (4, 40000), (0, 20000),
-        (3, 20000), (1, 20000), (0, 40000), (2, 20000), (3, 20000), (0, 20000), (2, 40000),
-        (3, 40000), (4, 40000), (1, 40000), (2, 20000), (0, 40000), (2, 20000), (0, 20000),
-        (1, 20000), (4, 40000), (1, 40000),
+        (0, 10), (1, 10), (2, 200), (3, 2000), (4, 20000), (4, 20000), (1, 20000), (0, 20000),
+        (2, 40000), (4, 40000), (1, 40000), (2, 20000), (0, 20000), (0, 40000), (3, 40000),
+        (2, 40000), (1, 40000), (4, 40000), (1, 40000),
     ],
 }
 
@@ -386,13 +386,14 @@ def test_orbit_roots_need_no_level_equation():
 
 
 def test_bounds_sweep_pivot_counts_pinned(sweep):
-    # sha256 of (q, m, family, pivots): 5,627 pivots in all, against 6,542
-    # when the LP carried the level equations as conditions (11,935 when a
-    # bound flip of the dual phase was a pivot, 10,159 before that)
+    # sha256 of (q, m, family, pivots): 5,469 pivots in all, against 5,627
+    # when parallel rows were separate conditions, 6,542 when the LP also
+    # carried the level equations (11,935 when a bound flip of the dual
+    # phase was a pivot, 10,159 before that)
     _, counts, _ = sweep
-    assert sum(c[-1] for c in counts) == 5627
+    assert sum(c[-1] for c in counts) == 5469
     digest = hashlib.sha256(repr(counts).encode()).hexdigest()
-    assert digest == "b10ffce7502e049e4165d7c63c83a3d1db5321ce99a1c531a2d188d245c29392"
+    assert digest == "ef11c339e65574017da8e12cbaf3ff4fa36dabcb62cd23b6aad89cbc2aeb79fa"
 
 
 def built_as_validated(system, box):
@@ -668,8 +669,9 @@ def test_emptiness_from_a_priced_in_condition(monkeypatch):
     # basis: only pricing brings it in, and the resumed _phase2 finds the dual unbounded
     system = infeasible_system()
     relaxation = solver._relaxation(system)
+    # no other row bounds x_0 alone, so the merge keeps 50 <= x_0 <= 60 as it is
     far = relaxation.reduced[-1]
-    assert far.coeffs == (1, 0, 0, 0, 0) and far.const == -50
+    assert far == ((1, 0, 0, 0, 0), 50, 60) and relaxation.holds
     assert len(relaxation.reduced) - 1 not in relaxation.basis
     added, results = [], []
     real_add, real_phase2 = solver._add_column, solver._phase2
@@ -686,9 +688,46 @@ def test_emptiness_from_a_priced_in_condition(monkeypatch):
     monkeypatch.setattr(solver, "_phase2", phase2)
     box = derive_bounds(system)
     assert box == BoundsBox((0,) * 8, (-1,) * 8)
-    assert added[-1] == far and results[0] is not None and results[-1] is None
+    # the first optimum breaks only far's bounds, and the dual turns unbounded at once
+    assert added == [far] and results == [None]
     monkeypatch.undo()
     assert box == two_phase_bounds(system)
+
+
+def test_emptiness_from_merged_twins(monkeypatch):
+    # 0 <= x_0 <= 10 and 0 <= 20 - x_0 <= 5 bound one direction with the
+    # disjoint intervals [0, 10] and [15, 20], and both say x_0 = 0 mod 10:
+    # the merge empties the box, and no LP runs
+    system = paper_system(19, 10)
+    e0 = (1,) + (0,) * 7
+    twins = (ConstraintRow("x0", 0, e0, 0, 10), ConstraintRow("-x0", 0, (-1,) + e0[1:], 20, 5))
+    twinned = replace(system, rows=system.rows + twins)
+    relaxation = solver._relaxation(twinned)
+    assert relaxation.reduced[-1] == ((1, 0, 0, 0, 0), 15, 10) and not relaxation.holds
+    monkeypatch.setattr(solver, "_dual_phase", mock.Mock(side_effect=AssertionError))
+    assert derive_bounds(twinned) == BoundsBox((0,) * 8, (-1,) * 8)
+    monkeypatch.undo()
+    assert derive_bounds(twinned) == two_phase_bounds(twinned)
+    # the search prunes on the merged condition at x_0 rather than ending
+    # before its first node
+    box, budget = derive_bounds(system), solver.DEFAULT_NODE_BUDGET
+    vectors, nodes = search(twinned, box, budget)
+    assert vectors == [] and nodes > 0
+    assert (vectors, nodes) == interval_search(twinned, box, budget)
+
+
+@st.composite
+def _twinned_system(draw):
+    system = paper_system(*draw(st.sampled_from([(13, 6), (19, 10)])))
+    return replace(system, rows=system.rows + draw(_twins(system)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=_twinned_system())
+def test_merged_twins_bound_as_the_oracle(system):
+    # the LP keeps one condition per direction; the Fraction oracle keeps
+    # every row apart
+    assert derive_bounds(system) == two_phase_bounds(system)
 
 
 def test_tableau_ends_narrower_than_the_conditions(monkeypatch):
@@ -715,11 +754,12 @@ def test_tableau_ends_narrower_than_the_conditions(monkeypatch):
     # the elimination's rows are the I block alone
     assert widths[:nvars] == [nvars] * nvars
     # an LP row is its variables but the nvars basic ones, the nvars columns
-    # of the I block and the right-hand side; the LP numbers 11 variables
-    # for the 44 reduced conditions (14 for 55 with the level equations)
+    # of the I block and the right-hand side; the LP numbers 10 variables
+    # for its 15 conditions, one per direction (11 for 44 when parallel
+    # rows were apart, 14 for 55 with the level equations too)
     variables = len(numbered[0])
-    assert widths[-1] == variables + 1 == 12
-    assert ncond == 44
+    assert widths[-1] == variables + 1 == 11
+    assert ncond == 15
 
 
 def test_infeasible_relaxation_enumerates_nothing():
@@ -1036,6 +1076,43 @@ def _level_row(draw, system):
 
 
 @st.composite
+def _twins(draw, system):
+    # a row of system or a level row, which is constant after the (V1)
+    # substitution, and rows on its direction up to sign once substituted:
+    # mirrored, with another constant, with an interval disjoint from its
+    # own either way round, or with a multiple of a level's indicator added.
+    # Every twin has its row's congruence, so the search reaches the merged
+    # bounds rather than stopping at a contradiction mod n
+    n = system.n
+    base = draw(st.one_of(st.sampled_from(system.rows), _level_row(system)))
+    # 0 <= const + a.x <= upper is -const <= a.x <= upper - const
+    coeffs, const, upper = base.coeffs, base.const, base.upper
+    minus = tuple(-a for a in coeffs)
+    rows = [base]
+    for kind in draw(st.lists(st.sampled_from(["mirrored", "shifted", "above", "below", "level"]),
+                              min_size=1, max_size=3)):
+        k, u = draw(st.integers(-3, 3)), draw(st.integers(0, 3 * n))
+        if kind == "mirrored":
+            # 0 <= c - a.x <= u with c = -const mod n
+            twin = (minus, n * k - const)
+        elif kind == "shifted":
+            twin = (coeffs, const + n * k)
+        elif kind == "above":
+            # a.x >= n (upper // n + 1 + |k|) - const > upper - const
+            twin = (coeffs, const - n * (upper // n + 1 + abs(k)))
+        elif kind == "below":
+            # a.x <= -const - n (1 + |k|)
+            twin = (minus, -const - n * (1 + abs(k)))
+        else:
+            # the substitution adds m to the twin's constant, not to the row's
+            *_, idxs = draw(st.sampled_from(sorted(system.layout.level_indices().items())))
+            m = draw(st.integers(-3, 3))
+            twin = (tuple(a + m * (i in idxs) for i, a in enumerate(coeffs)), const - m + n * k)
+        rows.append(ConstraintRow("twin", 0, *twin, u))
+    return tuple(rows)
+
+
+@st.composite
 def _search_instance(draw):
     q, n = draw(st.sampled_from([(13, 6), (19, 10), (31, 15)]))
     system = paper_system(q, n)
@@ -1060,6 +1137,8 @@ def _search_instance(draw):
     )
     extra = draw(st.lists(st.one_of(row, _level_row(system)), max_size=2))
     system = replace(system, rows=system.rows + tuple(extra))
+    if draw(st.booleans()):
+        system = replace(system, rows=system.rows + draw(_twins(system)))
     return system, BoundsBox(lo=tuple(lo), hi=tuple(hi))
 
 
@@ -1129,10 +1208,11 @@ def _budget_error(search, *args):
 @settings(max_examples=60, deadline=None)
 @given(instance=_search_instance(), data=st.data())
 def test_search_matches_interval_oracle_on_random_boxes(instance, data):
-    # the culprit-first bound order and the stepped congruences change
-    # neither the vectors, their order, nor the node count; a budget below
-    # the total fails at the same count, also where it is crossed at a node
-    # whose bounds leave no value
+    # the culprit-first bound order, the stepped congruences and the merged
+    # twins change neither the vectors, their order, nor the node count; a
+    # budget below the total fails at the same count, also where it is
+    # crossed at a node whose bounds leave no value or where twins' disjoint
+    # intervals prune
     system, box = instance
     budget = solver.DEFAULT_NODE_BUDGET
     result = search(system, box, budget)
