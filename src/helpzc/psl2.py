@@ -37,6 +37,7 @@ methods that a tuple's own would clash with.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -169,11 +170,7 @@ class CharRestriction(NamedTuple):
 
     @property
     def label(self) -> str:
-        if self.kind == "trivial":
-            return "1"
-        if self.kind == "brauer":
-            return "chi_" + ",".join(str(r) for r in self.weights)
-        return f"{self.kind}_{self.h}"
+        return _label(self)
 
     def degree(self, frame: CyclicFrame) -> int:
         if self.kind == "trivial":
@@ -186,6 +183,16 @@ class CharRestriction(NamedTuple):
         for r in self.weights:
             out *= r + 1
         return out
+
+
+@cache
+def _label(chi: CharRestriction) -> str:
+    """chi's label, built once per distinct character: verify_v4 reads every label per call."""
+    if chi.kind == "trivial":
+        return "1"
+    if chi.kind == "brauer":
+        return "chi_" + ",".join(str(r) for r in chi.weights)
+    return f"{chi.kind}_{chi.h}"
 
 
 def _brauer_half_exponents(p: int, weights: tuple[int, ...], raised: int = -1) -> list[int]:

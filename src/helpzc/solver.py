@@ -3,24 +3,24 @@
 The pipeline is: check that the distinct character rows and the (V1)
 level equations have full column rank, bound every variable by exact
 linear programming, then run a depth-first search over the integer box.
-The search takes the levels from the highest divisor d down, and within
-a level the variables from the narrowest box to the widest, ties by
-layout index.  Before the search, each level's (V1) equation sum = 1
-substitutes the level's last, widest, variable out of every row, so a row
-bounds the level's earlier variables without the box reach of the last
-one, and the search never branches on it.  The LP substitutes each
-level's last variable by layout index through the same pass
-(_substitute_rows); in the search that variable would cost 37 times the
-nodes at paper (289,12).  At each node interval
-propagation gives the next variable's range.  The rows' mod-n congruences
-and the level equations make one module mod n, taken once to its Howell
-form: at most one row per variable, which fixes the variable mod a divisor
-of n given the earlier ones, so the value loop steps over that class.  A
-node tries its first upper bound, then the lower bound that last emptied
-its range, so most dead ends cost one or two divisions.  The node count
-adds every candidate value of the box range at each node, pruned or
-stepped over or not; that count is what the budget bounds.  The search
-runs in one process and stops at the first count past the budget.
+The search takes the levels from the highest divisor d down, and within a
+level the variables from the narrowest box to the widest, ties by layout
+index.  It reads the relaxation's rows, merged to one per direction by
+the LP's (V1) substitution (_substitute_rows), a singleton level at its
+value 1, and puts each level's last, widest, variable in its own order
+out of them again: a row then bounds the level's earlier variables
+without the box reach of the last one, and the search never branches on
+it.  The LP's variable, the last by layout index, would cost 37 times the
+nodes at paper (289,12).  At each node interval propagation gives the
+next variable's range.  The rows' mod-n congruences and the level
+equations make one module mod n, taken once to its Howell form: at most
+one row per variable, which fixes the variable mod a divisor of n given
+the earlier ones, so the value loop steps over that class.  A node tries
+its first upper bound, then the lower bound that last emptied its range,
+so most dead ends cost one or two divisions.  The node count adds every
+candidate value of the box range at each node, pruned or stepped over or
+not; that count is what the budget bounds.  The search runs in one
+process and stops at the first count past the budget.
 Everything is exact; the search either finishes with the complete
 solution set or fails loudly when the node budget runs out.
 
@@ -59,10 +59,10 @@ mechanical; a system without the symmetry solves one pair per variable.
 The relaxation is bounded exactly when the rows and the level equations
 together have full column rank, and one gate checks it: derive_bounds
 raises RankDeficientError when rank_check reads a lower rank.  It never
-extends the family.  Each system's relaxation (its distinct rows, level
-equations, the reduced rows and their one elimination) is built once, on
-first use, and kept on the system object (_prepared); rank_check,
-derive_bounds and the search all read it.
+extends the family.  Each system's relaxation (its distinct and merged
+rows, level equations, the LP's conditions and their one elimination) is
+built once, on first use, and kept on the system object (_prepared);
+rank_check, derive_bounds and the search all read it.
 """
 
 from __future__ import annotations
@@ -167,8 +167,8 @@ def compare_sets(found: SolutionSet, expected: SolutionSet) -> SetDiff:
 class _Condition(NamedTuple):
     """lo <= const + coeffs.x <= hi; a row also has const + coeffs.x = 0 mod n.
 
-    A row or level equation before the (V1) substitution, which makes
-    _Bounds; it equals and hashes as the plain tuple (coeffs, const, lo, hi).
+    A row or level equation, before or after the (V1) substitution
+    (_substitute_rows); it equals and hashes as the plain tuple (coeffs, const, lo, hi).
     """
 
     coeffs: tuple[int, ...]
@@ -189,13 +189,13 @@ class _Relaxation(NamedTuple):
     """The relaxation of a system, reduced by its level equations, and its one elimination.
 
     rows are the distinct character rows 0 <= const + coeffs.x <= upper,
-    = 0 mod n, constant ones included; levels are the (V1) equations
-    sum = 1, one per level; the search reads both.  The LP has each
-    level's last variable, by layout index, substituted out as
-    1 - sum(its level mates): its variables y are the others, and
-    x_i = offset + c.y for (c, offset) = images[i].  reduced are its
-    conditions, one per direction (_substitute_rows); holds is whether
-    every constant row has lo <= const <= hi and every condition lo <= hi.
+    = 0 mod n, constant ones included; levels are the (V1) equations sum = 1,
+    one per level.  The LP has each level's last variable, by layout index,
+    substituted out as 1 - sum(its level mates): its variables y are the
+    others, and x_i = offset + c.y for (c, offset) = images[i].  directions,
+    the search's rows, are the rows with it put in (_substitute_rows);
+    reduced, the LP's conditions, are those on y less their constants; holds
+    is whether every constant row has lo <= const <= hi and every condition lo <= hi.
     T / den is the I block of [A^T | I] after Gauss-Jordan elimination
     (_eliminate), A the matrix of reduced: den * B^-1 for the basis B it
     found; the condition columns are not stored, as each is T times its
@@ -205,6 +205,7 @@ class _Relaxation(NamedTuple):
 
     rows: tuple[_Condition, ...]
     levels: tuple[_Condition, ...]
+    directions: tuple[_Condition, ...]
     reduced: tuple[_Bound, ...]
     images: tuple[tuple[tuple[int, ...], int], ...]
     holds: bool
@@ -228,29 +229,33 @@ def _substitute(coeffs: tuple[int, ...], const: int, members: list) -> tuple[tup
 
 def _substitute_rows(
     rows: tuple[_Condition, ...], members: list
-) -> tuple[list[_Bound], list[tuple[tuple[int, ...], int]], bool]:
+) -> tuple[tuple[_Condition, ...], bool]:
     """The rows with x_j = 1 - sum(others) put in for each (*others, j) of members (_substitute).
 
     On the (V1) hyperplane a row const + a.x equals const + a_j +
     (a - a_j 1_level).x, x_j's coefficient 0, so its bounds and congruence
-    carry over unchanged.  Returns (one _Bound per direction up to sign, in
-    first-occurrence order and orientation, of its rows' intervals less
-    their constants, negated for -a; the distinct (a, const) of every row,
-    constant ones included; whether every constant row has lo <= const <= hi).
+    carry over unchanged.  Returns (one row per direction up to sign, in
+    first-occurrence order and orientation, with the first row's constant
+    and its rows' intervals shifted to it and intersected, then each
+    distinct row left constant and, if a direction's rows differ in
+    constant, (0, g, g, g), g the gcd of the differences: rows that span the
+    rows' congruences mod n; whether every row left constant has lo <= const <= hi).
     """
-    bounds, congruences, holds = {}, {}, True
-    for row in rows:
-        coeffs, const = _substitute(row.coeffs, row.const, members)
-        congruences[coeffs, const] = None
-        lo, hi = row.lo - const, row.hi - const
+    merged, constant, holds, g = {}, {}, True, 0
+    for coeffs, const, lo, hi in rows:
+        coeffs, const = _substitute(coeffs, const, members)
         if not any(coeffs):
-            holds = holds and lo <= 0 <= hi
+            constant[_Condition(coeffs, const, lo, hi)] = None
+            holds = holds and lo <= const <= hi
             continue
-        if (flipped := tuple(-a for a in coeffs)) in bounds:
-            coeffs, lo, hi = flipped, -hi, -lo
-        was_lo, was_hi = bounds.get(coeffs, (lo, hi))
-        bounds[coeffs] = max(lo, was_lo), min(hi, was_hi)
-    return [_Bound(a, *b) for a, b in bounds.items()], list(congruences), holds
+        if (flipped := tuple(-a for a in coeffs)) in merged:
+            coeffs, const, lo, hi = flipped, -const, -hi, -lo
+        first, was_lo, was_hi = merged.get(coeffs, (const, lo, hi))
+        g = gcd(g, first - const)
+        merged[coeffs] = first, max(was_lo, lo + first - const), min(was_hi, hi + first - const)
+    if g:
+        constant[_Condition((0,) * len(coeffs), g, g, g)] = None
+    return (*[_Condition(a, *b) for a, b in merged.items()], *constant), holds
 
 
 def _relaxation(system: ConstraintSystem) -> _Relaxation:
@@ -279,12 +284,16 @@ def _relaxation(system: ConstraintSystem) -> _Relaxation:
     for j in range(nvars):
         a, const = _substitute(tuple(int(i == j) for i in range(nvars)), 0, members)
         images.append((tuple([a[i] for i in kept]), const))
-    reduced, _congruences, holds = _substitute_rows(rows, members)
+    directions, holds = _substitute_rows(rows, members)
+    reduced = tuple(
+        _Bound(tuple([a[i] for i in kept]), lo - c, hi - c) for a, c, lo, hi in directions if any(a)
+    )
     holds = holds and all(c.lo <= c.hi for c in reduced)
-    reduced = tuple(_Bound(tuple([a[i] for i in kept]), lo, hi) for a, lo, hi in reduced)
     T = [[int(j == i) for j in kept] for i in kept]
     basis, den = _eliminate(T, reduced)
-    return _Relaxation(rows, levels, reduced, tuple(images), holds, T, tuple(basis), den)
+    return _Relaxation(
+        rows, levels, directions, reduced, tuple(images), holds, T, tuple(basis), den
+    )
 
 
 def _prepared(system: ConstraintSystem) -> _Relaxation:
@@ -664,7 +673,7 @@ def _search(
 ):
     """Depth-first enumeration in index order; returns (solution vectors, node count).
 
-    The conditions are the distinct rows and the level equations.  Every
+    The conditions are the given rows and the level equations.  Every
     condition is linear in the next variable, so the values it admits at a
     node form one integer interval.  The rows are searched with the last
     variable of each level of two or more substituted out (_substitute_rows):
@@ -676,7 +685,7 @@ def _search(
     so the node count is theirs and lo > hi prunes at its level.  A
     condition whose bounds cut the box keeps a sum over its assigned variables.
 
-    The rows' distinct congruences const + a.x = 0, constant ones too, and
+    The merged rows' congruences const + a.x = 0, which span the rows', and
     the level equations, mod n, are taken once to their Howell form
     (_howell), over the columns x_(nvars-1), ..., x_0, 1; a row leading at
     1, as a constant row's const != 0 mod n makes, leaves nothing to search.
@@ -694,12 +703,12 @@ def _search(
     """
     nvars = len(box.lo)
     members = [[i for i, a in enumerate(c.coeffs) if a] for c in levels]
-    conds, congruences, holds = _substitute_rows(rows, [idxs for idxs in members if len(idxs) > 1])
-    congruences = [[*coeffs[::-1], const] for coeffs, const in congruences]
+    rows, holds = _substitute_rows(rows, [idxs for idxs in members if len(idxs) > 1])
+    congruences = [[*c.coeffs[::-1], c.const] for c in rows]
     form = _howell(congruences + [[*c.coeffs[::-1], c.const - c.lo] for c in levels], n)
     if not holds or nvars in form:
         return [], 0
-    conds += [_Bound(c.coeffs, c.lo - c.const, c.hi - c.const) for c in levels]
+    conds = [_Bound(a, lo - c, hi - c) for a, c, lo, hi in rows + levels if any(a)]
 
     # x_k >= ceil((b - p) / a) for each (ci, a, b) in lower[k], x_k <= floor
     # of the same for each in upper[k]: p is partial sum ci, b a bound of its
@@ -711,7 +720,10 @@ def _search(
     starts = []
     for cond in conds:
         ci, cuts = len(starts), False
-        reach = [sorted((a * lo, a * hi)) for a, lo, hi in zip(cond.coeffs, box.lo, box.hi)]
+        reach = [
+            (a * lo, a * hi) if a >= 0 else (a * hi, a * lo)
+            for a, lo, hi in zip(cond.coeffs, box.lo, box.hi)
+        ]
         pmin = pmax = 0
         smin, smax = (sum(r) for r in zip(*reach))
         for k, a in enumerate(cond.coeffs):
@@ -817,12 +829,13 @@ def enumerate_solutions(
 ) -> EnumerationReport:
     """All integer points of the box satisfying every row and level equation.
 
-    _search runs on the system's distinct conditions (_prepared) and the
-    box with the variables permuted into _search_order, and its vectors
-    are read back through the permuted layout; the node count is counted
-    in that order.  Complete, duplicate free and deterministic.  Raises
-    SearchIncomplete instead of silently truncating as soon as the node
-    count exceeds the budget.
+    _search runs on the relaxation's merged rows (_prepared), each singleton
+    level at its (V1) value 1, the level equations and the box, permuted into
+    _search_order, and its vectors are read back through the permuted layout.
+    The node count, counted in that order, is the unmerged rows' but on a
+    hand-made box that leaves a singleton level wider than {1}, or in which a
+    row holds nowhere (no solution then).  Complete, duplicate free and
+    deterministic; raises SearchIncomplete as soon as the count passes the budget.
     """
     relaxation = _prepared(system)
     order = _search_order(system.layout, box)
@@ -831,7 +844,7 @@ def enumerate_solutions(
             _Condition(tuple(c.coeffs[i] for i in order), c.const, c.lo, c.hi)
             for c in conds
         )
-        for conds in (relaxation.rows, relaxation.levels)
+        for conds in (relaxation.directions, relaxation.levels)
     )
     searched_box = BoundsBox(
         lo=tuple(box.lo[i] for i in order), hi=tuple(box.hi[i] for i in order)

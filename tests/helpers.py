@@ -28,6 +28,8 @@ from helpzc.solver import (
     SearchIncomplete,
     _howell,
     _relaxation,
+    _search,
+    _search_order,
 )
 
 
@@ -690,6 +692,22 @@ def naive_search(system, box, budget):
 
     descend(0)
     return solutions, nodes
+
+
+def raw_rows_search(system, box, budget):
+    """enumerate_solutions' search as it was before it read the relaxation's
+    merged rows: _search over the system's distinct rows and level equations,
+    permuted into _search_order, so every row is substituted again and keeps
+    its singleton levels' coefficients; returns (vectors in search order,
+    node count)."""
+    relaxation = _relaxation(system)
+    order = _search_order(system.layout, box)
+    rows, levels = (
+        tuple(c._replace(coeffs=tuple(c.coeffs[i] for i in order)) for c in conds)
+        for conds in (relaxation.rows, relaxation.levels)
+    )
+    searched = BoundsBox(tuple(box.lo[i] for i in order), tuple(box.hi[i] for i in order))
+    return _search(rows, levels, system.n, searched, budget)
 
 
 # The library's level substitution as it was when it also added a box

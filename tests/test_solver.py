@@ -51,11 +51,13 @@ from helpers import (
     levels_distribution,
     naive_box_scan,
     naive_search,
+    raw_rows_search,
     sweep_frames,
     two_phase_bounds,
     two_phase_pair,
 )
 
+_C = solver._Condition
 TRIV = CharRestriction.trivial()
 CHI2 = CharRestriction.brauer((2,))
 CHI4 = CharRestriction.brauer((4,))
@@ -1225,6 +1227,151 @@ def test_search_matches_interval_oracle_on_random_boxes(instance, data):
         )
 
 
+@st.composite
+def _offset_twins(draw, system):
+    # a row that keeps a variable after the (V1) substitution, with a copy
+    # on its direction at another constant and one mirrored, each bounding
+    # a.x at least as widely as the row: the merge keeps the row's interval
+    # and adds a constant row (0, g, g, g) with g != 0.  The offsets are
+    # mostly multiples of n, which keep the row's congruence
+    n = system.n
+    members = [idxs for _d, idxs in sorted(system.layout.level_indices().items())]
+    kept = [r for r in system.rows if any(solver._substitute(r.coeffs, r.const, members)[0])]
+    base = draw(st.sampled_from(kept))
+    k, m = draw(st.integers(1, 3)), base.upper // n + draw(st.integers(0, 2))
+    r, u = draw(st.sampled_from([0, 0, 0, 1])), draw(st.integers(0, n))
+    return (
+        # 0 <= const + n k + r + a.x <= upper + n k + r + u
+        ConstraintRow("twin", 0, base.coeffs, base.const + n * k + r, base.upper + n * k + r + u),
+        # 0 <= n m - const - a.x <= n m + u, m >= upper / n
+        ConstraintRow("twin", 0, tuple(-a for a in base.coeffs), n * m - base.const, n * m + u),
+    )
+
+
+def _enumerated_search(system, box, budget):
+    # the (vectors in search order, node count) of enumerate_solutions' _search
+    seen, real = [], solver._search
+
+    def recorded(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with mock.patch.object(solver, "_search", recorded):
+        rep = enumerate_solutions(system, box, budget)
+    assert seen[0][1] == rep.node_count
+    return seen[0]
+
+
+def _reaches(cond, box):
+    # whether some point of the box puts const + a.x in [lo, hi]
+    reach = [sorted((a * lo, a * hi)) for a, lo, hi in zip(cond.coeffs, box.lo, box.hi)]
+    low, high = (cond.const + sum(r) for r in zip(*reach)) if reach else (cond.const,) * 2
+    return max(cond.lo, low) <= min(cond.hi, high)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=_search_instance(), data=st.data())
+def test_search_of_merged_rows_matches_raw_rows_on_random_boxes(instance, data):
+    # enumerate_solutions searches the relaxation's merged rows, singleton
+    # levels folded in at 1; the oracle substitutes every distinct row
+    # again.  On the drawn box and on the system's own LP box: the same
+    # vectors in the same order and, where every merged row can hold in the
+    # box, the same node count, and a budget below the total fails at the
+    # same count.  A merged row that holds nowhere in the box leaves no
+    # solution, and a raw row on its direction may stop the search at a
+    # singleton level's node, before its first other variable
+    system, box = instance
+    system = replace(system, rows=system.rows + data.draw(_offset_twins(system)))
+    directions = solver._prepared(system).directions
+    assert any(not any(c.coeffs) and c.const == c.lo == c.hi != 0 for c in directions)
+    budget = solver.DEFAULT_NODE_BUDGET
+    for box in (box, derive_bounds(system)):
+        result = _enumerated_search(system, box, budget)
+        assert result[0] == raw_rows_search(system, box, budget)[0]
+        # the merged rows as the search substitutes them: each level of two
+        # or more loses its last variable in search order
+        position = solver._search_order(system.layout, box).index
+        levels = system.layout.level_indices().values()
+        members = [sorted(idxs, key=position) for idxs in levels if len(idxs) > 1]
+        if not all(_reaches(c, box) for c in solver._substitute_rows(directions, members)[0]):
+            assert result[0] == []
+            continue
+        assert result[1] == raw_rows_search(system, box, budget)[1]
+        if result[1]:
+            low = data.draw(st.integers(0, result[1] - 1), label="budget")
+            assert _budget_error(enumerate_solutions, system, box, low) == _budget_error(
+                raw_rows_search, system, box, low
+            )
+
+
+@st.composite
+def _substitution_instance(draw):
+    # n, levels (*others, j) over at most 3 variables, and rows with twins on
+    # their direction: at another constant, mirrored, or with a multiple of
+    # a level's indicator added, which the substitution makes constant-shifted
+    n, nvars = draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    level_of = draw(st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars))
+    members = [[i for i in range(nvars) if level_of[i] == v] for v in range(2)]
+    members = [idxs for idxs in members if idxs]
+    ints = st.integers(-2 * n, 2 * n)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = tuple(draw(st.lists(ints, min_size=nvars, max_size=nvars)))
+        const, lo = draw(ints), draw(ints)
+        rows.append(solver._Condition(coeffs, const, lo, lo + draw(st.integers(-1, 3 * n))))
+        for kind in draw(st.lists(st.sampled_from(["shifted", "mirrored", "level"]), max_size=2)):
+            if kind == "mirrored":
+                coeffs, const = tuple(-a for a in coeffs), -const
+            elif kind == "level" and members:
+                idxs, m = draw(st.sampled_from(members)), draw(st.integers(-2, 2))
+                coeffs = tuple(a + m * (i in idxs) for i, a in enumerate(coeffs))
+            const += draw(ints)
+            rows.append(solver._Condition(coeffs, const, draw(ints), draw(ints)))
+    return n, tuple(rows), members
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_substitution_instance())
+# x_1 = 1 - x_0 makes (1, 2) the direction (-1, 0): constants 3, -5 and 6 on it, g = 1
+@example(instance=(6, (_C((1, 2), 1, 0, 6), _C((-1, -2), 3, 0, 6), _C((1, 2), 4, -5, 9)), [[0, 1]]))
+def test_substituted_rows_span_the_input_congruences(instance):
+    # brute force over (Z/n)^(nvars+1): the rows _substitute_rows returns
+    # span the module of the distinct (a, const) of its substituted input,
+    # with one row per direction up to sign and the substituted variables
+    # at 0, and holds reads the rows left constant
+    n, rows, members = instance
+    out, holds = solver._substitute_rows(rows, members)
+    substituted = [solver._substitute(r.coeffs, r.const, members) for r in rows]
+    d = len(rows[0].coeffs) + 1
+    module = _span([[*a, c] for a, c in dict.fromkeys(substituted)], n, d)
+    assert _span([[*c.coeffs, c.const] for c in out], n, d) == module
+    directions = [c.coeffs for c in out if any(c.coeffs)]
+    assert len({min(a, tuple(-x for x in a)) for a in directions}) == len(directions)
+    assert not any(a[idxs[-1]] for a in directions for idxs in members)
+    assert holds == all(r.lo <= c <= r.hi for r, (a, c) in zip(rows, substituted) if not any(a))
+
+
+def test_singleton_level_wider_than_one():
+    # a hand-made box that leaves a singleton level wider than {1}: the
+    # merged rows see the singleton at its (V1) value 1 and the search
+    # bounds it by its level equation alone, so the node count may differ
+    # from the raw rows' search; the set is the per-candidate search's
+    system = paper_system(19, 10)
+    box = derive_bounds(system)
+    [j] = next(idxs for idxs in system.layout.level_indices().values() if len(idxs) == 1)
+    assert box.lo[j] == box.hi[j] == 1
+    lo, hi = list(box.lo), list(box.hi)
+    lo[j], hi[j] = -2, 3
+    wide = BoundsBox(tuple(lo), tuple(hi))
+    budget = solver.DEFAULT_NODE_BUDGET
+    rep = enumerate_solutions(system, wide)
+    dists = (distribution_from_vector(system.layout, v) for v in naive_search(system, wide, budget)[0])
+    expected = [pa.sort_key() for pa in SolutionSet.build(dists)]
+    assert [pa.sort_key() for pa in rep.solutions] == expected
+    assert len(expected) == len(enumerate_solutions(system, box).solutions) == 4
+    assert rep.node_count <= raw_rows_search(system, wide, budget)[1]
+
+
 def test_every_budget_fails_where_the_interval_oracle_fails():
     # two nodes here die at a bound before their value loop, and three step
     # over every value of their range; each budget is crossed at node entry
@@ -1281,9 +1428,20 @@ def _node_counts(cases):
 
 
 @_node_counts(
-    [(29, 14, 223), (31, 15, 1025), (43, 22, 541), (37, 18, 548), (53, 26, 925), (49, 24, 88572)]
+    [
+        (13, 6, 11),
+        (19, 10, 55),
+        (29, 14, 223),
+        (31, 15, 1025),
+        (43, 22, 541),
+        (37, 18, 548),
+        (53, 26, 925),
+        (49, 24, 88572),
+    ]
 )
 def test_search_node_counts_pinned(q, n, nodes):
+    # (13,6), (19,10), (29,14) and (43,22) are verify-main's four systems,
+    # whose stdout pins leave the node_count line out
     system = paper_system(q, n)
     box = derive_bounds(system)
     assert enumerate_solutions(system, box).node_count == nodes
