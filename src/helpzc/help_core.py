@@ -35,9 +35,8 @@ with the pair row P[h] = K[h] + K[-h] of the pair {h, -h}.  Where h = -h
 mod n (h = 0, and h = n/2 for even n) the pair is one class and P[h] is
 halved, which is exact.  The sums at l > n/2 are those at n - l.
 
-_family_sums walks a character family in order and takes each
-character's sums from one of two references, whichever needs fewer row
-passes.  With c the most common count of H[: n/2 + 1], H = c 1 + R, so
+_family_sums takes the sums along a character family by its walk,
+psl2.family_walk.  With c the most common count of H[: n/2 + 1], H = c 1 + R,
 
     sum_h H[h] P[h] = c (sum_h P[h]) + sum over h with H[h] != c of (H[h] - c) P[h],
 
@@ -45,26 +44,23 @@ and with H' the counts of the previous character in the family,
 
     sum_h H[h] P[h] = sum_h H'[h] P[h] + sum over h with H[h] != H'[h] of (H[h] - H'[h]) P[h].
 
-The residual costs one pass for c (the column sums sum_h P[h] are taken
-once per table) and one per count that differs from c; the predecessor
-costs one per count that differs from H'.  Both identities are exact for
-every integer c and every H', so the sums do not depend on the
-reference.  The first character and a tie take the residual, so phi_h
-after phi_(h-1) still costs one pass for c and one row.  For prime q,
-consecutive brauer-p characters chi_r and chi_(r+2) differ in one count,
-so each after the first costs one row; a repeated character costs none,
-and c is counted only when the predecessor needs two passes or more.
-The count vectors come from psl2.family_counts, which takes such a
-chi_(r+2) as chi_r's counts plus the two eigenvalues its digit adds.
-_unit_table gives the table of one unit entry (d, x, 1).  A constraint
-row takes one per variable, so the coefficient of (d, x) in row (chi, l)
-is sum_h H[h] P_x[h][l]; build_constraints lays those tables side by
+The walk yields the second sum's terms where it knows them without any
+count vector: for prime q, chi_(r+2) after chi_r in brauer-p adds the two
+eigenvalues zeta^(+-(r+2)/2), one row pass (one at weight 2 where both
+land on a row with h = -h mod n), and a repeated character adds none.
+Every other character restarts from the residual: one pass for c (the
+column sums sum_h P[h] are taken once per table) and one per count that
+differs from c.  Both identities are exact for every integer c and every
+H', so the sums do not depend on the reference.  The table of one unit
+entry (d, x, 1) has row h the row k h mod m of _folded_shifts(m, n), with
+m = n / d and k = exp_x / d (_pair_rows), halved where h = -h mod n.  A
+constraint row takes one per variable, so the coefficient of (d, x) in row
+(chi, l) is sum_h H[h] P_x[h][l]; build_constraints lays those tables side by
 side, one flat row per h over (l, variable), and takes all of chi's rows
 with l <= n/2 in one sum; row l > n/2 shares the coefficients of n - l.
-The (V4) check of one distribution builds the sum of its entries' unit
-tables, weighted by their values, once for all characters and a row at a
-time (_eigen_table).  multiplicity() keeps the direct single-l formula as
-the reference.
+The (V4) check of one distribution sums its entries' rows, weighted by
+their values, once for all characters, and halves the sum (_eigen_table).
+multiplicity() keeps the direct single-l formula as the reference.
 """
 
 from __future__ import annotations
@@ -86,7 +82,7 @@ from .psl2 import (
     CyclicFrame,
     char_value,
     exact_int,
-    family_counts,
+    family_walk,
     make_context,
     make_frame,
 )
@@ -449,55 +445,50 @@ def _folded_shifts(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _unit_table(n: int, d: int, exp: int) -> list:
-    """The real half of K (module docstring) of the one entry (d, g0^exp, 1):
-    row h <= n / 2 is the pair row K[h] + K[-h] at l <= n / 2, halved where
-    h = -h mod n, with K[h][l] = c_{n/d}(exp * h / d - l).
-
-    K[h] is n * mu(zeta_n^l) of the linear character lambda_h: g0^i -> zeta_n^(h i),
-    whose value at g0^exp descends to zeta_{n/d}^(exp h / d) on level d.
-    """
-    m = n // d
-    k = exp // d
+def _pair_rows(n: int, d: int, exp: int) -> list:
+    """Row h <= n / 2 of the pair rows K[h] + K[-h] (module docstring) of the one
+    entry (d, g0^exp, 1), not yet halved where h = -h mod n: row k h mod m of
+    _folded_shifts(m, n), m = n / d and k = exp / d, as lambda_h: g0^i ->
+    zeta_n^(h i) at g0^exp descends to zeta_m^(k h) on level d."""
+    m, k = n // d, exp // d
     shifts = _folded_shifts(m, n)
-    # where h = -h mod n, row h summed K[h] twice
-    return [
-        [a // 2 for a in shifts[k * h % m]] if 2 * h % n == 0 else shifts[k * h % m]
-        for h in range(n // 2 + 1)
-    ]
+    return [shifts[k * h % m] for h in range(n // 2 + 1)]
+
+
+def _halved(table: list[list[int]], n: int) -> list[list[int]]:
+    """table with each row h = -h mod n halved, exactly: each pair row is even there."""
+    return [[a // 2 for a in row] if 2 * h % n == 0 else row for h, row in enumerate(table)]
 
 
 def _eigen_table(n: int, entries: Iterable[tuple[int, ClassLabel, int]]) -> list[list[int]]:
-    """The real half of K over entries (d, x, v): the sum of v times x's _unit_table,
-    built a row at a time, each row h as the column sums of the entries' rows h."""
+    """The real half of K over entries (d, x, v): row h <= n / 2 sums v times
+    row h of each entry's _pair_rows, halved once (_halved)."""
+    columns = []
+    for d, cls, v in entries:
+        rows = _pair_rows(n, d, cls.exp)
+        columns.append(rows if v == 1 else [[v * b for b in row] for row in rows])
     half = n // 2 + 1
-    units = [(v, _unit_table(n, d, cls.exp)) for d, cls, v in entries]
-    table = []
-    for h in range(half):
-        rows = [u[h] if v == 1 else [v * b for b in u[h]] for v, u in units]
-        table.append(list(map(sum, zip(*rows))) if rows else [0] * half)
-    return table
+    table = [list(map(sum, zip(*rows))) for rows in zip(*columns)]
+    return _halved(table or [[0] * half for _ in range(half)], n)
 
 
-def _family_sums(family: Iterable[list[int]], table: list[list[int]]) -> Iterator[list[int]]:
-    """sum_h counts[h] * table[h], entrywise, for each count vector of family in turn:
-    from the previous vector's sums or from the residual c * colsum, whichever
-    needs fewer row passes (module docstring), the residual for the first
-    vector and on a tie.  A yielded list is not written again.
+def _family_sums(walk: Iterable[tuple], table: list[list[int]]) -> Iterator[list[int]]:
+    """sum_h H[h] * table[h], entrywise, for each step (counts, adds) of a family walk
+    (psl2.family_walk), table one row per count: a step with counts restarts from
+    its residual c * colsum, c the most common count, and every step then adds
+    w * table[h] for each (h, w) of its adds (module docstring).  A yielded list
+    is not written again.
     """
     colsum = [sum(column) for column in zip(*table)]
-    prev = out = None
-    for counts in family:
-        if prev is not None:
-            steps = [(row, w - v) for row, w, v in zip(table, counts, prev) if w != v]
-        if prev is None or len(steps) > 1:
+    out = None
+    for counts, adds in walk:
+        if counts is not None:
             c = Counter(counts).most_common(1)[0][0]
-            residual = [(row, w - c) for row, w in zip(table, counts) if w != c]
-            if prev is None or len(steps) > len(residual):
-                out, steps = [c * b for b in colsum], residual
-        for row, w in steps:
-            out = [a + w * b for a, b in zip(out, row)]
-        prev = counts
+            out = [c * b for b in colsum]
+            adds = [(h, w - c) for h, w in enumerate(counts) if w != c]
+        for h, w in adds:
+            row = table[h]
+            out = list(map(add, out, row)) if w == 1 else [a + w * b for a, b in zip(out, row)]
         yield out
 
 
@@ -514,23 +505,24 @@ def build_constraints(
     """Row (chi, l) has coefficient sum_h H[h] K_x[h][l] at x = (d, cls) of
     variable_layout(frame), H = eigen_counts(chi), K_x the table of entry (d, cls, 1).
 
-    Row h <= n / 2 of the joint table holds row h of x's _unit_table at
-    l * len(layout) + index of x for l <= n / 2, so one sum over
-    H[: n / 2 + 1] gives those rows of chi, l after l; row l > n / 2 is
-    row n - l.  family_counts gives H along the characters, and
-    _family_sums takes each one's sums from its predecessor's or from its
-    residual, whichever costs fewer passes over the joint table's rows
-    (module docstring).
+    Row h <= n / 2 of the joint table holds row h of x's _pair_rows, halved
+    (_halved), at l * len(layout) + index of x for l <= n / 2,
+    so one sum over H[: n / 2 + 1] gives those rows of chi, l after l; row
+    l > n / 2 is row n - l.  family_walk gives what each character changes
+    of H, and _family_sums adds those rows of the joint table to the
+    previous character's sums, or restarts from the residual (module
+    docstring).
     """
     layout = variable_layout(frame)
     n = frame.m
     half = n // 2 + 1
     nvars = len(layout)
-    units = [_unit_table(n, d, cls.exp) for d, cls in layout.variables]
+    units = [_pair_rows(n, d, cls.exp) for d, cls in layout.variables]
     table = [[a for column in zip(*rows) for a in column] for rows in zip(*units)]
+    table = _halved(table or [[] for _ in range(half)], n)  # no variables: empty rows
     characters = list(characters)
     rows = []
-    for chi, sums in zip(characters, _family_sums(family_counts(frame, characters), table)):
+    for chi, sums in zip(characters, _family_sums(family_walk(frame, characters), table)):
         coeffs = _mirrored([tuple(sums[l * nvars : (l + 1) * nvars]) for l in range(half)], n)
         deg, label = chi.degree(frame), chi.label
         for l, row in enumerate(coeffs):
@@ -709,18 +701,18 @@ def verify_v4(pa: PADistribution, characters: Iterable[CharRestriction]) -> V4Re
 
     n * mu of chi is sum_h H[h] K[h][l] with H = eigen_counts(chi) and K the
     table of the distribution's entries (_eigen_table), taken on the real
-    half and mirrored: l > n / 2 reads n - l.  family_counts gives H along
-    the family, a Brauer character one digit above the one before it from
-    that one's counts, and _family_sums takes each character's sums from
-    its predecessor's or from its residual, whichever costs fewer row
-    passes (module docstring).  (V3) must hold.
+    half and mirrored: l > n / 2 reads n - l.  family_walk gives what each
+    character changes of H, a Brauer character one digit above the one
+    before it the eigenvalues that digit adds, and _family_sums adds those
+    rows of K to the previous character's sums or restarts from the
+    residual (module docstring).  (V3) must hold.
     """
     n = pa.n
     entries = list(pa.entries())
     _check_v3(entries)
     table = _eigen_table(n, entries)
     characters = list(characters)
-    sums = _family_sums(family_counts(pa.frame, characters), table)
+    sums = _family_sums(family_walk(pa.frame, characters), table)
     return V4Report(n, tuple([(chi.label, tuple(_mirrored(row, n)))
                               for chi, row in zip(characters, sums)]))
 

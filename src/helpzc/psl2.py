@@ -21,8 +21,8 @@ exactly the tuples R of length f with digits below p and even sum.
 eigen_counts is the one statement of these restrictions: char_value
 expands it into the exact CycSum value chi(g0^i) = sum_e H[e] zeta^(i e),
 v_set_count reads the sets V_{R;h} off it, and decompose_chi the
-coefficients of chi_R over the phi_h - psi_h.  family_counts walks a
-family, taking chi_r after chi_(r-2) as its counts plus zeta^(+-r/2).
+coefficients of chi_R over the phi_h - psi_h.  family_walk walks a
+family by what each character changes: chi_r after chi_(r-2) adds zeta^(+-r/2).
 
 The value types here and in solver are NamedTuples, not frozen
 dataclasses: a tuple is built, hashed and compared in C, and a fresh
@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 from math import gcd
+from operator import sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .cyclotomic import CycSum, prime_factorization
@@ -239,31 +240,35 @@ def eigen_counts(frame: CyclicFrame, chi: CharRestriction) -> list[int]:
     return counts
 
 
-def family_counts(frame: CyclicFrame, characters: Iterable[CharRestriction]) -> Iterator[list[int]]:
-    """eigen_counts(frame, chi)[: m/2 + 1] for each chi in turn, each a fresh list:
-    all of H, as H[e] = H[-e] (the counts and the digit box are symmetric).
+def family_walk(frame: CyclicFrame, characters: Iterable[CharRestriction]) -> Iterator[tuple]:
+    """The change each chi makes in turn to H = eigen_counts(frame, chi)[: m/2 + 1],
+    which is all of H, as H[e] = H[-e] (the counts and the digit box are symmetric).
 
-    A chi_R whose R is its predecessor's with digit j raised by 2 takes the
-    predecessor's counts plus the half exponents with s_j = +-R[j], the
-    tuples that digit adds: two for a one-digit R.  Every other character
-    calls eigen_counts.
+    Yields (counts, adds), and H is the predecessor's counts plus w at each
+    (h, w) of adds.  A chi_R whose R is its predecessor's with digit j raised
+    by 2 yields (None, adds): w of the half exponents with s_j = +-R[j], the
+    tuples that digit adds, land on h < m/2 + 1; for a one-digit R two, on
+    one row at w = 2 where h = -h mod m.  A repeated character yields
+    (None, ()); any other restarts the walk: (H, ()) from eigen_counts.
     """
     m, p = frame.m, frame.ctx.p
     half = m // 2 + 1
-    weights, counts = (), None  # only chi_R has digits
+    prev = None
     for chi in characters:
-        steps = []
-        if len(weights) == len(chi.weights):
-            steps = [(b - a, j) for j, (a, b) in enumerate(zip(weights, chi.weights)) if a != b]
-        if len(steps) == 1 and steps[0][0] == 2:
-            counts = counts.copy()
-            for e in _brauer_half_exponents(p, chi.weights, steps[0][1]):
-                if (k := e % m) < half:
-                    counts[k] += 1
-        else:
-            counts = eigen_counts(frame, chi)[:half]
-        weights = chi.weights
-        yield counts
+        if chi == prev:
+            yield None, ()
+            continue
+        last, prev, weights = prev, chi, chi.weights
+        if last is not None and len(last.weights) == len(weights):
+            step = tuple(map(sub, weights, last.weights))
+            if 2 in step and sum(map(abs, step)) == 2:  # one digit, raised by 2
+                adds: dict[int, int] = {}
+                for e in _brauer_half_exponents(p, weights, step.index(2)):
+                    if (k := e % m) < half:
+                        adds[k] = adds.get(k, 0) + 1
+                yield None, adds.items()
+                continue
+        yield eigen_counts(frame, chi)[:half], ()
 
 
 def char_value(frame: CyclicFrame, chi: CharRestriction, cls: ClassLabel) -> CycSum:

@@ -236,26 +236,27 @@ def _substitute_rows(
     (a - a_j 1_level).x, x_j's coefficient 0, so its bounds and congruence
     carry over unchanged.  Returns (one row per direction up to sign, in
     first-occurrence order and orientation, with the first row's constant
-    and its rows' intervals shifted to it and intersected, then each
-    distinct row left constant and, if a direction's rows differ in
-    constant, (0, g, g, g), g the gcd of the differences: rows that span the
-    rows' congruences mod n; whether every row left constant has lo <= const <= hi).
+    and its rows' intervals shifted to it and intersected, then, unless g =
+    0, the row (0, g, g, g), g the gcd of the constants of the rows left
+    constant and of the differences in constant along each direction, then
+    each row left constant out of its bounds, as it is: rows that span the
+    rows' congruences mod n; whether there is no such row).
     """
-    merged, constant, holds, g = {}, {}, True, 0
+    merged, broken, g = {}, [], 0
     for coeffs, const, lo, hi in rows:
         coeffs, const = _substitute(coeffs, const, members)
         if not any(coeffs):
-            constant[_Condition(coeffs, const, lo, hi)] = None
-            holds = holds and lo <= const <= hi
+            g = gcd(g, const)
+            if not lo <= const <= hi:
+                broken.append(_Condition(coeffs, const, lo, hi))
             continue
         if (flipped := tuple(-a for a in coeffs)) in merged:
             coeffs, const, lo, hi = flipped, -const, -hi, -lo
         first, was_lo, was_hi = merged.get(coeffs, (const, lo, hi))
         g = gcd(g, first - const)
         merged[coeffs] = first, max(was_lo, lo + first - const), min(was_hi, hi + first - const)
-    if g:
-        constant[_Condition((0,) * len(coeffs), g, g, g)] = None
-    return (*[_Condition(a, *b) for a, b in merged.items()], *constant), holds
+    constant = [_Condition((0,) * len(coeffs), g, g, g)] if g else []
+    return (*[_Condition(a, *b) for a, b in merged.items()], *constant, *broken), not broken
 
 
 def _relaxation(system: ConstraintSystem) -> _Relaxation:
@@ -269,7 +270,8 @@ def _relaxation(system: ConstraintSystem) -> _Relaxation:
     singleton level's too, is substituted out of the rows, and the rows
     on one direction up to sign merge (_substitute_rows): 20/28/36/52
     make 7/14/22/34 conditions there, projected onto the kept variables.
-    A row left constant never pivots; its congruence is the search's.
+    The rows left constant join one row (0, g, g, g), which never pivots;
+    one out of its bounds stays as it is, for the search's own check.
     """
     nvars = len(system.layout)
     distinct = dict.fromkeys((r.coeffs, r.const, r.upper) for r in system.rows)

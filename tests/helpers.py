@@ -16,6 +16,7 @@ from helpzc.help_core import (
     ConstraintSystem,
     PADistribution,
     V4Report,
+    _folded_shifts,
     accumulated,
     exceptional_set,
     tpa_set,
@@ -187,6 +188,24 @@ def trace_row_v4(pa, characters) -> V4Report:
         for chi in characters
     )
     return V4Report(pa.n, sums)
+
+
+def unit_table(n: int, d: int, exp: int) -> list:
+    """The real half of K (help_core's module docstring) of the one entry
+    (d, g0^exp, 1): row h <= n / 2 is the pair row K[h] + K[-h] at l <= n / 2,
+    halved where h = -h mod n, with K[h][l] = c_{n/d}(exp * h / d - l).
+
+    K[h] is n * mu(zeta_n^l) of the linear character lambda_h: g0^i -> zeta_n^(h i),
+    whose value at g0^exp descends to zeta_{n/d}^(exp h / d) on level d.
+    """
+    m = n // d
+    k = exp // d
+    shifts = _folded_shifts(m, n)
+    # where h = -h mod n, row h summed K[h] twice
+    return [
+        [a // 2 for a in shifts[k * h % m]] if 2 * h % n == 0 else shifts[k * h % m]
+        for h in range(n // 2 + 1)
+    ]
 
 
 def dense_mu_sums(counts, table) -> list[int]:

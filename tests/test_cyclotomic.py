@@ -16,7 +16,7 @@ from helpzc.cyclotomic import (
     mobius,
     trace_root,
 )
-from helpzc.help_core import _folded_shifts, _unit_table
+from helpzc.help_core import _folded_shifts
 
 from helpers import (
     as_integer,
@@ -25,6 +25,7 @@ from helpers import (
     galois_trace_oracle,
     mobius_oracle,
     phi_oracle,
+    unit_table,
 )
 
 
@@ -180,7 +181,7 @@ def test_unit_table_rows_are_unit_traces(n, d, exp):
     # row h is the table of the unit zeta_m^(k h), m = n / d and k = exp / d,
     # halved where h = -h mod n: there the pair {h, -h} is one class
     m, k = n // d, exp // d
-    table = _unit_table(n, d, exp)
+    table = unit_table(n, d, exp)
     assert len(table) == n // 2 + 1
     for h, row in enumerate(table):
         traces = folded_rotated_traces(CycSum(m, unit(m, k * h)), n)

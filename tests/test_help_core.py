@@ -540,7 +540,7 @@ def family_and_table(draw, kind):
     three times in a row; reversed: a chain, then the same backwards;
     constant-between: a constant vector between two others; random:
     unrelated vectors; empty-family: none; empty-table: vectors over a table
-    with no rows, as at n = 1 with no variables.
+    whose rows are empty, as at n = 1 with no variables.
     """
     counts, table = draw(counts_and_table("any" if kind in FAMILY_KINDS else kind))
     if kind not in FAMILY_KINDS:
@@ -550,7 +550,7 @@ def family_and_table(draw, kind):
     if kind == "empty-family":
         return [], table
     if kind == "empty-table":
-        return [counts, *draw(st.lists(vector, max_size=4))], []
+        return [counts, *draw(st.lists(vector, max_size=4))], [[] for _ in counts]
     if kind == "constant-between":
         return [counts, [draw(st.integers(-3, 3))] * size, draw(vector)], table
     if kind == "random":
@@ -572,14 +572,23 @@ def family_and_table(draw, kind):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_mu_sums_match_dense_oracle(kind, data):
-    # the four single-vector kinds take the residual; any split count gives
-    # the same integers, so the choice among tied most common values, and
-    # between the two references, does not show
+    # the family as a walk (psl2.family_walk): the first vector restarts,
+    # each later one restarts or adds its differences from the one before,
+    # as drawn.  The four single-vector kinds take the residual; any split
+    # count gives the same integers, so the choice among tied most common
+    # values, and between the two references, does not show
     family, table = data.draw(family_and_table(kind))
-    before = ([list(c) for c in family], [list(row) for row in table])
-    sums = list(help_core._family_sums(iter(family), table))
+    walk = []
+    for i, counts in enumerate(family):
+        if i == 0 or data.draw(st.booleans(), label="restart"):
+            walk.append((counts, ()))
+        else:
+            prev = family[i - 1]
+            walk.append((None, [(h, w - v) for h, (w, v) in enumerate(zip(counts, prev)) if w != v]))
+    before = (repr(walk), [list(row) for row in table])
+    sums = list(help_core._family_sums(iter(walk), table))
     assert sums == [dense_mu_sums(counts, table) for counts in family]
-    assert (family, table) == before  # the kernel writes none of its inputs
+    assert (repr(walk), table) == before  # the kernel writes none of its inputs
 
 
 def test_verify_v4_takes_one_row_pass_per_brauer_character(monkeypatch):
@@ -601,6 +610,30 @@ def test_verify_v4_takes_one_row_pass_per_brauer_character(monkeypatch):
     passes.clear()
     verify_v4(pa, chars[:1])
     assert family_passes - len(passes) == len(chars) - 1
+
+
+@pytest.mark.parametrize("q,n,r", [(19, 10, 10), (19, 9, 18)])
+def test_a_self_paired_raise_takes_one_row_pass(monkeypatch, q, n, r):
+    # chi_r after chi_(r-2) adds zeta^(+-r/2), and both land on the one row
+    # h = r/2 mod n with h = -h mod n: h = n/2 at (19,10), h = 0 at (19,9);
+    # chi_r then costs one pass over that row, at weight 2
+    fr = frame_for(q, n)
+    pa = random_distribution(fr, random.Random(r))
+    chars = [CharRestriction.brauer([r - 2]), CharRestriction.brauer([r])]
+    passes = []
+
+    class Row(list):
+        def __iter__(self):
+            passes.append(self)
+            return super().__iter__()
+
+    table = help_core._eigen_table
+    monkeypatch.setattr(help_core, "_eigen_table", lambda *a: [Row(row) for row in table(*a)])
+    assert verify_v4(pa, chars) == trace_row_v4(pa, chars)
+    family_passes = len(passes)
+    passes.clear()
+    verify_v4(pa, chars[:1])
+    assert family_passes - len(passes) == 1
 
 
 def test_distribution_accepts_exactly_the_frame_classes():

@@ -17,7 +17,7 @@ from helpzc.psl2 import (
     char_value,
     decompose_chi,
     eigen_counts,
-    family_counts,
+    family_walk,
     make_context,
     make_frame,
     v_set_count,
@@ -247,13 +247,30 @@ def test_eigen_counts_are_symmetric(frame_and_chi):
     assert all(counts[e] == counts[-e % m] for e in range(m))
 
 
-def assert_family_counts(fr, chars):
-    got = list(family_counts(fr, iter(chars)))
-    assert got == [eigen_counts(fr, chi)[: fr.m // 2 + 1] for chi in chars]
-    assert len({id(counts) for counts in got}) == len(got)  # each a fresh list
+def assert_family_walk(fr, chars):
+    # the counts rebuilt from the walk's steps are eigen_counts' real half;
+    # a step restarts unless its character repeats the one before or raises
+    # one digit of it by 2, and it adds each row at most once, never at 0
+    half, counts = fr.m // 2 + 1, None
+    steps = list(family_walk(fr, iter(chars)))
+    assert len(steps) == len(chars)
+    for i, (chi, (fresh, adds)) in enumerate(zip(chars, steps)):
+        prev = chars[i - 1].weights if i else None
+        raised = (
+            prev is not None
+            and len(prev) == len(chi.weights)
+            and sorted(b - a for a, b in zip(prev, chi.weights) if a != b) == [2]
+        )
+        assert (fresh is None) == (i > 0 and (chi == chars[i - 1] or raised))
+        adds = list(adds)
+        assert len({h for h, _w in adds}) == len(adds) and all(w for _h, w in adds)
+        counts = list(fresh) if fresh is not None else counts.copy()
+        for h, w in adds:
+            counts[h] += w
+        assert counts == eigen_counts(fr, chi)[:half]
 
 
-def test_family_counts_match_eigen_counts_on_the_sweep_frames():
+def test_family_walk_rebuilds_eigen_counts_on_the_sweep_frames():
     # both presets, brauer-p backwards, with each character twice, and
     # interleaved with paper, on every frame of the sweep, f = 1 to 3
     for q, m in sweep_frames():
@@ -262,12 +279,12 @@ def test_family_counts_match_eigen_counts_on_the_sweep_frames():
         mixed = [chi for pair in itertools.zip_longest(brauer, paper) for chi in pair if chi]
         twice = [chi for chi in brauer for _ in range(2)]
         for chars in (paper, brauer, brauer[::-1], twice, mixed):
-            assert_family_counts(fr, chars)
+            assert_family_walk(fr, chars)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_family_counts_match_eigen_counts_along_random_walks(data):
+def test_family_walk_rebuilds_eigen_counts_along_random_walks(data):
     # chi_R after chi_R' for R one digit above, below or away from R', or
     # after a character with no digits; digits may pass p - 1
     q, m = data.draw(st.sampled_from(
@@ -290,7 +307,17 @@ def test_family_counts_match_eigen_counts_along_random_walks(data):
             chars.append(CharRestriction.trivial() if m == 1 else CharRestriction.phi(1))
         else:
             chars.append(CharRestriction.brauer(weights))
-    assert_family_counts(fr, chars)
+    assert_family_walk(fr, chars)
+
+
+@pytest.mark.parametrize("q,m,r,h", [(19, 10, 10, 5), (19, 9, 18, 0), (13, 1, 4, 0)])
+def test_a_self_paired_single_raise_adds_one_row_at_weight_2(q, m, r, h):
+    # chi_r after chi_(r-2) adds zeta^(+-r/2); where r/2 = -r/2 mod m both
+    # land on row h = r/2 mod m of the real half
+    fr = frame_for(q, m)
+    chars = [CharRestriction.brauer([r - 2]), CharRestriction.brauer([r])]
+    assert [(c, list(adds)) for c, adds in family_walk(fr, chars)][1] == (None, [(h, 2)])
+    assert_family_walk(fr, chars)
 
 
 def test_eigen_counts_reject_h_on_the_frame_order():

@@ -1470,6 +1470,19 @@ def test_search_q289_n12_paper():
     assert rep.node_count == 93368
 
 
+def test_search_q361_n12_paper():
+    # 854 solutions in 169,620 nodes, about 0.2 s; the digest of their
+    # sorted keys is the one the search gave before the rows left constant
+    # by the (V1) substitution joined one constant row
+    system = paper_system(361, 12)
+    rep = enumerate_solutions(system, derive_bounds(system))
+    keys = sorted(pa.sort_key() for pa in rep.solutions)
+    assert len(keys) == 854
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert digest == "b1b08ee287531bfcb26f9f698c06b637955dda52d66e6e5c2b8cf32a49e7eede"
+    assert rep.node_count == 169620
+
+
 def test_search_q47_n24_paper():
     # ROADMAP item 3's target: the digest of the sorted keys is the one the
     # search in layout order gave, in 290,822,093 nodes and about 200 s
