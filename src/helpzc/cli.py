@@ -390,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def solver_opts(p):
         p.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
-                       help="most search nodes (candidate values) to visit (default: %(default)s)")
+                       help="most search nodes (candidate values) to visit, counted in the tree "
+                       "that keeps one solution per orbit of the frame automorphisms "
+                       "(default: %(default)s)")
         p.add_argument("--workers", type=int, choices=(1,), default=1,
                        help="search processes; the search runs in one, so only 1 is accepted")
 

@@ -17,10 +17,12 @@ equations make one module mod n, taken once to its Howell form: at most
 one row per variable, which fixes the variable mod a divisor of n given
 the earlier ones, so the value loop steps over that class.  A node tries
 its first upper bound, then the lower bound that last emptied its range,
-so most dead ends cost one or two divisions.  The node count adds every
-candidate value of the box range at each node, pruned or stepped over or
-not; that count is what the budget bounds.  The search runs in one
-process and stops at the first count past the budget.
+so most dead ends cost one or two divisions.  The search keeps one
+solution per orbit of the group below and adds the others after it.
+The node count adds every candidate value of the box range at each node
+of that tree, pruned or stepped over or not; that count is what the
+budget bounds.  The search runs in one process and stops at the first
+count past the budget.
 Everything is exact; the search either finishes with the complete
 solution set or fails loudly when the node budget runs out.
 
@@ -51,16 +53,18 @@ to pivot on it.  Bland's rule reads each variable's number, fixed when
 it joins the tableau, never where its column is stored.
 
 The frame automorphisms g0^i -> g0^(u i) permute the variables.  Those
-that map the set of conditions onto itself map the relaxation onto
-itself, so the LP bounds are equal on each of their orbits: one LP pair
-(max and min) is solved per orbit, not per variable.  The check is
-mechanical; a system without the symmetry solves one pair per variable.
+that map the set of rows onto itself map the relaxation and the solution
+set onto themselves, and one group of them serves the LP and the search.
+The LP bounds are equal on each orbit of variables: one LP pair (max and
+min) is solved per orbit, not per variable.  The check is mechanical; a
+system without the symmetry solves one pair per variable.
 
 The relaxation is bounded exactly when the rows and the level equations
 together have full column rank, and one gate checks it: derive_bounds
 raises RankDeficientError when rank_check reads a lower rank.  It never
 extends the family.  Each system's relaxation (its distinct and merged
-rows, level equations, the LP's conditions and their one elimination) is
+rows, level equations, the LP's conditions and their one elimination,
+the symmetry group) is
 built once, on first use, and kept on the system object (_prepared);
 rank_check, derive_bounds and the search all read it.
 """
@@ -201,6 +205,7 @@ class _Relaxation(NamedTuple):
     found; the condition columns are not stored, as each is T times its
     a.  basis holds each T row's pivot, an index into reduced, None where
     the row is zero on every condition.  Readers copy T and never write it.
+    group holds the unit permutations that keep rows (_symmetries).
     """
 
     rows: tuple[_Condition, ...]
@@ -212,6 +217,7 @@ class _Relaxation(NamedTuple):
     T: list[list[int]]
     basis: tuple[int | None, ...]
     den: int
+    group: tuple[tuple[int, ...], ...]
 
 
 def _substitute(coeffs: tuple[int, ...], const: int, members: list) -> tuple[tuple[int, ...], int]:
@@ -294,7 +300,8 @@ def _relaxation(system: ConstraintSystem) -> _Relaxation:
     T = [[int(j == i) for j in kept] for i in kept]
     basis, den = _eliminate(T, reduced)
     return _Relaxation(
-        rows, levels, directions, reduced, tuple(images), holds, T, tuple(basis), den
+        rows, levels, directions, reduced, tuple(images), holds, T, tuple(basis), den,
+        _symmetries(system.layout, rows),
     )
 
 
@@ -488,22 +495,27 @@ def _dual_phase(
     raise SimplexStallError(f"dual phase past {_ITERATIONS_PER_ROW} iterations per row")
 
 
-def _orbit_roots(layout: VariableLayout, conds: list[_Condition]) -> list[int]:
-    """Each variable's least orbit mate under the unit permutations that keep conds.
+def _symmetries(
+    layout: VariableLayout, conds: tuple[_Condition, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The unit permutations that keep conds, the identity left out.
 
     A permutation s keeps conds when reindexing every coefficient vector,
     a -> (a_s(0), a_s(1), ...), maps the set of conditions onto itself.
-    Then x -> (x_s(0), x_s(1), ...) maps the relaxation onto itself, so
-    x_i and x_s(i) have the same exact LP bounds.  The unit permutations
-    form a group and those that keep conds a subgroup, so the orbit of i
-    is i with its images.  Without such an s every variable is its own root.
+    Then x -> (x_s(0), x_s(1), ...) maps the relaxation and the solution
+    set onto themselves.  Those s form a subgroup of the unit permutations.
     """
-    keep, kept = set(conds), []
-    for perm in layout.unit_permutations():
-        get = itemgetter(*perm)
-        if all((get(c.coeffs), c.const, c.lo, c.hi) in keep for c in conds):
-            kept.append(perm)
-    return [min([i, *(perm[i] for perm in kept)]) for i in range(len(layout))]
+    keep = set(conds)
+    return tuple(
+        perm
+        for perm in layout.unit_permutations()
+        if all((itemgetter(*perm)(c.coeffs), c.const, c.lo, c.hi) in keep for c in conds)
+    )
+
+
+def _orbit_roots(layout: VariableLayout, group: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Each variable's least orbit mate under group (_symmetries): orbit mates share LP bounds."""
+    return [min([i, *(perm[i] for perm in group)]) for i in range(len(layout))]
 
 
 def _price(cost: list[int], waiting: list[_Bound], den: int, ncols: int) -> int | None:
@@ -583,9 +595,9 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     conditions never leave the tableau and have full rank, so every
     restricted relaxation is bounded.
 
-    The LP pair is solved for the least variable of each orbit
-    (_orbit_roots, on the rows before the substitution) and copied to the
-    others; every unit permutation maps each level equation to itself.
+    The LP pair is solved for the least variable of each orbit of the
+    relaxation's group (_orbit_roots) and copied to the others; every unit
+    permutation maps each level equation to itself.
     """
     nvars = len(system.layout)
     rank = rank_check(system)
@@ -609,7 +621,7 @@ def derive_bounds(system: ConstraintSystem) -> BoundsBox:
     T.append([-sum(map(mul, h, column)) for column in zip(*T)])
     widths, slots = [conds[c].hi - conds[c].lo for c in start], []
     lo, hi = [], []
-    roots = _orbit_roots(system.layout, relaxation.rows)
+    roots = _orbit_roots(system.layout, relaxation.group)
     for i, (root, (objective, offset)) in enumerate(zip(roots, relaxation.images)):
         if root < i or not any(objective):
             # an orbit mate's bounds, or a singleton level's 1
@@ -672,6 +684,7 @@ def _search(
     n: int,
     box: BoundsBox,
     budget: int,
+    group: tuple[tuple[int, ...], ...] = (),
 ):
     """Depth-first enumeration in index order; returns (solution vectors, node count).
 
@@ -702,6 +715,16 @@ def _search(
     one or two divisions.  The lists belong to this call, so the node
     count and the solution order are those of the plain interval search.
     A node counts its box range.
+
+    group is a group less its identity, of permutations s of the positions
+    whose x -> (x_s(0), x_s(1), ...) maps the solution set onto itself; a
+    vector is kept only if it is lexicographically least among its images
+    (Crawford, Ginsberg, Luks and Roy, KR 1996), one per orbit.  s compares
+    its pairs (f, s(f)), f moved, in increasing f; while the earlier ones
+    are equal, a pair cuts the range at max(f, s(f)) to x_f <= x_(s(f)),
+    and a value that leaves it equal goes on to the pairs already
+    assigned, skipped if one reads x_f > x_(s(f)).  A path keeps, per s,
+    the index of its first pair not known equal.
     """
     nvars = len(box.lo)
     members = [[i for i, a in enumerate(c.coeffs) if a] for c in levels]
@@ -755,19 +778,29 @@ def _search(
         g = b[k] or n
         congs.append((len(starts), g, n // g))
         starts.append(c)
+    # (si, j, min(f, g), f < g, run, stop, done) in decides[k] for pair j =
+    # (f, g) of group[si] with max(f, g) = k: run the next pairs assigned by
+    # k, stop the index after them, done the pair count
+    decides = [[] for _ in range(nvars)]
+    for si, s in enumerate(group):
+        pairs = [(f, g) for f, g in enumerate(s) if f != g]
+        for j, (f, g) in enumerate(pairs):
+            k = max(f, g)
+            stop = next((i for i in range(j + 1, len(pairs)) if max(pairs[i]) > k), len(pairs))
+            decides[k].append((si, j, min(f, g), f < g, pairs[j + 1 : stop], stop, len(pairs)))
     sizes = [max(0, hi - lo + 1) for lo, hi in zip(box.lo, box.hi)]
-    plan = list(zip(sizes, box.lo, box.hi, lower, upper, moves, congs))
+    plan = list(zip(sizes, box.lo, box.hi, lower, upper, moves, congs, decides))
 
     point = [0] * nvars
     solutions: list[tuple[int, ...]] = []
     nodes = 0
 
-    def descend(k: int, partial: list[int]) -> None:
+    def descend(k: int, partial: list[int], state: list[int]) -> None:
         nonlocal nodes
         if k == nvars:
             solutions.append(tuple(point))
             return
-        size, lo, hi, lows, highs, move, cong = plan[k]
+        size, lo, hi, lows, highs, move, cong, decide = plan[k]
         nodes += size
         if nodes > budget:
             raise SearchIncomplete(nodes, budget)
@@ -795,16 +828,41 @@ def _search(
                     highs[0], highs[i] = highs[i], highs[0]
                     return
                 hi = t
+        # the pairs decided here whose earlier pairs are equal: (si, the
+        # value that leaves the pair equal, run, stop, done)
+        ties = ()
+        if decide:
+            ties = []
+            for si, j, other, low, run, stop, done in decide:
+                if state[si] == j:
+                    b = point[other]
+                    lo, hi = (max(lo, b), hi) if low else (lo, min(hi, b))
+                    ties.append((si, b, run, stop, done))
+            if lo > hi:
+                return
         ci, g, step = cong
         for v in range(lo + (-partial[ci] // g - lo) % step, hi + 1, step):
             point[k] = v
             child = partial.copy()
             for ci, a in move:
                 child[ci] += a * v
-            descend(k + 1, child)
+            if not ties:
+                descend(k + 1, child, state)
+                continue
+            after = state.copy()
+            for si, b, run, stop, done in ties:
+                after[si] = done
+                if v == b:
+                    d = next((point[f] - point[g] for f, g in run if point[f] != point[g]), 0)
+                    if d > 0:
+                        break
+                    if not d:
+                        after[si] = stop
+            else:
+                descend(k + 1, child, after)
 
     try:
-        descend(0, starts)
+        descend(0, starts, [0] * len(group))
     finally:
         del descend
     return solutions, nodes
@@ -838,9 +896,19 @@ def enumerate_solutions(
     hand-made box that leaves a singleton level wider than {1}, or in which a
     row holds nowhere (no solution then).  Complete, duplicate free and
     deterministic; raises SearchIncomplete as soon as the count passes the budget.
+
+    The relaxation's group, less the permutations that do not keep the box,
+    keeps the rows and level equations, so the solutions in the box too.
+    _search keeps one vector per orbit of it, and their images join here.
     """
     relaxation = _prepared(system)
     order = _search_order(system.layout, box)
+    position = {i: k for k, i in enumerate(order)}
+    group = tuple(
+        tuple(position[perm[i]] for i in order)
+        for perm in relaxation.group
+        if itemgetter(*perm)(box.lo) == box.lo and itemgetter(*perm)(box.hi) == box.hi
+    )
     rows, levels = (
         tuple(
             _Condition(tuple(c.coeffs[i] for i in order), c.const, c.lo, c.hi)
@@ -851,7 +919,8 @@ def enumerate_solutions(
     searched_box = BoundsBox(
         lo=tuple(box.lo[i] for i in order), hi=tuple(box.hi[i] for i in order)
     )
-    vectors, nodes = _search(rows, levels, system.n, searched_box, node_budget)
+    kept, nodes = _search(rows, levels, system.n, searched_box, node_budget, group)
+    vectors = set(kept).union(*(map(itemgetter(*s), kept) for s in group))
     layout = replace(system.layout, variables=tuple(system.layout.variables[i] for i in order))
     solutions = SolutionSet.build(distributions_from_vectors(layout, vectors), system.family)
     return EnumerationReport(solutions, nodes, box, rank_check(system))

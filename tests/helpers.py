@@ -717,8 +717,10 @@ def raw_rows_search(system, box, budget):
     """enumerate_solutions' search as it was before it read the relaxation's
     merged rows: _search over the system's distinct rows and level equations,
     permuted into _search_order, so every row is substituted again and keeps
-    its singleton levels' coefficients; returns (vectors in search order,
-    node count)."""
+    its singleton levels' coefficients; returns (kept vectors in search order,
+    node count).  It passes the group enumerate_solutions passes: the unit
+    permutations that keep the set of distinct rows and the box, on the
+    search positions."""
     relaxation = _relaxation(system)
     order = _search_order(system.layout, box)
     rows, levels = (
@@ -726,7 +728,14 @@ def raw_rows_search(system, box, budget):
         for conds in (relaxation.rows, relaxation.levels)
     )
     searched = BoundsBox(tuple(box.lo[i] for i in order), tuple(box.hi[i] for i in order))
-    return _search(rows, levels, system.n, searched, budget)
+    distinct = set(relaxation.rows)
+    group = tuple(
+        tuple(order.index(perm[i]) for i in order)
+        for perm in system.layout.unit_permutations()
+        if all((tuple(r.coeffs[j] for j in perm), *r[1:]) in distinct for r in distinct)
+        and all(box.lo[j] == box.lo[i] and box.hi[j] == box.hi[i] for i, j in enumerate(perm))
+    )
+    return _search(rows, levels, system.n, searched, budget, group)
 
 
 # The library's level substitution as it was when it also added a box

@@ -733,10 +733,10 @@ def test_node_budget_below_one_exits_2(budget, capsys):
 
 def test_budget_error_reports_the_crossing(capsys):
     # the search stops at the first node count past the budget
-    code, out, err = run_cli(capsys, "vpa", "--q", "31", "--n", "15", "--node-budget", "1000")
+    code, out, err = run_cli(capsys, "vpa", "--q", "31", "--n", "15", "--node-budget", "300")
     assert code == 3
     assert out == ""
-    assert "node budget 1000 exhausted after 1005 nodes" in err
+    assert "node budget 300 exhausted after 303 nodes" in err
 
 
 def test_rank_deficient_family_exits_2(capsys):

@@ -382,7 +382,7 @@ def test_orbit_roots_need_no_level_equation():
             system = family_system(q, m, spec)
             relaxation = solver._prepared(system)
             rows, levels = relaxation.rows, relaxation.levels
-            assert solver._orbit_roots(system.layout, rows) == solver._orbit_roots(
+            assert solver._symmetries(system.layout, rows) == solver._symmetries(
                 system.layout, levels + rows
             )
 
@@ -456,7 +456,8 @@ def test_a_stalled_lp_raises_rather_than_hangs(monkeypatch):
 
 def orbit_count(system):
     relaxation = solver._relaxation(system)
-    return len(set(solver._orbit_roots(system.layout, relaxation.rows + relaxation.levels)))
+    group = solver._symmetries(system.layout, relaxation.rows + relaxation.levels)
+    return len(set(solver._orbit_roots(system.layout, group)))
 
 
 @pytest.mark.parametrize(
@@ -541,7 +542,8 @@ def test_substituted_orbit_root_takes_its_own_lp_pair():
     system = paper_system(43, 22)
     relaxation = solver._prepared(system)
     assert system.layout.level_indices()[1] == tuple(range(11))
-    roots = solver._orbit_roots(system.layout, relaxation.levels + relaxation.rows)
+    group = solver._symmetries(system.layout, relaxation.levels + relaxation.rows)
+    roots = solver._orbit_roots(system.layout, group)
     assert roots[10] == 10
     assert relaxation.images[10] == ((-1,) * 10 + (0,) * 4, 1)
     # the other 13 variables of (43,22) are pinned by the bounds sweep
@@ -938,7 +940,7 @@ def test_node_budget_is_exact():
     system = paper_system(19, 10)
     box = derive_bounds(system)
     total = enumerate_solutions(system, box).node_count
-    assert total == 55
+    assert total == 31
     with pytest.raises(SearchIncomplete) as info:
         enumerate_solutions(system, box, node_budget=total - 1)
     assert info.value.node_count == total
@@ -1274,7 +1276,8 @@ def _reaches(cond, box):
 def test_search_of_merged_rows_matches_raw_rows_on_random_boxes(instance, data):
     # enumerate_solutions searches the relaxation's merged rows, singleton
     # levels folded in at 1; the oracle substitutes every distinct row
-    # again.  On the drawn box and on the system's own LP box: the same
+    # again, and both pass the same group, the unit permutations that keep
+    # the rows and the box.  On the drawn box and on the system's own LP box: the same
     # vectors in the same order and, where every merged row can hold in the
     # box, the same node count, and a budget below the total fails at the
     # same count.  A merged row that holds nowhere in the box leaves no
@@ -1430,13 +1433,13 @@ def _node_counts(cases):
 @_node_counts(
     [
         (13, 6, 11),
-        (19, 10, 55),
-        (29, 14, 223),
-        (31, 15, 1025),
-        (43, 22, 541),
-        (37, 18, 548),
-        (53, 26, 925),
-        (49, 24, 88572),
+        (19, 10, 31),
+        (29, 14, 85),
+        (31, 15, 366),
+        (43, 22, 116),
+        (37, 18, 194),
+        (53, 26, 168),
+        (49, 24, 19733),
     ]
 )
 def test_search_node_counts_pinned(q, n, nodes):
@@ -1452,7 +1455,7 @@ def test_search_node_counts_pinned(q, n, nodes):
         assert rep.node_count == nodes
 
 
-@_node_counts([(19, 10, 55), (29, 14, 142), (43, 22, 499)])
+@_node_counts([(19, 10, 31), (29, 14, 55), (43, 22, 113)])
 def test_search_node_counts_pinned_brauer_p(q, n, nodes):
     # the same search on a second family, with more rows than paper
     assert solve_vpa(frame_for(q, n), "brauer-p").node_count == nodes
@@ -1467,11 +1470,11 @@ def test_search_q289_n12_paper():
     assert len(keys) == 560
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert digest == "2c2ea703edb947f42dad9443043b1aa0757ffa51e1f6dd4300516b125373c256"
-    assert rep.node_count == 93368
+    assert rep.node_count == 47117
 
 
 def test_search_q361_n12_paper():
-    # 854 solutions in 169,620 nodes, about 0.2 s; the digest of their
+    # 854 solutions in 85,473 nodes, about 0.1 s; the digest of their
     # sorted keys is the one the search gave before the rows left constant
     # by the (V1) substitution joined one constant row
     system = paper_system(361, 12)
@@ -1480,7 +1483,7 @@ def test_search_q361_n12_paper():
     assert len(keys) == 854
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert digest == "b1b08ee287531bfcb26f9f698c06b637955dda52d66e6e5c2b8cf32a49e7eede"
-    assert rep.node_count == 169620
+    assert rep.node_count == 85473
 
 
 def test_search_q47_n24_paper():
@@ -1491,7 +1494,72 @@ def test_search_q47_n24_paper():
     assert len(keys) == 48
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert digest == "7ceeb8009d7e2de37917f4bfb3a8e832c7a10940db05f62c72e1a89545e0205c"
-    assert rep.node_count == 132390
+    assert rep.node_count == 31233
+
+
+def _kept_and_unbroken(system, box):
+    # enumerate_solutions' report, the group and kept vectors of its _search
+    # call, and the distributions and node count of that call without the group
+    seen, real = [], solver._search
+
+    def recorded(*args):
+        seen.append((args, real(*args)))
+        return seen[-1][1]
+
+    with mock.patch.object(solver, "_search", recorded):
+        rep = enumerate_solutions(system, box)
+    [(args, (kept, _nodes))] = seen
+    vectors, nodes = real(*args[:-1], ())
+    order = solver._search_order(system.layout, box)
+    layout = replace(system.layout, variables=tuple(system.layout.variables[i] for i in order))
+    return rep, args[-1], kept, {distribution_from_vector(layout, v) for v in vectors}, nodes
+
+
+def _orbit_leaders(system):
+    # on the LP box: the group is every unit permutation, each kept vector is
+    # least in search order among its images, the expanded set is the
+    # unbroken search's, there is one kept vector per relabel orbit, and the
+    # tree is no larger; returns (kept vectors, solutions)
+    rep, group, kept, unbroken, nodes = _kept_and_unbroken(system, derive_bounds(system))
+    assert len(group) == len(system.layout.unit_permutations())
+    assert all(x <= tuple(x[i] for i in s) for x in kept for s in group)
+    assert set(rep.solutions) == unbroken
+    units = [u for u in range(1, system.n) if gcd(u, system.n) == 1]
+    assert len(kept) == len({frozenset(relabel(pa, u) for u in units) for pa in unbroken})
+    assert rep.node_count <= nodes
+    return len(kept), len(rep.solutions)
+
+
+def test_orbit_leaders_on_the_sweep_up_to_q43():
+    # 150 of the 196 sweep systems, both presets: 548 solutions in 220 orbits
+    counts = [
+        _orbit_leaders(family_system(q, m, spec))
+        for q, m in sweep_frames()
+        if q <= 43
+        for spec in ("paper", "brauer-p")
+    ]
+    assert len(counts) == 150
+    assert tuple(map(sum, zip(*counts))) == (220, 548)
+
+
+def test_orbit_leaders_q289_n12_paper():
+    assert _orbit_leaders(paper_system(289, 12)) == (280, 560)
+
+
+def test_a_box_drops_the_permutations_that_do_not_keep_it():
+    # at paper (31,15) u = 2 and 7 swap eps_3(g^3) and eps_3(g^6), and u = 4
+    # fixes both: a box with eps_3(g^3) = 1 keeps u = 4's permutation alone,
+    # and its 6 solutions, pairs under u = 4, are the unbroken search's
+    system = paper_system(31, 15)
+    box = derive_bounds(system)
+    assert system.layout.variables[7] == (3, frame_for(31, 15).class_of(3))
+    narrowed = BoundsBox(box.lo[:7] + (1,) + box.lo[8:], box.hi)
+    rep, group, kept, unbroken, _nodes = _kept_and_unbroken(system, narrowed)
+    [perm] = [p for p in system.layout.unit_permutations() if p[7] == 7]
+    order = solver._search_order(system.layout, narrowed)
+    assert group == (tuple(order.index(perm[i]) for i in order),)
+    assert set(rep.solutions) == unbroken and len(unbroken) == 6
+    assert len(kept) == len({frozenset({pa, relabel(pa, 4)}) for pa in unbroken}) == 3
 
 
 def test_search_leaves_no_reference_cycle():
