@@ -303,12 +303,12 @@ def cmd_check(args) -> tuple[int, str]:
     if v_ok["V3"]:
         chars, family = _resolve_characters(pa.frame, args.chars)
         v4, n = verify_v4(pa, chars), pa.n
-        payload["v4"] = {"family": family, "ok": v4.ok, "multiplicities": v4}
-        all_ok = not violations and v4.ok
+        v4_ok = v4.ok
+        payload["v4"] = {"family": family, "ok": v4_ok, "multiplicities": v4}
     else:
         payload["v4"] = {"skipped": "V3 fails, multiplicities undefined on this input"}
-        all_ok = False
-    payload["ok"] = all_ok
+        v4_ok = False
+    all_ok = payload["ok"] = not violations and v4_ok
     code = EXIT_OK if all_ok else EXIT_FAIL
 
     if args.format == "json":
@@ -317,7 +317,7 @@ def cmd_check(args) -> tuple[int, str]:
     lines += [f"{cond}: {'ok' if ok else 'FAIL'}" for cond, ok in v_ok.items()]
     lines += [f"  {v}" for v in violations]
     if v_ok["V3"]:
-        lines.append(f"V4 ({family}): {'ok' if v4.ok else 'FAIL'}")
+        lines.append(f"V4 ({family}): {'ok' if v4_ok else 'FAIL'}")
         lines += [f"  mu({label}, l={l}) = {Fraction(s, n)}"
                   for label, l, s in v4.checks if s < 0 or s % n]
     else:

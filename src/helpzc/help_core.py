@@ -207,10 +207,10 @@ class PADistribution:
     """An integer class-function family (eps_d)_{d | n} on the classes of a frame.
 
     It stores its nonzero entries once, as a tuple of (d, class, value)
-    sorted by (d, exp), and its identity (q, n, key), key the (d, exp,
-    value) triples derived from the entries, which equality, hashing and
-    the canonical order read.  Construction checks only structure (levels
-    and values are ints, levels divide n, classes are ClassLabels of the
+    sorted as plain tuples, so by (d, exp), as a ClassLabel leads with exp,
+    and its identity (q, n, entries), which equality, hashing and the
+    canonical order read.  Construction checks only structure (levels and
+    values are ints, levels divide n, classes are ClassLabels of the
     frame); the defining conditions (V1)-(V3) are reported by violations()
     so that invalid candidates can still be inspected.
     """
@@ -227,14 +227,14 @@ class PADistribution:
                     raise ValueError(f"{cls} is not a class of the order-{n} frame")
                 if exact_int(v):
                     entries.append((d, cls, v))
-        entries.sort(key=lambda e: (e[0], e[1].exp))
+        entries.sort()
         self._set(frame, tuple(entries))
 
     def _set(self, frame: CyclicFrame, entries: tuple[tuple[int, ClassLabel, int], ...]) -> None:
         """Store checked nonzero entries, sorted by (d, exp), and the identity read from them."""
         self.frame = frame
         self._entries = entries
-        self._ident = (frame.ctx.q, frame.m, tuple([(d, cls.exp, v) for d, cls, v in entries]))
+        self._ident = (frame.ctx.q, frame.m, entries)
 
     @property
     def n(self) -> int:
@@ -252,7 +252,7 @@ class PADistribution:
         return iter(self._entries)
 
     def sort_key(self) -> tuple:
-        return self._ident[2]
+        return tuple([(d, cls.exp, v) for d, cls, v in self._entries])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PADistribution):

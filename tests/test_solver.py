@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from helpzc import cli, solver
 from helpzc.help_core import (
     ConstraintRow,
+    PADistribution,
     SolutionSet,
     build_constraints,
     distribution_from_vector,
@@ -1471,6 +1472,17 @@ def test_search_q289_n12_paper():
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert digest == "2c2ea703edb947f42dad9443043b1aa0757ffa51e1f6dd4300516b125373c256"
     assert rep.node_count == 47117
+
+
+def test_stored_order_is_canonical_q289_n12_paper():
+    # a ClassLabel leads with its exponent, so each distribution's entries
+    # are sorted as plain tuples, and the set's order is that of sort_key();
+    # were labels to sort by order first, 558 of the 560 would fail the
+    # first check, as exponents 2 and 3 have orders 6 and 4
+    solutions = solve_vpa(frame_for(289, 12), "paper").solutions
+    assert len(solutions) == 560
+    assert all(list(pa._entries) == sorted(pa._entries) for pa in solutions)
+    assert list(solutions) == sorted(solutions, key=PADistribution.sort_key)
 
 
 def test_search_q361_n12_paper():
