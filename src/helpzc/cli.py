@@ -45,7 +45,9 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text)  # then the newline, not a copy of text with it
+                if not text.endswith("\n"):
+                    fh.write("\n")
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc}") from exc
     else:

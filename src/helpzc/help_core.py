@@ -70,10 +70,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import add, attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from operator import add, attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .cyclotomic import divisors, is_prime, trace_root
 from .psl2 import (
@@ -98,81 +99,103 @@ _JSON_LEAVES = {
 
 
 def json_text(obj) -> str:
-    """json.dumps(obj, indent=2), byte for byte, built a container at a time.
+    """json.dumps(obj, indent=2), byte for byte, as one join of its pieces.
 
     With an indent the stdlib takes its pure-Python encoder, one generator
-    step per token.  Here each container is one join over its members, and
-    each leaf one C call.  A PADistribution is written as its to_json_dict()
-    and a SolutionSet as the list of those; each distinct entry object is
-    formatted once per set (_distribution_texts).  A V4Report is written as
-    its multiplicity list, each object joined from shared pieces (_v4_text).
-    A tuple is written as a list; another list or tuple subclass (a
-    NamedTuple) and a dict key that is not a str raise TypeError (the stdlib
-    would coerce them); another leaf, such as a float, goes through
-    json.dumps.
+    step per token.  Here every piece of the document goes to one list, in
+    order, and one join copies each once; a container nested in another is
+    not joined on its own, so a large member is not copied again at each
+    level.  Each leaf is one C call.  A PADistribution is written as its
+    to_json_dict() and a SolutionSet as the list of those; each distinct
+    entry object is formatted once per set (_distribution_texts).  A
+    V4Report is written as its multiplicity list, each object joined from
+    shared pieces (_v4_text).  A tuple is written as a list; another list or
+    tuple subclass (a NamedTuple) and a dict key that is not a str raise
+    TypeError (the stdlib would coerce them); another leaf, such as a float,
+    goes through json.dumps.
     """
-    return _json_text(obj, "\n")
+    out: list[str] = []
+    _json_pieces(obj, "\n", out)
+    return "".join(out)
 
 
-def _json_text(v, nl: str) -> str:
+def _json_pieces(v, nl: str, out: list[str]) -> None:
+    """Append the pieces of v's text at indent nl to out."""
     get, kind = _JSON_LEAVES.get, type(v)
     leaf = get(kind)
     if leaf is not None:
-        return leaf(v)
+        out.append(leaf(v))
+        return
     inner = nl + "  "
     if isinstance(v, dict):
         if not v:
-            return "{}"
-        body = ("," + inner).join(
-            [
-                f"{encode_basestring_ascii(k)}: "
-                f"{f(x) if (f := get(type(x))) else _json_text(x, inner)}"
-                for k, x in v.items()
-            ]
-        )
-        return f"{{{inner}{body}{nl}}}"
-    if kind is PADistribution:
-        return _distribution_texts((v,), nl)[0]
-    if kind is SolutionSet:
-        body = _distribution_texts(v.distributions, inner)
-        return f"[{inner}{(',' + inner).join(body)}{nl}]" if body else "[]"
-    if kind is V4Report:
-        return _v4_text(v, nl)
-    if kind is list or kind is tuple:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for k, x in v.items():
+            head = f"{sep}{encode_basestring_ascii(k)}: "
+            if f := get(type(x)):
+                out.append(head + f(x))
+            else:
+                out.append(head)
+                _json_pieces(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif kind is list or kind is tuple:
         if not v:
-            return "[]"
-        body = ("," + inner).join(
-            [f(x) if (f := get(type(x))) else _json_text(x, inner) for x in v]
-        )
-        return f"[{inner}{body}{nl}]"
-    if isinstance(v, (list, tuple)):
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for x in v:
+            if f := get(type(x)):
+                out.append(sep + f(x))
+            else:
+                out.append(sep)
+                _json_pieces(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif kind is PADistribution:
+        out += _distribution_texts((v,), nl)
+    elif kind is SolutionSet:
+        if not v.distributions:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for text in _distribution_texts(v.distributions, inner):
+            out += (sep, text)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif kind is V4Report:
+        out.append(_v4_text(v, nl))
+    elif isinstance(v, (list, tuple)):
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    return json.dumps(v)
+    else:
+        out.append(json.dumps(v))
 
 
 def _distribution_texts(pas: Iterable[PADistribution], nl: str) -> list[str]:
     """The to_json_dict() object of each distribution at indent nl,
-    {"q", "n", "entries": [{"d", "order", "exp", "value"}, ...]}; each
-    distinct entry (d, class, value) is formatted once per call."""
+    {"q", "n", "entries": [{"d", "order", "exp", "value"}, ...]}, read from its
+    identity (q, n, entries); each distinct entry (d, class, value) is formatted
+    once per call."""
     inner = nl + "  "
     item = inner + "  "
     key = item + "  "
+    sep = "," + item
     known: dict[tuple, str] = {}
     out = []
     for pa in pas:
-        body = ("," + item).join(
-            [
-                known.get(e)
-                or known.setdefault(
-                    e,
-                    f'{{{key}"d": {e[0]},{key}"order": {e[1].order},'
-                    f'{key}"exp": {e[1].exp},{key}"value": {e[2]}{item}}}',
-                )
-                for e in pa._entries
-            ]
-        )
-        entries = f"[{item}{body}{inner}]" if body else "[]"
-        out.append(f'{{{inner}"q": {pa.q},{inner}"n": {pa.n},{inner}"entries": {entries}{nl}}}')
+        q, n, entries = pa._ident
+        texts = []
+        for e in entries:
+            text = known.get(e)
+            if text is None:
+                d, cls, v = e
+                text = known[e] = (f'{{{key}"d": {d},{key}"order": {cls.order},'
+                                   f'{key}"exp": {cls.exp},{key}"value": {v}{item}}}')
+            texts.append(text)
+        body = f"[{item}{sep.join(texts)}{inner}]" if texts else "[]"
+        out.append(f'{{{inner}"q": {q},{inner}"n": {n},{inner}"entries": {body}{nl}}}')
     return out
 
 
@@ -376,6 +399,15 @@ def variable_layout(frame: CyclicFrame) -> VariableLayout:
     return VariableLayout(frame=frame, variables=tuple(variables))
 
 
+def tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """seq -> tuple(seq[i] for i in positions), one C call as itemgetter(*positions)
+    for two positions or more; itemgetter returns a bare item for one and takes
+    none, so those read the tuple in Python."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda seq: tuple([seq[i] for i in positions])
+
+
 def distributions_from_vectors(
     layout: VariableLayout, vectors: Iterable[tuple[int, ...]]
 ) -> Iterator[PADistribution]:
@@ -383,21 +415,25 @@ def distributions_from_vectors(
 
     The layout is checked once, as PADistribution(frame, levels) checks its
     unit distribution, whose entries give the variables' order by (d, exp).
-    A vector is checked to hold one int per variable (as exact_int checks);
-    its nonzero values in that order, then eps_n(1) = 1, are the entries.
+    A vector is checked to hold one int per variable (as exact_int checks),
+    read in that order by one getter, and its nonzero values, then
+    eps_n(1) = 1, are the entries.
     """
     frame, variables = layout.frame, layout.variables
     units = {d: {cls: 1 for e, cls in variables if e == d} for d, _cls in variables}
-    steps = [(layout.index(d, c), d, c) for d, c, _v in PADistribution(frame, units).entries()]
+    labels = [(d, c) for d, c, _v in PADistribution(frame, units).entries()]
     fixed, nvars = (frame.m, frame.identity, 1), len(layout)
-    if len(steps) != nvars:
+    if len(labels) != nvars:
         raise ValueError("the layout repeats a variable")
+    canonical = tuple_getter([layout.index(d, c) for d, c in labels])
+    levels, classes = [d for d, _c in labels], [c for _d, c in labels]
     for vec in vectors:
         if len(vec) != nvars or not {int}.issuperset(map(type, vec)):
             list(map(exact_int, vec))  # raises at a value that is not an int
             raise ValueError(f"{len(vec)} values for a layout of {nvars} variables")
+        values = canonical(vec)
         pa = object.__new__(PADistribution)
-        pa._set(frame, (*[(d, cls, v) for i, d, cls in steps if (v := vec[i])], fixed))
+        pa._set(frame, (*compress(zip(levels, classes, values), values), fixed))
         yield pa
 
 
@@ -603,7 +639,14 @@ def tpa_distribution(frame: CyclicFrame, exp: int) -> PADistribution:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """A duplicate-free, canonically sorted collection of distributions."""
+    """A duplicate-free, canonically sorted collection of distributions.
+
+    build() dedupes and sorts any distributions.  The solver's path,
+    solver.enumerate_solutions, builds the set directly: its distributions
+    come from distinct vectors of one layout, so they are distinct (the
+    nonzero values at their labels are their entries) and share (q, n), and
+    it sorts them by their entries, which is the canonical order there.
+    """
 
     distributions: tuple[PADistribution, ...]
     family: str = ""

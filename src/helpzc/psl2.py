@@ -288,13 +288,16 @@ def brauer_irreducibles(ctx: GroupContext, frame: CyclicFrame) -> tuple[CharRest
 
     The digits come from range(p) and the sum is even by construction, so
     each chi_R is built directly, without the checks of CharRestriction.brauer.
+    The first f - 1 digits run through product's order and the last steps by
+    2 from their sum's parity: product's order over the even-sum tuples.
     """
     if gcd(frame.m, ctx.p) != 1:
         raise ValueError("frame must be p-regular")
+    p = ctx.p
     return tuple(
-        CharRestriction("brauer", weights=w)
-        for w in itertools.product(range(ctx.p), repeat=ctx.f)
-        if sum(w) % 2 == 0
+        CharRestriction("brauer", weights=(*head, last))
+        for head in itertools.product(range(p), repeat=ctx.f - 1)
+        for last in range(sum(head) % 2, p, 2)
     )
 
 

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from math import gcd
-from operator import itemgetter, mul
+from operator import attrgetter, itemgetter, mul
 from typing import NamedTuple
 
 from .help_core import (
@@ -83,6 +83,7 @@ from .help_core import (
     VariableLayout,
     build_constraints,
     distributions_from_vectors,
+    tuple_getter,
 )
 from .psl2 import CharRestriction, CyclicFrame, brauer_irreducibles
 
@@ -900,9 +901,14 @@ def enumerate_solutions(
     The relaxation's group, less the permutations that do not keep the box,
     keeps the rows and level equations, so the solutions in the box too.
     _search keeps one vector per orbit of it, and their images join here.
+
+    The SolutionSet is built here, not by SolutionSet.build: distinct vectors
+    of one layout give distinct distributions of one (q, n), so there is no
+    duplicate to drop, and sorting by entries is the canonical order.
     """
     relaxation = _prepared(system)
     order = _search_order(system.layout, box)
+    permuted = tuple_getter(order)
     position = {i: k for k, i in enumerate(order)}
     group = tuple(
         tuple(position[perm[i]] for i in order)
@@ -910,19 +916,15 @@ def enumerate_solutions(
         if itemgetter(*perm)(box.lo) == box.lo and itemgetter(*perm)(box.hi) == box.hi
     )
     rows, levels = (
-        tuple(
-            _Condition(tuple(c.coeffs[i] for i in order), c.const, c.lo, c.hi)
-            for c in conds
-        )
+        tuple(_Condition(permuted(c.coeffs), c.const, c.lo, c.hi) for c in conds)
         for conds in (relaxation.directions, relaxation.levels)
     )
-    searched_box = BoundsBox(
-        lo=tuple(box.lo[i] for i in order), hi=tuple(box.hi[i] for i in order)
-    )
+    searched_box = BoundsBox(lo=permuted(box.lo), hi=permuted(box.hi))
     kept, nodes = _search(rows, levels, system.n, searched_box, node_budget, group)
     vectors = set(kept).union(*(map(itemgetter(*s), kept) for s in group))
-    layout = replace(system.layout, variables=tuple(system.layout.variables[i] for i in order))
-    solutions = SolutionSet.build(distributions_from_vectors(layout, vectors), system.family)
+    layout = replace(system.layout, variables=permuted(system.layout.variables))
+    found = sorted(distributions_from_vectors(layout, vectors), key=attrgetter("_entries"))
+    solutions = SolutionSet(tuple(found), system.family)
     return EnumerationReport(solutions, nodes, box, rank_check(system))
 
 

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -57,6 +58,23 @@ def test_vpa_rejects_bad_q(capsys):
     code, _, err = run_cli(capsys, "vpa", "--q", "15", "--n", "2")
     assert code == 2
     assert "odd prime power" in err
+
+
+@pytest.mark.parametrize("n, variables, entries", [
+    (1, 0, [(1, 0, 1)]),
+    (2, 1, [(1, 1, 1), (2, 0, 1)]),
+])
+def test_vpa_with_no_or_one_variable(capsys, n, variables, entries):
+    # the vector getters take no position at n = 1 and one at n = 2, where
+    # operator.itemgetter would fail or return a bare value
+    for spec in ("paper", "brauer-p"):
+        code, out, _ = run_cli(capsys, "vpa", "--q", "19", "--n", str(n), "--chars", spec)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["variables"], payload["solution_count"]) == (variables, 1)
+        assert payload["complete"] is True
+        [solution] = payload["solutions"]
+        assert [(e["d"], e["exp"], e["value"]) for e in solution["entries"]] == entries
 
 
 def test_vpa_q11_n5_paper(capsys):
@@ -411,6 +429,25 @@ def test_vpa_289_12_json_is_pinned(capsys):
     text = "".join(line for line in out.splitlines(keepends=True) if '"node_count":' not in line)
     assert len(text) == 648_278
     digest = "9dae6e64f440039a4ba547c3447cb85e1eb2ee7661dad8a3bc7f3f1b7e7b1769"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of stdout (the text form less its header's node_count field), recorded
+# before enumerate_solutions built its SolutionSet without SolutionSet.build
+VPA_289_12_PINS = [
+    ("text", 83_101, "bf3d67d1bc6346b1f1a65c7860fa1326ae2f3c2d888126f7dd7d16b278e259bc"),
+    ("csv", 79_635, "d63af9a4b77872b54f462f3d2888414282da30069489ad275f5de57abc9bbf35"),
+]
+
+
+@pytest.mark.parametrize("fmt, size, digest", VPA_289_12_PINS, ids=[p[0] for p in VPA_289_12_PINS])
+def test_vpa_289_12_text_and_csv_are_pinned(capsys, fmt, size, digest):
+    code, out, _ = run_cli(
+        capsys, "vpa", "--q", "289", "--n", "12", "--node-budget", "40000000", "--format", fmt
+    )
+    assert code == 0
+    text = re.sub(r" node_count=\d+", "", out, count=1) if fmt == "text" else out
+    assert len(text) == size
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

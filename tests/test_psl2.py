@@ -399,6 +399,16 @@ def test_brauer_irreducibles_match_the_checked_construction_on_the_sweep_frames(
         ]
 
 
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 121, 125])
+def test_brauer_irreducibles_keep_product_order_at_prime_powers(q):
+    # the last digit steps by 2 from the others' parity; the family is the
+    # even-sum tuples of product(range(p), repeat=f), in product's order
+    fr = frame_for(q, 2)
+    p, f = fr.ctx.p, fr.ctx.f
+    filtered = tuple(w for w in itertools.product(range(p), repeat=f) if sum(w) % 2 == 0)
+    assert tuple(chi.weights for chi in brauer_irreducibles(fr.ctx, fr)) == filtered
+
+
 def test_v_set_count_examples():
     fr = frame_for(19, 10)
     assert v_set_count(fr, (4,), 1) == 2

@@ -429,6 +429,20 @@ def test_enumerated_distributions_are_those_of_the_validating_constructor(sweep)
     assert built_as_validated(system, derive_bounds(system)) == 560
 
 
+def test_enumerated_set_is_the_one_solution_set_build_makes(sweep):
+    # enumerate_solutions sorts its distributions itself, without
+    # SolutionSet.build's dedup: the same distributions, in the same order
+    cases, _, _ = sweep
+    count = 0
+    for q, m, spec, _rank, box in cases:
+        found = enumerate_solutions(family_system(q, m, spec), BoundsBox(*box)).solutions
+        built = SolutionSet.build(found.distributions, found.family)
+        assert [pa._ident for pa in found] == [pa._ident for pa in built]
+        assert found == built
+        count += len(found)
+    assert count == 898
+
+
 def test_enumeration_rejects_a_layout_with_a_foreign_class():
     system = paper_system(19, 10)
     box = derive_bounds(system)
